@@ -18,7 +18,7 @@ from .geometry import SurfaceChart, TrigDisplacement, displace_chart, \
 from .grids import Grid
 from .loads import LoadResultants, LoadSpec, reduce_loads, uniform_transverse
 from .minimizer import (DiscreteDeformation, MinimizeResult, ShellObjective,
-                        SolverConfig, minimize, project_admissible)
+                        SolverConfig, minimize)
 from .oracle3d import compare_reduced_3d, integrate_3d
 from .reference import ReferenceField, build_reference
 
@@ -34,7 +34,7 @@ __all__ = [
     "Grid",
     "LoadResultants", "LoadSpec", "reduce_loads", "uniform_transverse",
     "DiscreteDeformation", "MinimizeResult", "ShellObjective",
-    "SolverConfig", "minimize", "project_admissible",
+    "SolverConfig", "minimize",
     "compare_reduced_3d", "integrate_3d",
     "ReferenceField", "build_reference",
     "__version__",

@@ -203,29 +203,12 @@ def cmd_compare3d(cfg, args):
 
 
 def cmd_minimize(cfg, args):
-    from .admissibility import admissibility_report
     from .errors import InadmissibleThickness
     from .minimizer import minimize
     from .reference import build_reference
     from .vtkio import write_csv, write_vtk
 
     ref = build_reference(cfg.chart, cfg.grid, cfg.material.h, cfg.order)
-    report = admissibility_report(ref, safety=cfg.safety)
-    if not report.ok(cfg.model):
-        if not args.force:
-            print("thickness gate failed for model %d: h = %g >= h_max = %s"
-                  % (cfg.model, cfg.material.h,
-                     _fmt(report.h_max[cfg.model])), file=sys.stderr)
-            for key, value in report.rows():
-                print("  %s = %s" % (key, _fmt(value)), file=sys.stderr)
-            raise InadmissibleThickness(
-                "thickness %g at or above the model-%d bound %s"
-                % (cfg.material.h, cfg.model, _fmt(report.h_max[cfg.model])))
-        print("warning: thickness %g is at or above the model-%d bound %s; "
-              "convexity of the integrand is not guaranteed (--force)"
-              % (cfg.material.h, cfg.model, _fmt(report.h_max[cfg.model])),
-              file=sys.stderr)
-
     cadence = int(cfg.raw.get("minimize.snapshot_every", "0"))
 
     def snapshot(it, positions):
@@ -233,11 +216,24 @@ def cmd_minimize(cfg, args):
             write_vtk(_outpath(args, "minimize-iter%06d.vtk" % it),
                       positions, comment="iterate %d" % it)
 
-    result = minimize(ref, cfg.material, cfg.solver,
-                      loads=_reduced_loads(cfg),
-                      clamped_edges=cfg.clamped_edges or None,
-                      force=args.force, safety=cfg.safety,
-                      callback=snapshot)
+    try:
+        result = minimize(ref, cfg.material, cfg.solver,
+                          loads=_reduced_loads(cfg),
+                          clamped_edges=cfg.clamped_edges or None,
+                          force=args.force, safety=cfg.safety,
+                          callback=snapshot)
+    except InadmissibleThickness as exc:
+        print("thickness gate failed for model %d: h = %g >= h_max = %s"
+              % (cfg.model, cfg.material.h,
+                 _fmt(exc.report.h_max[cfg.model])), file=sys.stderr)
+        for key, value in exc.report.rows():
+            print("  %s = %s" % (key, _fmt(value)), file=sys.stderr)
+        raise
+    if not result.report.ok(cfg.model):
+        print("warning: thickness %g is at or above the model-%d bound %s; "
+              "convexity of the integrand is not guaranteed (--force)"
+              % (cfg.material.h, cfg.model,
+                 _fmt(result.report.h_max[cfg.model])), file=sys.stderr)
     write_vtk(_outpath(args, "minimize-final.vtk"), result.positions,
               comment="minimizer final surface")
     write_csv(_outpath(args, "minimize-trace.csv"),
@@ -308,7 +304,7 @@ def main(argv=None):
             return 1
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
+            os.environ[var] = str(args.threads)
 
     from .errors import (ConfigError, InadmissibleInitialState,
                          InadmissibleThickness, OrientationViolation,

@@ -54,10 +54,11 @@ class MaterialParams:
     h: float
 
     def __post_init__(self):
-        if not (self.mu > 0 and self.lam > 0 and self.h > 0):
+        values = (self.mu, self.lam, self.h)
+        if not all(0.0 < v < float("inf") for v in values):
             raise ConfigError(
-                "material parameters must be positive: mu=%g lam=%g h=%g"
-                % (self.mu, self.lam, self.h)
+                "material parameters must be positive and finite: "
+                "mu=%g lam=%g h=%g" % values
             )
 
 
@@ -103,34 +104,6 @@ class DeformedState:
     a_plus: np.ndarray      # face factor at +h/2 for the state's thickness
     a_minus: np.ndarray
 
-    @property
-    def first(self):
-        return _form_matrix(self.bundle, "I")
-
-    @property
-    def second(self):
-        return _form_matrix(self.bundle, "II")
-
-    @property
-    def third(self):
-        return _form_matrix(self.bundle, "III")
-
-
-def _form_matrix(bundle, name):
-    if name == "I":
-        comps = (bundle["I11"], bundle["I12"], bundle["I12"], bundle["I22"])
-    elif name == "II":
-        comps = (bundle["II11"], bundle["II12"], bundle["II21"], bundle["II22"])
-    else:
-        comps = (bundle["III11"], bundle["III12"], bundle["III12"],
-                 bundle["III22"])
-    out = np.empty(np.shape(comps[0]) + (2, 2))
-    out[..., 0, 0] = comps[0]
-    out[..., 0, 1] = comps[1]
-    out[..., 1, 0] = comps[2]
-    out[..., 1, 1] = comps[3]
-    return out
-
 
 def deformed_state(source, grid, h, order=4):
     """Build a DeformedState from a chart or a nodal position array."""
@@ -161,7 +134,8 @@ def orientation_violations(bundle, ref, h, eps=EPS_ORIENT):
     """(quantity, index, value) for the worst orientation defect, or None.
 
     The discrete admissible set requires a_m > eps * a_y0 and both face
-    factors above eps at every node.
+    factors above eps at every node.  argmin returns the first NaN, so a
+    NaN factor (a non-finite position upstream) is a violation at its node.
     """
     a_m = dual.value(bundle["a"])
     plus, minus = face_factors(dual.value(bundle["H"]),
@@ -175,7 +149,8 @@ def orientation_violations(bundle, ref, h, eps=EPS_ORIENT):
     for name, values, floor in checks:
         defect = values - floor
         idx = np.unravel_index(np.argmin(defect), defect.shape)
-        if defect[idx] <= 0.0 and (worst is None or defect[idx] < worst[3]):
+        if not defect[idx] > 0.0 and (worst is None
+                                      or defect[idx] < worst[3]):
             worst = (name, idx, values[idx], defect[idx])
     if worst is None:
         return None

@@ -70,7 +70,13 @@ class ThicknessError(ShellError):
 
 
 class InadmissibleThickness(ThicknessError):
-    """Thickness at or above the minimizer's gate min(h_geom, model h0)."""
+    """Thickness at or above the minimizer's gate min(h_geom, model h0).
+
+    ``report`` is the AdmissibilityReport the gate decided on."""
+
+    def __init__(self, message, report=None):
+        self.report = report
+        super().__init__(message)
 
 
 class InadmissibleInitialState(ShellError):

@@ -136,15 +136,6 @@ def surface_bundle(slots):
     }
 
 
-def lift_hat(mat2):
-    """Embed a 2x2 block into 3x3 with a unit (3,3) entry."""
-    mat2 = np.asarray(mat2, dtype=float)
-    out = np.zeros(mat2.shape[:-2] + (3, 3))
-    out[..., :2, :2] = mat2
-    out[..., 2, 2] = 1.0
-    return out
-
-
 def lift_flat(mat2):
     """Embed a 2x2 block into 3x3 with a zero (3,3) entry."""
     mat2 = np.asarray(mat2, dtype=float)

@@ -186,19 +186,66 @@ def _edge_measure(ref, edge, measure):
     return w
 
 
-def _component(arr, k, shape):
-    """k-th vector component broadcast to the grid shape."""
-    arr = np.asarray(arr, dtype=float)
-    if arr.ndim == 1:
-        return np.broadcast_to(arr[k], shape)
-    return arr[..., k]
-
-
 def _vec_component(obj, k):
     """Component k of a vector field given as (n1,n2,3) or a 3-triple."""
     if isinstance(obj, (list, tuple)):
         return obj[k]
     return obj[..., k]
+
+
+@dataclass(frozen=True)
+class LoadCovector:
+    """The load potential as two merged nodal fields on the reference grid.
+
+    ``force`` holds the quadrature-weighted force resultants (area plus
+    traction edges) and ``moment`` the weighted moment resultants, so that
+
+        L(m, n_m) = sum <force, m - y0> + sum <moment, n_m - n_{y0}> .
+
+    ``force`` is also the constant nodal gradient of L in the positions.
+    A field that vanishes identically is None.
+    """
+
+    force: object               # (n1, n2, 3) or None
+    moment: object              # (n1, n2, 3) or None
+    ref: object
+
+    def potential(self, positions, normals):
+        """L(m, n_m) for (n1, n2, 3) arrays or triples of (Dual) fields."""
+        acc = 0.0
+        for k in range(3):
+            if self.force is not None:
+                v_k = _vec_component(positions, k) - self.ref.positions[..., k]
+                acc = acc + dual.total(self.force[..., k] * v_k)
+            if self.moment is not None:
+                dn_k = _vec_component(normals, k) - self.ref.normal[..., k]
+                acc = acc + dual.total(self.moment[..., k] * dn_k)
+        return acc
+
+
+def load_covector(res, ref):
+    """Assemble the LoadCovector of resultants ``res`` (None: no load)."""
+    shape = (ref.grid.n1, ref.grid.n2, 3)
+    force = np.zeros(shape)
+    moment = np.zeros(shape)
+    if res is not None:
+        w_area = area_weights(ref.grid)[..., None]
+        if res.force_area is not None:
+            force += w_area * np.broadcast_to(res.force_area, shape)
+        if res.moment_area is not None:
+            moment += w_area * np.broadcast_to(res.moment_area, shape)
+        for edge in res.gamma_t:
+            f_edge = res.force_edge.get(edge)
+            m_edge = res.moment_edge.get(edge)
+            if f_edge is None and m_edge is None:
+                continue
+            w_edge = _edge_measure(ref, edge, res.boundary_measure)[..., None]
+            if f_edge is not None:
+                force += w_edge * np.broadcast_to(f_edge, shape)
+            if m_edge is not None:
+                moment += w_edge * np.broadcast_to(m_edge, shape)
+    return LoadCovector(force=force if np.any(force) else None,
+                        moment=moment if np.any(moment) else None, ref=ref)
 
 
 def load_potential(res, ref, positions, normals):
@@ -209,30 +256,7 @@ def load_potential(res, ref, positions, normals):
     the potential is assembled with scalar arithmetic so sensitivities flow
     through.
     """
-    shape = (ref.grid.n1, ref.grid.n2)
-    w_area = area_weights(ref.grid)
-    acc = 0.0
-    for k in range(3):
-        v_k = _vec_component(positions, k) - ref.positions[..., k]
-        dn_k = _vec_component(normals, k) - ref.normal[..., k]
-        if res.force_area is not None:
-            acc = acc + dual.total(v_k * _component(res.force_area, k, shape),
-                                   w_area)
-        if res.moment_area is not None:
-            acc = acc + dual.total(dn_k * _component(res.moment_area, k, shape),
-                                   w_area)
-        for edge in res.gamma_t:
-            w_edge = None
-            if edge in res.force_edge:
-                w_edge = _edge_measure(ref, edge, res.boundary_measure)
-                acc = acc + dual.total(
-                    v_k * _component(res.force_edge[edge], k, shape), w_edge)
-            if edge in res.moment_edge:
-                if w_edge is None:
-                    w_edge = _edge_measure(ref, edge, res.boundary_measure)
-                acc = acc + dual.total(
-                    dn_k * _component(res.moment_edge[edge], k, shape), w_edge)
-    return acc
+    return load_covector(res, ref).potential(positions, normals)
 
 
 def uniform_transverse(pressure, direction=(0.0, 0.0, 1.0)):

@@ -34,7 +34,7 @@ from .errors import (ConfigError, InadmissibleInitialState,
                      InadmissibleThickness, StepCollapsed)
 from .geometry import SLOT_NAMES, surface_bundle
 from .grids import EDGES, area_weights, edge_mask
-from .loads import _edge_measure
+from .loads import _edge_measure, load_covector
 from .stencils import GridDerivatives
 from . import dual
 
@@ -117,7 +117,6 @@ class ShellObjective:
         self.mat = mat
         self.model = model
         self.constants = constants
-        self.loads = loads
         self.penalty_beta = float(penalty_beta)
         grid = ref.grid
         self.ops = GridDerivatives(grid.n1, grid.n2, grid.dx1, grid.dx2,
@@ -132,38 +131,7 @@ class ShellObjective:
             pen += _edge_measure(ref, name, "surface")
         self.penalty_weights = pen
 
-        # split the load potential into the part linear in positions (a fixed
-        # nodal covector) and the normal-moment coefficient field
-        self.direct_load_grad = None   # (n1, n2, 3)
-        self.moment_coef = None        # (n1, n2, 3)
-        if loads is not None:
-            w_area = area_weights(grid)
-            direct = np.zeros((grid.n1, grid.n2, 3))
-            moment = np.zeros((grid.n1, grid.n2, 3))
-            if loads.force_area is not None:
-                direct += w_area[..., None] * np.broadcast_to(
-                    np.asarray(loads.force_area, dtype=float), direct.shape)
-            if loads.moment_area is not None:
-                moment += w_area[..., None] * np.broadcast_to(
-                    np.asarray(loads.moment_area, dtype=float), moment.shape)
-            for name in loads.gamma_t:
-                measure = None
-                if name in loads.force_edge:
-                    measure = _edge_measure(ref, name, loads.boundary_measure)
-                    direct += measure[..., None] * np.broadcast_to(
-                        np.asarray(loads.force_edge[name], dtype=float),
-                        direct.shape)
-                if name in loads.moment_edge:
-                    if measure is None:
-                        measure = _edge_measure(ref, name,
-                                                loads.boundary_measure)
-                    moment += measure[..., None] * np.broadcast_to(
-                        np.asarray(loads.moment_edge[name], dtype=float),
-                        moment.shape)
-            if np.any(direct):
-                self.direct_load_grad = direct
-            if np.any(moment):
-                self.moment_coef = moment
+        self.load = load_covector(loads, ref)
 
     # -- plain evaluation ---------------------------------------------------
 
@@ -182,32 +150,22 @@ class ShellObjective:
         require_orientation(bundle, self.ref, self.mat.h)
         dens = energy_density_fields(bundle, self.ref, self.mat, self.model,
                                      self.constants)
-        total = float(np.sum(self.w2d * (dens["shell"] + dens["curv_log"]
-                                         + dens["curv_det2"])))
-        total += self.constant_total
-        normal_val = (bundle["nx"], bundle["ny"], bundle["nz"])
-        total -= self._load_value(positions, normal_val)
-        total += self._penalty_value(normal_val)
-        return total
+        density = dens["shell"] + dens["curv_log"] + dens["curv_det2"]
+        normal = (bundle["nx"], bundle["ny"], bundle["nz"])
+        return self._total(density, positions, normal)
 
-    def _load_value(self, positions, normal):
-        acc = 0.0
-        for k in range(3):
-            if self.direct_load_grad is not None:
-                acc += float(np.sum(self.direct_load_grad[..., k]
-                                    * (positions[..., k]
-                                       - self.ref.positions[..., k])))
-            if self.moment_coef is not None:
-                dn = dual.value(normal[k]) - self.ref.normal[..., k]
-                acc += float(np.sum(self.moment_coef[..., k] * dn))
-        return acc
+    def _total(self, density, positions, normal):
+        """Internal energy plus constant, minus loads, plus clamp penalty."""
+        total = float(np.sum(self.w2d * density)) + self.constant_total
+        total -= float(self.load.potential(positions, normal))
+        return total + self._penalty_value(normal)
 
     def _penalty_value(self, normal):
         if self.penalty_beta == 0.0:
             return 0.0
         acc = 0.0
         for k in range(3):
-            dn = dual.value(normal[k]) - self.ref.normal[..., k]
+            dn = normal[k] - self.ref.normal[..., k]
             acc += float(np.sum(self.penalty_weights * dn * dn))
         return self.penalty_beta * acc
 
@@ -222,50 +180,33 @@ class ShellObjective:
 
     def _value_and_grad_ad(self, positions):
         slots = self.ops.all_slots(positions)
-        nseed = 3 * len(SLOT_NAMES)
-        seeded = {}
-        for si, name in enumerate(SLOT_NAMES):
-            comps = []
-            for c in range(3):
-                val = slots[name][..., c]
-                dot = np.zeros(val.shape + (nseed,))
-                dot[..., 3 * si + c] = 1.0
-                comps.append(dual.Dual(val, dot))
-            seeded[name] = tuple(comps)
-        bundle = surface_bundle(seeded)
+        seeded = dual.seed([slots[name][..., c] for name in SLOT_NAMES
+                            for c in range(3)])
+        bundle = surface_bundle({name: tuple(seeded[3 * si:3 * si + 3])
+                                 for si, name in enumerate(SLOT_NAMES)})
         require_orientation(bundle, self.ref, self.mat.h)
 
         dens = energy_density_fields(bundle, self.ref, self.mat, self.model,
                                      self.constants)
         density = dens["shell"] + dens["curv_log"] + dens["curv_det2"]
-        obj_val = self.w2d * density.val
         obj_dot = self.w2d[..., None] * density.dot
-
         normal = (bundle["nx"], bundle["ny"], bundle["nz"])
-        for k in range(3):
-            n_k = normal[k]
-            dn = n_k.val - self.ref.normal[..., k]
-            if self.moment_coef is not None:
-                mc = self.moment_coef[..., k]
-                obj_val = obj_val - mc * dn
-                obj_dot = obj_dot - mc[..., None] * n_k.dot
+        for k, n_k in enumerate(normal):
+            if self.load.moment is not None:
+                obj_dot = obj_dot - self.load.moment[..., k, None] * n_k.dot
             if self.penalty_beta > 0.0:
+                dn = n_k.val - self.ref.normal[..., k]
                 pw = self.penalty_beta * self.penalty_weights
-                obj_val = obj_val + pw * dn * dn
                 obj_dot = obj_dot + (2.0 * pw * dn)[..., None] * n_k.dot
 
-        total = float(np.sum(obj_val)) + self.constant_total
         grad = np.zeros_like(positions)
         for si, name in enumerate(SLOT_NAMES):
             grad += self.ops.scatter(name,
                                      obj_dot[..., 3 * si:3 * si + 3])
-        if self.direct_load_grad is not None:
-            for k in range(3):
-                total -= float(np.sum(
-                    self.direct_load_grad[..., k]
-                    * (positions[..., k] - self.ref.positions[..., k])))
-            grad -= self.direct_load_grad
-        return total, grad
+        if self.load.force is not None:
+            grad -= self.load.force
+        return self._total(density.val, positions,
+                           [n_k.val for n_k in normal]), grad
 
     def metric_diagonal(self):
         """Per-node curvature scale for the initial quasi-Newton metric.
@@ -323,16 +264,32 @@ class MinimizeResult:
     message: str
     trace: list                 # rows (iter, energy, grad_norm, step)
     clamped_edges: tuple
+    report: object              # AdmissibilityReport of the thickness gate
 
 
-def project_admissible(objective, positions, direction, iteration,
-                       step=1.0, backtrack=0.5):
-    """Largest backtracked step keeping every node strictly oriented."""
-    while step >= STEP_MIN:
-        if objective.feasible(positions + step * direction):
-            return step
+def line_search(objective, unpack, x, d, energy, slope, iteration,
+                armijo_c1=1e-4, backtrack=0.5):
+    """Fused feasibility-then-Armijo backtracking from the unit step.
+
+    Each trial ``unpack(x + step * d)`` gets one geometry pass, used both
+    for the orientation floor and for the energy.  Returns (step, trial,
+    trial energy); raises StepCollapsed naming the phase that failed last.
+    """
+    step = 1.0
+    while True:
+        trial = x + step * d
+        trial_pos = unpack(trial)
+        bundle = objective._bundle(trial_pos)
+        feasible = orientation_violations(
+            bundle, objective.ref, objective.mat.h, eps=EPS_FEAS) is None
+        if feasible:
+            trial_energy = objective.value(trial_pos, bundle=bundle)
+            if trial_energy <= energy + armijo_c1 * step * slope:
+                return step, trial, trial_energy
         step *= backtrack
-    raise StepCollapsed("feasibility", step, iteration)
+        if step < STEP_MIN:
+            raise StepCollapsed("line-search" if feasible else "feasibility",
+                                step, iteration)
 
 
 def _two_loop(g, pairs, dinv=None):
@@ -361,7 +318,9 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
 
     ``clamped_edges`` defaults to the complement of the load's traction
     edges (all four edges without loads).  ``force=True`` skips the
-    thickness gate; the admissibility report is evaluated either way.
+    thickness gate.  The gate's admissibility report is computed once and
+    returned on ``MinimizeResult.report`` (``InadmissibleThickness.report``
+    when the gate stops the run).
     """
     if clamped_edges is None:
         if loads is not None:
@@ -371,10 +330,8 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
     report = admissibility_report(ref, h=mat.h, safety=safety)
     if not report.ok(config.model) and not force:
         raise InadmissibleThickness(
-            "h = %g is not below the model-%d ceiling %g "
-            "(geometric %g, convexity %g); pass force to run anyway"
-            % (mat.h, config.model, report.h_max[config.model],
-               report.h_geom, report.model_h0[config.model]))
+            "thickness %g at or above the model-%d bound %.12g"
+            % (mat.h, config.model, report.h_max[config.model]), report)
 
     deform = DiscreteDeformation.from_reference(ref, clamped_edges, initial)
     objective = ShellObjective(ref, mat, config.model, config.constants,
@@ -414,7 +371,8 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
         return MinimizeResult(positions=positions, energy=energy,
                               grad_norm=gnorm, iterations=0, converged=True,
                               message="stationary at start", trace=trace,
-                              clamped_edges=tuple(clamped_edges))
+                              clamped_edges=tuple(clamped_edges),
+                              report=report)
 
     x = pack(positions)
     dinv = None
@@ -433,28 +391,12 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
             d = -(dinv * g if dinv is not None else g)
             slope = float(np.dot(g, d))
 
-        # fused feasibility + Armijo backtracking: each trial reuses one
-        # geometry pass for both the orientation floor and the energy
-        step = 1.0
-        stopped = None
-        while True:
-            trial = x + step * d
-            trial_pos = unpack(trial)
-            trial_bundle = objective._bundle(trial_pos)
-            feasible = orientation_violations(
-                trial_bundle, ref, mat.h, eps=EPS_FEAS) is None
-            if feasible:
-                trial_energy = objective.value(trial_pos,
-                                               bundle=trial_bundle)
-                if trial_energy <= energy + config.armijo_c1 * step * slope:
-                    break
-            step *= config.backtrack
-            if step < STEP_MIN:
-                stopped = StepCollapsed(
-                    "line-search" if feasible else "feasibility", step, it)
-                break
-        if stopped is not None:
-            message = str(stopped)
+        try:
+            step, trial, trial_energy = line_search(
+                objective, unpack, x, d, energy, slope, it,
+                config.armijo_c1, config.backtrack)
+        except StepCollapsed as exc:
+            message = str(exc)
             it -= 1
             break
 
@@ -484,4 +426,5 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
 
     return MinimizeResult(positions=unpack(x), energy=energy, grad_norm=gnorm,
                           iterations=it, converged=converged, message=message,
-                          trace=trace, clamped_edges=tuple(clamped_edges))
+                          trace=trace, clamped_edges=tuple(clamped_edges),
+                          report=report)

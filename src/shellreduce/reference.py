@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +72,6 @@ class ReferenceField:
     bend_norm: np.ndarray       # |I^{1/2} L^T I^{-1/2}|_F per node
     curvature_bound: float      # C = 2 sup |I^{1/2} L^T I^{-1/2}|_F
     kappa_sup: float            # sup max(|kappa1|, |kappa2|)
-    meta: dict = field(default_factory=dict)
 
     @property
     def area(self):
@@ -117,7 +116,12 @@ def build_reference(chart, grid, h, order=4):
     """
     if h <= 0:
         raise ConfigError("thickness must be positive, h = %g" % h)
-    fd = fundamental_data(chart, grid, order)
+    return _assemble(fundamental_data(chart, grid, order), h,
+                     chart.positions_on(grid), chart.name, chart.params)
+
+
+def _assemble(fd, h, positions, chart_name, chart_params):
+    """The kernels, face factors and curvature suprema of ``fd`` at ``h``."""
     inv_first = np.linalg.inv(fd.first)
     sqrt_first, inv_sqrt_first = spd_sqrt_2x2(fd.first)
 
@@ -135,13 +139,13 @@ def build_reference(chart, grid, h, order=4):
     kappa_sup = float(np.maximum(np.abs(fd.kappa1), np.abs(fd.kappa2)).max())
 
     return ReferenceField(
-        chart_name=chart.name,
-        chart_params=dict(chart.params),
-        grid=grid,
+        chart_name=str(chart_name),
+        chart_params=dict(chart_params),
+        grid=fd.grid,
         h=float(h),
-        order=int(order),
+        order=int(fd.order),
         fd=fd,
-        positions=chart.positions_on(grid),
+        positions=np.asarray(positions, dtype=float),
         inv_first=inv_first,
         sqrt_first=sqrt_first,
         inv_sqrt_first=inv_sqrt_first,
@@ -164,18 +168,6 @@ def check_thickness(ref):
     """
     margin = ref.thickness_margin()
     return margin, bool(margin < 2.0)
-
-
-def f0(ref, Q):
-    return contract(Q, ref.kernel0)
-
-
-def f1(ref, Q):
-    return contract(Q, ref.kernel1)
-
-
-def f2(ref, Q):
-    return contract(Q, ref.kernel2)
 
 
 # ---------------------------------------------------------------------------
@@ -230,35 +222,8 @@ def load_reference(path, expect=None):
         grid=grid, order=int(header["order"]),
         **{name: data[name] for name in _ARRAY_FIELDS},
     )
-    ref = _reference_from_fd(header, grid, fd, data["positions"])
-    return ref
-
-
-def _reference_from_fd(header, grid, fd, positions):
-    h = float(header["h"])
-    inv_first = np.linalg.inv(fd.first)
-    sqrt_first, inv_sqrt_first = spd_sqrt_2x2(fd.first)
-    L = fd.shape_op
-    kernel1 = np.einsum("...ij,...jk->...ik", L, inv_first)
-    kernel1 = kernel1 + np.einsum("...ij,...jk->...ik", inv_first, L)
-    Lt = np.swapaxes(L, -1, -2)
-    kernel2 = np.einsum("...ij,...jk,...kl->...il", Lt, inv_first, L)
-    a_plus, a_minus = face_factors(fd.mean, fd.gauss, h)
-    bend = np.einsum("...ij,...jk,...kl->...il", sqrt_first, Lt, inv_sqrt_first)
-    bend_norm = np.sqrt(np.einsum("...ij,...ij->...", bend, bend))
-    return ReferenceField(
-        chart_name=str(header["chart_name"]),
-        chart_params=dict(header["chart_params"]),
-        grid=grid, h=h, order=int(header["order"]), fd=fd,
-        positions=np.asarray(positions, dtype=float),
-        inv_first=inv_first, sqrt_first=sqrt_first,
-        inv_sqrt_first=inv_sqrt_first,
-        kernel0=inv_first, kernel1=kernel1, kernel2=kernel2,
-        a_plus=a_plus, a_minus=a_minus,
-        bend_norm=bend_norm,
-        curvature_bound=2.0 * float(bend_norm.max()),
-        kappa_sup=float(np.maximum(np.abs(fd.kappa1), np.abs(fd.kappa2)).max()),
-    )
+    return _assemble(fd, float(header["h"]), data["positions"],
+                     header["chart_name"], header["chart_params"])
 
 
 def _jsonable(obj):
@@ -280,6 +245,4 @@ def _key_str(k):
 def _normalize(x):
     if isinstance(x, (list, tuple)):
         return tuple(_normalize(v) for v in x)
-    if isinstance(x, float) and x == int(x):
-        return x
     return x

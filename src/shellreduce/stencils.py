@@ -154,6 +154,3 @@ class GridDerivatives:
             tmp = np.einsum("kj,ik...->ij...", self.d2, sigma)
             return np.einsum("ki,k...->i...", self.d1, tmp)
         raise KeyError(slot)
-
-
-SLOTS = ("d1", "d2", "d11", "d12", "d22")

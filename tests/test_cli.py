@@ -158,6 +158,26 @@ def test_energy_folded_surface_exits_with_orientation_code(tmp_path,
     assert "grid node" in capsys.readouterr().err
 
 
+def test_energy_nan_node_exits_with_orientation_code(tmp_path, capsys):
+    vtk, _ = _natural_vtk(tmp_path, PLATE)
+    pos, _ = read_vtk(vtk)
+    pos[4, 3, 2] = np.nan
+    write_vtk(vtk, pos)
+    cfg = _config(tmp_path, PLATE)
+    rc = main(["energy", "--config", cfg, "--deformation", vtk,
+               "--out", str(tmp_path)])
+    assert rc == 3
+    assert "grid node" in capsys.readouterr().err
+
+
+def test_infinite_thickness_is_a_config_error(tmp_path, capsys):
+    cfg = _config(tmp_path, PLATE.replace("material.h = 0.1",
+                                          "material.h = inf"))
+    rc = main(["check", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_compare3d_small_sweep(tmp_path, capsys):
     text = SPHERE.replace("material.h = 0.8", "material.h = 0.1")
     text += "compare3d.h_values = 0.04, 0.02\ncompare3d.thickness_nodes = 8\n"
@@ -216,6 +236,32 @@ def test_minimize_gate_blocks_and_force_overrides(tmp_path, capsys):
     assert np.isfinite(pos).all()
 
 
+def test_minimize_computes_the_admissibility_report_once(tmp_path,
+                                                         monkeypatch):
+    import shellreduce.admissibility
+    import shellreduce.minimizer
+
+    calls = []
+    original = shellreduce.admissibility.admissibility_report
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # the defining module too, so a second report built anywhere counts
+    monkeypatch.setattr(shellreduce.minimizer, "admissibility_report",
+                        counted)
+    monkeypatch.setattr(shellreduce.admissibility, "admissibility_report",
+                        counted)
+    cfg = _config(tmp_path, PLATE + "solver.max_iter = 2\n")
+    for flags in ([], ["--force"]):
+        del calls[:]
+        rc = main(["minimize", "--config", cfg, "--out", str(tmp_path)]
+                  + flags)
+        assert rc == 0
+        assert len(calls) == 1, flags
+
+
 def test_loads_reduce_resultants(tmp_path, capsys):
     text = PLATE + (
         "boundary.clamped = left,right,bottom\n"
@@ -264,3 +310,14 @@ def test_threads_must_be_positive(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 1
     assert "--threads" in capsys.readouterr().err
+
+
+def test_threads_flag_overrides_the_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    cfg = _config(tmp_path, PLATE)
+    rc = main(["check", "--config", cfg, "--threads", "2",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert os.environ["OMP_NUM_THREADS"] == "2"

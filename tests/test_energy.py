@@ -161,6 +161,11 @@ def test_material_params_validation():
         MaterialParams(mu=1.0, lam=-1.0, h=0.1)
     with pytest.raises(ConfigError):
         MaterialParams(mu=1.0, lam=1.0, h=0.0)
+    inf, nan = float("inf"), float("nan")
+    for mu, lam, h in ((inf, 1.0, 0.1), (1.0, inf, 0.1), (1.0, 1.0, inf),
+                       (nan, 1.0, 0.1)):
+        with pytest.raises(ConfigError):
+            MaterialParams(mu=mu, lam=lam, h=h)
 
 
 def test_thickness_mismatch_between_material_and_reference_is_rejected():

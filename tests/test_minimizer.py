@@ -8,8 +8,8 @@ from shellreduce.geometry import make_chart
 from shellreduce.grids import Grid, edge_mask
 from shellreduce.loads import LoadSpec, reduce_loads, uniform_transverse
 from shellreduce.minimizer import (DiscreteDeformation, MinimizeResult,
-                                   ShellObjective, SolverConfig, minimize,
-                                   project_admissible)
+                                   ShellObjective, SolverConfig, line_search,
+                                   minimize)
 from shellreduce.reference import build_reference
 
 RNG = np.random.default_rng(2718)
@@ -112,23 +112,41 @@ def test_gradient_mode_dispatch_and_validation():
 
 
 # ---------------------------------------------------------------------------
-# feasibility projection and the deformation container
+# line search and the deformation container
 # ---------------------------------------------------------------------------
 
-def test_project_admissible_backs_off_and_collapses():
+def test_line_search_backs_off_a_folding_step_and_collapses():
     ref, mat = _setup()
-    objective = ShellObjective(ref, mat, model=1)
-    # a fold-inducing direction: full step is infeasible, a short one fine
-    direction = np.zeros_like(ref.positions)
+    loads = reduce_loads(uniform_transverse(0.002), mat.h)
+    objective = ShellObjective(ref, mat, model=1, loads=loads)
+    shape = ref.positions.shape
+
+    def unpack(vec):
+        return vec.reshape(shape)
+
+    # lifting the middle node along the load descends, but the full step
+    # folds the surface: the feasibility phase must back off first
+    direction = np.zeros(shape)
     direction[4, 4, 2] = 1.0
-    step = project_admissible(objective, ref.positions, direction, 1)
+    assert not objective.feasible(ref.positions + direction)
+    x, d = ref.positions.ravel(), direction.ravel()
+    energy, grad = objective.value_and_grad(ref.positions)
+    slope = float(np.dot(grad.ravel(), d))
+    assert slope < 0.0
+    step, trial, trial_energy = line_search(objective, unpack, x, d, energy,
+                                            slope, 1)
     assert step < 1.0
-    assert objective.feasible(ref.positions + step * direction)
+    assert np.array_equal(trial, x + step * d)
+    assert objective.feasible(unpack(trial))
+    assert trial_energy <= energy + 1e-4 * step * slope
     # starting from an infeasible point, no step ever helps
     folded = ref.positions.copy()
     folded[4, 4, 2] = 1.0
-    with pytest.raises(StepCollapsed):
-        project_admissible(objective, folded, np.zeros_like(folded), 3)
+    with pytest.raises(StepCollapsed) as info:
+        line_search(objective, unpack, folded.ravel(),
+                    np.zeros(folded.size), energy, slope, 3)
+    assert info.value.phase == "feasibility"
+    assert info.value.iteration == 3
 
 
 def test_discrete_deformation_pins_clamped_nodes():
@@ -241,17 +259,27 @@ def test_penalty_weight_pulls_boundary_normals_back():
 
 def test_thickness_gate_and_force_override():
     ref, mat = _setup("sphere-cap", h=0.8, radius=1.0, extent=0.6)
-    with pytest.raises(InadmissibleThickness):
+    with pytest.raises(InadmissibleThickness) as info:
         minimize(ref, mat, SolverConfig(model=1))
+    assert info.value.report.h_max[1] <= mat.h
     result = minimize(ref, mat, SolverConfig(model=1, max_iter=3), force=True)
     assert isinstance(result, MinimizeResult)
     assert np.isfinite(result.energy)
+    assert not result.report.ok(1)
 
 
 def test_folded_initial_state_is_rejected():
     ref, mat = _setup()
     initial = ref.positions.copy()
     initial[4, 4, 2] = 0.8
+    with pytest.raises(InadmissibleInitialState):
+        minimize(ref, mat, SolverConfig(model=1), initial=initial)
+
+
+def test_nan_initial_state_is_rejected():
+    ref, mat = _setup()
+    initial = ref.positions.copy()
+    initial[4, 4, 2] = np.nan
     with pytest.raises(InadmissibleInitialState):
         minimize(ref, mat, SolverConfig(model=1), initial=initial)
 

@@ -5,7 +5,7 @@ from shellreduce.errors import ConfigError
 from shellreduce.geometry import make_chart
 from shellreduce.grids import Grid
 from shellreduce.reference import (build_reference, check_thickness, contract,
-                                   f0, f1, f2, face_factors, load_reference,
+                                   face_factors, load_reference,
                                    save_reference, spd_sqrt_2x2)
 
 RNG = np.random.default_rng(20240517)
@@ -65,10 +65,9 @@ def test_kernel_contractions_match_einsum_and_dict_paths():
     Q = RNG.normal(size=ref.kernel0.shape)
     qdict = {"11": Q[..., 0, 0], "12": Q[..., 0, 1],
              "21": Q[..., 1, 0], "22": Q[..., 1, 1]}
-    for f, kernel in ((f0, ref.kernel0), (f1, ref.kernel1), (f2, ref.kernel2)):
+    for kernel in (ref.kernel0, ref.kernel1, ref.kernel2):
         direct = np.einsum("...ij,...ij->...", Q, kernel)
-        assert np.abs(f(ref, Q) - direct).max() < 1e-14
-        assert np.abs(f(ref, qdict) - direct).max() < 1e-14
+        assert np.abs(contract(Q, kernel) - direct).max() < 1e-14
         assert np.abs(contract(qdict, kernel) - direct).max() < 1e-14
 
 
@@ -79,7 +78,7 @@ def test_second_kernel_is_positive_on_gram_arguments():
     for _ in range(25):
         E = RNG.normal(size=(3, 2))
         gram = E.T @ E
-        vals = f2(ref, np.broadcast_to(gram, ref.kernel2.shape))
+        vals = contract(np.broadcast_to(gram, ref.kernel2.shape), ref.kernel2)
         assert vals.min() > -1e-15
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from shellreduce.errors import GridTooSmall
-from shellreduce.stencils import (SLOTS, GridDerivatives, derivative_matrix,
+from shellreduce.geometry import SLOT_NAMES
+from shellreduce.stencils import (GridDerivatives, derivative_matrix,
                                   fornberg_weights)
 
 
@@ -79,7 +80,7 @@ def test_scatter_is_the_exact_adjoint_of_every_slot():
         f = rng.standard_normal((9, 13, 3))
         sigma = rng.standard_normal((9, 13, 3))
         slots = ops.all_slots(f)
-        for name in SLOTS:
+        for name in SLOT_NAMES:
             lhs = np.sum(sigma * slots[name])
             rhs = np.sum(ops.scatter(name, sigma) * f)
             assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
