@@ -11,8 +11,9 @@ from .admissibility import AdmissibilityReport, admissibility_report
 from .energy import (CONSTANT_MODES, MODELS, DeformedState, EnergyBreakdown,
                      MaterialParams, deformed_state, total_energy)
 from .errors import (ConfigError, InadmissibleInitialState,
-                     InadmissibleThickness, OrientationViolation, ShellError,
-                     StepCollapsed, ThicknessError)
+                     InadmissibleThickness, NonFinitePosition,
+                     OrientationViolation, ShellError, StepCollapsed,
+                     ThicknessError)
 from .geometry import SurfaceChart, TrigDisplacement, displace_chart, \
     make_chart
 from .grids import Grid
@@ -29,7 +30,8 @@ __all__ = [
     "CONSTANT_MODES", "MODELS", "DeformedState", "EnergyBreakdown",
     "MaterialParams", "deformed_state", "total_energy",
     "ConfigError", "InadmissibleInitialState", "InadmissibleThickness",
-    "OrientationViolation", "ShellError", "StepCollapsed", "ThicknessError",
+    "NonFinitePosition", "OrientationViolation", "ShellError",
+    "StepCollapsed", "ThicknessError",
     "SurfaceChart", "TrigDisplacement", "displace_chart", "make_chart",
     "Grid",
     "LoadResultants", "LoadSpec", "reduce_loads", "uniform_transverse",

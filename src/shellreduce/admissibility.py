@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .energy import shell_coefficient_table
 from .errors import ConfigError
@@ -43,57 +43,55 @@ _INF = float("inf")
 # root finding for the pointwise polynomials g(t, x')
 # ---------------------------------------------------------------------------
 
-def smallest_positive_root(coeffs):
-    """Smallest positive real root of sum_k coeffs[k] t^k, or +inf.
+def smallest_positive_roots(coeffs):
+    """Smallest positive real root of each row sum_k coeffs[:, k] t^k, or +inf.
 
-    Degree drops are handled by trimming near-zero leading coefficients
-    (plate and cylinder charts zero out entire blocks).  Roots come from the
-    companion matrix and are polished with a bracketed solve when the sign
-    change survives rounding.
+    ``coeffs`` is an (N, d+1) stack of ascending coefficients.  Leading
+    coefficients at or below 1e-14 of the row's largest |c| are trimmed
+    (plate and cylinder charts zero out entire blocks).  Roots are the
+    eigenvalues of the companion matrices np.roots builds, one ``eigvals``
+    call per degree; degree 1 is the closed form.  From degree 2 on, Newton
+    steps polish a root whose sign change survives on [0.9999 t, 1.0001 t];
+    a double root keeps its eigenvalue estimate.
     """
-    c = np.asarray(coeffs, dtype=float)
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        return _INF
-    deg = len(c) - 1
-    while deg > 0 and abs(c[deg]) <= 1e-14 * scale:
-        deg -= 1
-    if deg == 0:
-        return _INF
-    poly = c[: deg + 1]
-    if deg == 1:
-        t = -poly[0] / poly[1]
-        return float(t) if t > 0 else _INF
-    roots = np.roots(poly[::-1])
-    real = roots[np.abs(roots.imag) <= 1e-9 * np.maximum(np.abs(roots.real), 1.0)].real
-    pos = np.sort(real[real > 0.0])
-    if pos.size == 0:
-        return _INF
-    t_star = float(pos[0])
+    c = np.array(coeffs, dtype=float)
+    rows, width = c.shape
+    scale = np.abs(c).max(axis=1)
+    deg = np.full(rows, width - 1)
+    for k in range(width - 1, 0, -1):
+        deg[(deg == k) & (np.abs(c[:, k]) <= 1e-14 * scale)] = k - 1
+    c[np.arange(width) > deg[:, None]] = 0.0
+    out = np.full(rows, _INF)
+    for d in range(1, width):       # at d = 1 the eigenvalue is -c0 / c1
+        sel = deg == d
+        comp = np.zeros((sel.sum(), d, d))
+        comp[:, 0] = -c[sel, d - 1::-1] / c[sel, d, None]
+        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        roots = np.linalg.eigvals(comp)
+        real = np.abs(roots.imag) <= 1e-9 * np.maximum(np.abs(roots.real), 1.0)
+        pos = real & (roots.real > 0.0)
+        out[sel] = np.where(pos, roots.real, _INF).min(axis=1)
+    found = (deg >= 2) & np.isfinite(out)
+    c, dc, t = c[found].T, polyder(c[found].T), out[found]
+    lo, hi = 0.9999 * t, 1.0001 * t
+    bracketed = polyval(lo, c, tensor=False) * polyval(hi, c, tensor=False) < 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):      # one step already reaches round-off
+            g, dg = polyval(t, c, tensor=False), polyval(t, dc, tensor=False)
+            step = t - g / dg
+            t = np.where(bracketed & (step >= lo) & (step <= hi), step, t)
+    out[found] = t
+    return out
 
-    def g(t):
-        return float(np.polyval(poly[::-1], t))
 
-    lo, hi = 0.9999 * t_star, 1.0001 * t_star
-    if g(lo) * g(hi) < 0.0:
-        t_star = float(brentq(g, lo, hi, xtol=1e-300, rtol=8.9e-16))
-    return t_star
-
-
-def _root_field(c0, c1, c2, c3=None):
-    """Pointwise smallest positive roots over the grid; returns (field, argmin)."""
-    shape = np.shape(c1)
-    c0 = np.broadcast_to(np.asarray(c0, dtype=float), shape)
-    out = np.full(shape, _INF)
-    it = np.ndindex(*shape)
-    for idx in it:
-        coeffs = [c0[idx], c1[idx], c2[idx]]
-        if c3 is not None:
-            coeffs.append(c3[idx])
-        out[idx] = smallest_positive_root(coeffs)
-    flat = int(np.argmin(out))
-    argmin = np.unravel_index(flat, shape)
-    return out, argmin
+def _root_field(*fields):
+    """Smallest positive root of sum_k fields[k] t^k over the grid, and the
+    first node where it is attained."""
+    shape = fields[0].shape
+    roots = smallest_positive_roots(np.stack(fields, axis=-1).reshape(
+        -1, len(fields)))
+    flat = int(np.argmin(roots))
+    return float(roots[flat]), np.unravel_index(flat, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +130,8 @@ def stretch_threshold_full(ref):
     c2 = (K * K / 120.0 - C * absHK / 120.0 + C * absH * K / 60.0
           + C * C * K / 120.0)
     c3 = -(K ** 3 / 1600.0 - C * absHK * K / 800.0 + C * C * K * K / 1600.0)
-    roots, argmin = _root_field(c0, c1, c2, c3)
-    h1_second = float(np.sqrt(roots.min()))
+    t_min, argmin = _root_field(c0, c1, c2, c3)
+    h1_second = float(np.sqrt(t_min))
     h1 = min(h1_prime, h1_second)
     h2 = h1_prime
     return StretchThresholds(h1_prime=h1_prime, h1_second=h1_second,
@@ -196,8 +194,8 @@ def volume_threshold_taylor(ref):
     c0 = np.full(H.shape, 2.0 / 135.0)
     c1 = K / 1800.0 - H * H / 90.0
     c2 = -(K * K) / 2400.0
-    roots, argmin = _root_field(c0, c1, c2)
-    h3 = float(np.sqrt(roots.min()))
+    t_min, argmin = _root_field(c0, c1, c2)
+    h3 = float(np.sqrt(t_min))
     return VolumeThresholds(h1=h1, h2_prime=h2_prime, h2_second=h2_second,
                             h2=h2, h3=h3, h0=min(h3, h2), argmin=argmin)
 

@@ -6,8 +6,8 @@ plus the shared flags --model, --constants, --threads, --force, --out.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 admissibility
 failure (a threshold test failed, or the requested thickness is at or above
-its bound), 3 orientation violation (the report names the offending grid
-node).
+its bound), 3 orientation violation or non-finite input position (the report
+names the offending grid node).
 
 Heavy imports happen inside the command handlers so --threads can cap the
 numeric thread pools before the array library starts them.
@@ -307,8 +307,8 @@ def main(argv=None):
             os.environ[var] = str(args.threads)
 
     from .errors import (ConfigError, InadmissibleInitialState,
-                         InadmissibleThickness, OrientationViolation,
-                         ShellError, ThicknessError)
+                         InadmissibleThickness, NonFinitePosition,
+                         OrientationViolation, ShellError, ThicknessError)
 
     try:
         cfg = _load_config(args)
@@ -316,7 +316,8 @@ def main(argv=None):
     except ConfigError as exc:
         print("shellreduce: config error: %s" % exc, file=sys.stderr)
         return 1
-    except (OrientationViolation, InadmissibleInitialState) as exc:
+    except (OrientationViolation, NonFinitePosition,
+            InadmissibleInitialState) as exc:
         print("shellreduce: %s" % exc, file=sys.stderr)
         return 3
     except (InadmissibleThickness, ThicknessError) as exc:

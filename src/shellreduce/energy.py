@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .errors import ConfigError, OrientationViolation
+from .errors import ConfigError, NonFinitePosition, OrientationViolation
 from .geometry import surface_bundle
 from .grids import area_weights
 from .reference import contract, face_factors
@@ -105,11 +105,21 @@ class DeformedState:
     a_minus: np.ndarray
 
 
+def require_finite_positions(positions):
+    """Raise NonFinitePosition at the first grid node of an (n1, n2, 3)
+    position array that has a NaN or infinite coordinate."""
+    bad = ~np.isfinite(positions).all(axis=-1)
+    if bad.any():
+        idx = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NonFinitePosition(idx, positions[idx])
+
+
 def deformed_state(source, grid, h, order=4):
     """Build a DeformedState from a chart or a nodal position array."""
     from .geometry import SurfaceChart  # local to avoid cycle in docs tools
 
     if isinstance(source, np.ndarray):
+        require_finite_positions(source)
         source = SurfaceChart.from_grid("deformed", grid, source)
     slots = source.derivative_fields(grid, order)
     bundle = surface_bundle(slots)

@@ -29,9 +29,10 @@ import numpy as np
 
 from .admissibility import admissibility_report
 from .energy import (MODELS, constant_density, energy_density_fields,
-                     orientation_violations, require_orientation)
+                     orientation_violations, require_finite_positions,
+                     require_orientation)
 from .errors import (ConfigError, InadmissibleInitialState,
-                     InadmissibleThickness, StepCollapsed)
+                     InadmissibleThickness, NonFinitePosition, StepCollapsed)
 from .geometry import SLOT_NAMES, surface_bundle
 from .grids import EDGES, area_weights, edge_mask
 from .loads import _edge_measure, load_covector
@@ -102,6 +103,11 @@ class DiscreteDeformation:
                 raise ConfigError(
                     "initial positions must have shape (%d, %d, 3), got %s"
                     % (n1, n2, positions.shape))
+            try:
+                require_finite_positions(positions)
+            except NonFinitePosition as exc:
+                raise InadmissibleInitialState(
+                    "initial deformation: %s" % exc) from exc
             positions[~free] = ref.positions[~free]
         return cls(positions=positions, free=free,
                    clamped_edges=tuple(clamped_edges))

@@ -1,9 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyfromroots
 
 from shellreduce.admissibility import (admissibility_report, sample_convexity,
                                        scan_stretch_cubic, scan_stretch_full,
-                                       scan_volume_det, smallest_positive_root,
+                                       scan_volume_det,
+                                       smallest_positive_roots,
                                        stretch_threshold_cubic,
                                        stretch_threshold_full,
                                        volume_threshold_taylor)
@@ -27,19 +31,73 @@ def _ref(kind, h=0.05, n=9, **params):
 # ---------------------------------------------------------------------------
 
 def test_smallest_positive_root_basics():
-    assert smallest_positive_root([0.0, 0.0, 0.0]) == INF
-    assert smallest_positive_root([5.0]) == INF
-    assert smallest_positive_root([-1.0, 2.0]) == 0.5
-    assert smallest_positive_root([1.0, 2.0]) == INF          # root at -0.5
-    assert smallest_positive_root([1.0, 0.0, 1.0]) == INF     # complex pair
-    r = smallest_positive_root([2.0, -3.0, 1.0])              # roots 1 and 2
-    assert abs(r - 1.0) < 1e-12
-    # degree drop: tiny leading coefficient is trimmed, not inverted
-    r = smallest_positive_root([2.0, -3.0, 1.0, 1e-20])
-    assert abs(r - 1.0) < 1e-10
-    # double root survives without a bracketing sign change
-    r = smallest_positive_root([0.09, -0.6, 1.0])
-    assert abs(r - 0.3) < 1e-6
+    cases = [
+        ([0.0, 0.0, 0.0], INF, 0.0),
+        ([5.0], INF, 0.0),
+        ([-1.0, 2.0], 0.5, 0.0),
+        ([1.0, 2.0], INF, 0.0),                 # root at -0.5
+        ([1.0, 0.0, 1.0], INF, 0.0),            # complex pair
+        ([2.0, -3.0, 1.0], 1.0, 1e-12),         # roots 1 and 2
+        # degree drop: tiny leading coefficient is trimmed, not inverted
+        ([2.0, -3.0, 1.0, 1e-20], 1.0, 1e-10),
+        # double root survives without a bracketing sign change
+        ([0.09, -0.6, 1.0], 0.3, 1e-6),
+    ]
+    # each row alone at its own degree, then all rows in one batch with the
+    # missing high coefficients zero
+    batch = np.zeros((len(cases), 4))
+    for i, (coeffs, expected, tol) in enumerate(cases):
+        batch[i, :len(coeffs)] = coeffs
+        (root,) = smallest_positive_roots([coeffs])
+        assert root == expected or abs(root - expected) <= tol, coeffs
+    roots = smallest_positive_roots(batch)
+    for root, (coeffs, expected, tol) in zip(roots, cases):
+        assert root == expected or abs(root - expected) <= tol, coeffs
+
+
+def _planted_batch(rng, n):
+    """(coeffs, smallest positive root) rows built from planted roots:
+    real-rooted and complex-pair cubics and quadratics, linear rows,
+    negative roots, trimmed 1e-16 leading terms, all-zero rows and random
+    row scales."""
+    coeffs = np.zeros((n, 4))
+    expected = np.full(n, INF)
+    for i in range(n):
+        kind = rng.integers(7)
+        if kind == 5:                            # all-zero row
+            continue
+        degree = {0: 3, 1: 3, 6: 1}.get(kind, 2)
+        # well separated magnitudes in [0.1, 10], random signs
+        mags = 10.0 ** (rng.permutation(np.linspace(-1.0, 1.0, 7))[:degree]
+                        + rng.uniform(-0.05, 0.05, degree))
+        roots = mags * rng.choice([-1.0, 1.0], degree)
+        if kind in (1, 3):                       # replace two by a pair
+            re, im = roots[0], abs(roots[1])
+            roots = np.concatenate(
+                [[re + 1j * im, re - 1j * im], roots[2:]])
+        real = roots.real[np.abs(roots.imag) == 0.0]
+        if np.any(real > 0.0):
+            expected[i] = real[real > 0.0].min()
+        row = polyfromroots(roots).real
+        row *= 10.0 ** rng.uniform(-6.0, 6.0)
+        coeffs[i, :degree + 1] = row
+        if kind == 4:                            # trimmed tiny lead
+            coeffs[i, 3] = 1e-16 * np.abs(row).max() * rng.choice([-1, 1])
+    return coeffs, expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_smallest_positive_roots_match_planted_roots(seed):
+    rng = np.random.default_rng(seed)
+    coeffs, expected = _planted_batch(rng, 600)
+    roots = smallest_positive_roots(coeffs)
+    finite = np.isfinite(expected)
+    assert np.array_equal(np.isfinite(roots), finite)
+    rel = np.abs(roots[finite] - expected[finite]) / expected[finite]
+    assert rel.max() <= 1e-12
+    # rows are independent: the batch equals the row-by-row loop
+    loop = np.array([smallest_positive_roots(row[None])[0] for row in coeffs])
+    assert np.array_equal(roots, loop)
 
 
 # ---------------------------------------------------------------------------
@@ -117,21 +175,40 @@ def test_thresholds_scale_linearly_with_radius():
 # closed forms vs brute-force inequality scans
 # ---------------------------------------------------------------------------
 
+def _node(ref, idx):
+    """The curvature fields of ``ref`` at one grid node, as a 1x1 grid."""
+    i, j = idx
+    return SimpleNamespace(mean=ref.mean[i:i + 1, j:j + 1],
+                           gauss=ref.gauss[i:i + 1, j:j + 1],
+                           curvature_bound=ref.curvature_bound)
+
+
 def test_scans_locate_the_closed_form_thresholds():
-    ref = _ref("sphere-cap", radius=1.0, extent=0.6)
     h_grid = np.linspace(0.4, 1.6, 2401)   # step 5e-4
     step = h_grid[1] - h_grid[0]
-    full = stretch_threshold_full(ref)
-    first_bad = scan_stretch_full(ref, h_grid)
-    assert abs(first_bad - full.h0) <= step
-
-    cubic = stretch_threshold_cubic(ref)
-    first_bad = scan_stretch_cubic(ref, h_grid)
-    assert abs(first_bad - cubic.h0) <= step
-
-    vol = volume_threshold_taylor(ref)
-    first_bad = scan_volume_det(ref, h_grid)
-    assert abs(first_bad - vol.h3) <= step
+    # constant curvature (the sphere, where argmin is decided by round-off)
+    # and curvature varying across the grid (a graph with a sine bump)
+    for ref in (_ref("sphere-cap", radius=1.0, extent=0.6),
+                _ref("graph", poly={(2, 0): 0.3, (1, 1): -0.2},
+                     bump=(0.05, 1, 2))):
+        full = stretch_threshold_full(ref)
+        cubic = stretch_threshold_cubic(ref)
+        vol = volume_threshold_taylor(ref)
+        nodes = list(np.ndindex(ref.mean.shape))
+        for value, scan, node, per_node in (
+                (full.h0, scan_stretch_full, full.argmin,
+                 lambda r: stretch_threshold_full(r).h1_second),
+                (cubic.h0, scan_stretch_cubic, cubic.argmax,
+                 lambda r: stretch_threshold_cubic(r).h0),
+                (vol.h3, scan_volume_det, vol.argmin,
+                 lambda r: volume_threshold_taylor(r).h3)):
+            first_bad = scan(ref, h_grid)
+            assert abs(first_bad - value) <= step
+            # the reported node has the smallest per-node bound, and the
+            # scan fails there first as well
+            bounds = [per_node(_node(ref, idx)) for idx in nodes]
+            assert bounds[nodes.index(node)] == min(bounds)
+            assert abs(scan(_node(ref, node), h_grid) - first_bad) <= step
 
 
 def test_scans_return_infinity_when_nothing_violates():

@@ -2,10 +2,13 @@
 
 import glob
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import shellreduce
 from shellreduce.cli import main
 from shellreduce.config import RunConfig
 from shellreduce.vtkio import read_csv, read_vtk, write_vtk
@@ -37,6 +40,18 @@ def _config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _run_fresh(args, **env_vars):
+    """Run ``python args...`` in a fresh process that imports this tree's
+    shellreduce, with ``env_vars`` added to its environment; returns the
+    completed process (stdout as text)."""
+    env = dict(os.environ, **env_vars)
+    src = os.path.dirname(os.path.dirname(shellreduce.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable] + args, env=env, timeout=300,
+                          capture_output=True, text=True)
 
 
 def _natural_vtk(tmp_path, text, name="surface.vtk"):
@@ -159,15 +174,18 @@ def test_energy_folded_surface_exits_with_orientation_code(tmp_path,
 
 
 def test_energy_nan_node_exits_with_orientation_code(tmp_path, capsys):
-    vtk, _ = _natural_vtk(tmp_path, PLATE)
-    pos, _ = read_vtk(vtk)
-    pos[4, 3, 2] = np.nan
-    write_vtk(vtk, pos)
+    # the error names the input node, not a node the value reaches through
+    # the stencils
     cfg = _config(tmp_path, PLATE)
-    rc = main(["energy", "--config", cfg, "--deformation", vtk,
-               "--out", str(tmp_path)])
-    assert rc == 3
-    assert "grid node" in capsys.readouterr().err
+    for bad in (np.nan, np.inf, -np.inf):
+        vtk, _ = _natural_vtk(tmp_path, PLATE)
+        pos, _ = read_vtk(vtk)
+        pos[4, 3, 2] = bad
+        write_vtk(vtk, pos)
+        rc = main(["energy", "--config", cfg, "--deformation", vtk,
+                   "--out", str(tmp_path)])
+        assert rc == 3, bad
+        assert "grid node (4, 3)" in capsys.readouterr().err, bad
 
 
 def test_infinite_thickness_is_a_config_error(tmp_path, capsys):
@@ -194,6 +212,45 @@ def test_compare3d_small_sweep(tmp_path, capsys):
         h, model, reduced, full3d, err, order = (float(v) for v in row)
         assert abs(float(row[4]) - abs(reduced - full3d)) < 1e-18
         assert order > 2.5  # plumbing check; the sharp rates live elsewhere
+
+
+def test_compare3d_is_identical_across_thread_counts(tmp_path):
+    # one fresh process per run; importing the package starts BLAS before
+    # main() reads --threads, so the child's environment sets the BLAS pool
+    # and the flag sets the per-thickness worker pool
+    text = (SPHERE.replace("material.h = 0.8", "material.h = 0.1")
+            .replace("= 9\n", "= 17\n"))
+    text += "compare3d.h_values = 0.04, 0.02\ncompare3d.thickness_nodes = 8\n"
+    cfg = _config(tmp_path, text)
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / ("threads-" + threads)
+        out.mkdir()
+        proc = _run_fresh(["-m", "shellreduce.cli", "compare3d",
+                           "--config", cfg, "--threads", threads,
+                           "--out", str(out)],
+                          OMP_NUM_THREADS=threads,
+                          OPENBLAS_NUM_THREADS=threads,
+                          MKL_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        tables.append((out / "compare3d.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_check_loads_no_scipy(tmp_path):
+    cfg = _config(tmp_path, SPHERE.replace("material.h = 0.8",
+                                           "material.h = 0.1"))
+    code = ("import sys\n"
+            "import shellreduce\n"
+            "from shellreduce import cli\n"
+            "rc = cli.main(['check', '--config', sys.argv[1],"
+            " '--out', sys.argv[2]])\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy'))\n"
+            "sys.exit(rc)\n")
+    proc = _run_fresh(["-c", code, cfg, str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_minimize_writes_surface_and_trace(tmp_path, capsys):

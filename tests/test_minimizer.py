@@ -278,10 +278,12 @@ def test_folded_initial_state_is_rejected():
 
 def test_nan_initial_state_is_rejected():
     ref, mat = _setup()
-    initial = ref.positions.copy()
-    initial[4, 4, 2] = np.nan
-    with pytest.raises(InadmissibleInitialState):
-        minimize(ref, mat, SolverConfig(model=1), initial=initial)
+    for bad in (np.nan, np.inf, -np.inf):
+        initial = ref.positions.copy()
+        initial[4, 3, 2] = bad
+        with pytest.raises(InadmissibleInitialState,
+                           match=r"grid node \(4, 3\)"):
+            minimize(ref, mat, SolverConfig(model=1), initial=initial)
 
 
 def test_fd_solver_smoke():
