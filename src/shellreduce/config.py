@@ -42,8 +42,7 @@ _SCALAR_KEYS = {
     "material.mu", "material.lambda", "material.h",
     "solver.max_iter", "solver.gtol_rel", "solver.gtol_abs",
     "solver.memory", "solver.armijo_c1", "solver.backtrack",
-    "solver.penalty_beta", "solver.grad_mode", "solver.fd_step",
-    "solver.precondition",
+    "solver.penalty_beta",
     "compare3d.h_values", "compare3d.amplitude", "compare3d.thickness_nodes",
     "energy.deformation", "minimize.snapshot_every",
 }
@@ -107,12 +106,6 @@ def _typed(raw, key, kind, default=None):
         return default
     text = raw[key]
     try:
-        if kind is bool:
-            if text.lower() in ("true", "yes", "1", "on"):
-                return True
-            if text.lower() in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(text)
         return kind(text)
     except ValueError:
         raise ConfigError("%s: cannot read %r as %s" % (key, text,
@@ -245,10 +238,6 @@ class RunConfig:
             backtrack=_typed(raw, "solver.backtrack", float, default=0.5),
             penalty_beta=_typed(raw, "solver.penalty_beta", float,
                                 default=0.0),
-            grad_mode=raw.get("solver.grad_mode", "ad"),
-            fd_step=_typed(raw, "solver.fd_step", float, default=1e-6),
-            precondition=_typed(raw, "solver.precondition", bool,
-                                default=True),
         )
         safety = _typed(raw, "safety", float, default=1.0)
         if safety <= 0:

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .errors import ConfigError, NonFinitePosition, OrientationViolation
+from .errors import (ConfigError, NonFinitePosition, OrientationViolation,
+                     ThicknessError)
 from .geometry import surface_bundle
 from .grids import area_weights
 from .reference import contract, face_factors
@@ -355,13 +356,14 @@ def energy_density_fields(bundle, ref, mat, model, constants="oracle"):
     """The four density fields of a model, keyed like EnergyBreakdown."""
     if model not in MODELS:
         raise ConfigError("model must be one of %s, got %r" % (MODELS, model))
-    worst = min(float(ref.a_plus.min()), float(ref.a_minus.min()))
-    if worst <= 0.0:
-        from .errors import ThicknessError
+    # b(x3) = 1 - 2 H x3 + K x3^2 stays positive through the slab iff
+    # h sup|kappa| < 2; on a sphere it can vanish inside while both faces
+    # stay positive, so the face factors alone are not the test
+    if mat.h * ref.kappa_sup >= 2.0:
         raise ThicknessError(
-            "reference face factor %.3e <= 0: thickness h = %g exceeds the "
-            "geometric bound (h sup|kappa| = %.3f, needs < 2)"
-            % (worst, mat.h, mat.h * ref.kappa_sup))
+            "thickness h = %g exceeds the geometric bound "
+            "(h sup|kappa| = %.3f, needs < 2)"
+            % (mat.h, mat.h * ref.kappa_sup))
     if model == 2:
         shell = w_shell_2(bundle, ref, mat, constants)
     else:

@@ -1,9 +1,10 @@
 """Parametrized midsurfaces and their pointwise differential geometry.
 
-A chart is a map y : omega in R^2 -> R^3 given either by analytic closures
-(value and first/second derivatives) or by nodal positions on a tensor grid
-with finite-difference derivatives.  From the five derivative fields
-``d1 y, d2 y, d11 y, d12 y, d22 y`` everything else follows pointwise:
+A chart is a map y : omega in R^2 -> R^3 given either by one analytic
+function (position and first/second derivatives in a single call) or by
+nodal positions on a tensor grid with finite-difference derivatives.  From
+the five derivative fields ``d1 y, d2 y, d11 y, d12 y, d22 y`` everything
+else follows pointwise:
 
 - unit normal       n = d1 x d2 / |d1 x d2|,  area factor a = |d1 x d2|
 - first form        I = (grad y)^T grad y
@@ -151,27 +152,27 @@ def lift_flat(mat2):
 class SurfaceChart:
     """A parametrized surface patch.
 
-    Analytic mode wraps closures ``position(X1, X2) -> (..., 3)`` and the
-    five derivative closures.  Nodal mode stores grid positions and
+    Analytic mode wraps one function ``fields(X1, X2)`` that returns the
+    position and its five derivatives as stacked ``(..., 3)`` arrays, keyed
+    ``value`` and SLOT_NAMES.  Nodal mode stores grid positions and
     differentiates them with finite-difference stencils when asked.
     """
 
-    def __init__(self, name, domain, maps=None, params=None):
+    def __init__(self, name, domain, fields=None):
         self.name = name
         self.domain = tuple((float(lo), float(hi)) for (lo, hi) in domain)
-        self.maps = maps
-        self.params = dict(params or {})
+        self.fields = fields
         self._nodal = None  # (grid, positions)
 
     @classmethod
-    def from_grid(cls, name, grid, positions, params=None):
+    def from_grid(cls, name, grid, positions):
         positions = np.asarray(positions, dtype=float)
         if positions.shape != (grid.n1, grid.n2, 3):
             raise ConfigError(
                 "nodal chart positions must have shape (n1, n2, 3), got %s"
                 % (positions.shape,)
             )
-        chart = cls(name, grid.domain, maps=None, params=params)
+        chart = cls(name, grid.domain)
         chart._nodal = (grid, positions)
         return chart
 
@@ -180,9 +181,9 @@ class SurfaceChart:
         return self._nodal is not None
 
     def position(self, X1, X2):
-        if self.maps is None:
-            raise ConfigError("nodal chart has no analytic position closure")
-        return self.maps["value"](X1, X2)
+        if self.fields is None:
+            raise ConfigError("nodal chart has no analytic position map")
+        return self.fields(X1, X2)["value"]
 
     def positions_on(self, grid):
         if self.is_nodal:
@@ -201,49 +202,32 @@ class SurfaceChart:
                 raise ConfigError("nodal chart queried on a different grid")
             ops = GridDerivatives(grid.n1, grid.n2, grid.dx1, grid.dx2, order)
             return ops.all_slots(pos)
-        X1, X2 = grid.mesh()
-        return {name: self.maps[name](X1, X2) for name in SLOT_NAMES}
+        fields = self.fields(*grid.mesh())
+        return {name: fields[name] for name in SLOT_NAMES}
 
 
 def _stack3(*comps):
-    return np.stack([np.broadcast_arrays(*comps)[k] for k in range(3)], axis=-1)
+    return np.stack(np.broadcast_arrays(*comps), axis=-1)
 
 
-def _graph_maps(fz):
-    """Chart maps for a graph (x1, x2, f(x1, x2)) given f and derivatives.
+def _graph_fields(fz):
+    """Chart fields of a graph (x1, x2, f(x1, x2)) given f and derivatives.
 
     ``fz`` maps (X1, X2) -> dict with f, f1, f2, f11, f12, f22.
     """
 
-    def value(X1, X2):
+    def fields(X1, X2):
         d = fz(X1, X2)
-        return _stack3(X1, X2, d["f"])
+        return {
+            "value": _stack3(X1, X2, d["f"]),
+            "d1": _stack3(1.0, 0.0, d["f1"]),
+            "d2": _stack3(0.0, 1.0, d["f2"]),
+            "d11": _stack3(0.0, 0.0, d["f11"]),
+            "d12": _stack3(0.0, 0.0, d["f12"]),
+            "d22": _stack3(0.0, 0.0, d["f22"]),
+        }
 
-    def d1(X1, X2):
-        d = fz(X1, X2)
-        one = np.ones_like(d["f1"])
-        return _stack3(one, 0.0 * one, d["f1"])
-
-    def d2(X1, X2):
-        d = fz(X1, X2)
-        one = np.ones_like(d["f2"])
-        return _stack3(0.0 * one, one, d["f2"])
-
-    def make_second(key):
-        def second(X1, X2):
-            d = fz(X1, X2)
-            zero = np.zeros_like(d[key])
-            return _stack3(zero, zero, d[key])
-        return second
-
-    return {
-        "value": value,
-        "d1": d1,
-        "d2": d2,
-        "d11": make_second("f11"),
-        "d12": make_second("f12"),
-        "d22": make_second("f22"),
-    }
+    return fields
 
 
 def make_chart(kind, **params):
@@ -269,10 +253,8 @@ def make_chart(kind, **params):
             z = np.zeros(np.broadcast(X1, X2).shape)
             return {"f": z, "f1": z, "f2": z, "f11": z, "f12": z, "f22": z}
 
-        return SurfaceChart(
-            "plate", ((0.0, L1), (0.0, L2)), _graph_maps(fz),
-            {"kind": kind, "length1": L1, "length2": L2},
-        )
+        return SurfaceChart("plate", ((0.0, L1), (0.0, L2)),
+                            _graph_fields(fz))
 
     if kind == "sphere-cap":
         R = float(params.pop("radius", 1.0))
@@ -295,10 +277,8 @@ def make_chart(kind, **params):
                 "f22": -(R * R - X1 ** 2) / z3,
             }
 
-        return SurfaceChart(
-            "sphere-cap", ((-half, half), (-half, half)), _graph_maps(fz),
-            {"kind": kind, "radius": R, "extent": extent},
-        )
+        return SurfaceChart("sphere-cap", ((-half, half), (-half, half)),
+                            _graph_fields(fz))
 
     if kind == "cylinder-patch":
         R = float(params.pop("radius", 1.0))
@@ -306,29 +286,20 @@ def make_chart(kind, **params):
         arc = float(params.pop("arc", 1.0))
         _reject_extra(kind, params)
 
-        def value(T, S):
-            return _stack3(R * np.cos(T), R * np.sin(T), S)
+        def fields(T, S):
+            T, S = np.broadcast_arrays(T, S)
+            cos, sin = np.cos(T), np.sin(T)
+            return {
+                "value": _stack3(R * cos, R * sin, S),
+                "d1": _stack3(-R * sin, R * cos, 0.0),
+                "d2": _stack3(0.0, 0.0, np.ones(T.shape)),
+                "d11": _stack3(-R * cos, -R * sin, 0.0),
+                "d12": np.zeros(T.shape + (3,)),
+                "d22": np.zeros(T.shape + (3,)),
+            }
 
-        def d1(T, S):
-            return _stack3(-R * np.sin(T), R * np.cos(T), 0.0 * S)
-
-        def d2(T, S):
-            zero = np.zeros(np.broadcast(T, S).shape)
-            return _stack3(zero, zero, zero + 1.0)
-
-        def d11(T, S):
-            return _stack3(-R * np.cos(T), -R * np.sin(T), 0.0 * S)
-
-        def zero_map(T, S):
-            zero = np.zeros(np.broadcast(T, S).shape)
-            return _stack3(zero, zero, zero)
-
-        maps = {"value": value, "d1": d1, "d2": d2,
-                "d11": d11, "d12": zero_map, "d22": zero_map}
-        return SurfaceChart(
-            "cylinder-patch", ((-arc / 2.0, arc / 2.0), (0.0, height)), maps,
-            {"kind": kind, "radius": R, "height": height, "arc": arc},
-        )
+        return SurfaceChart("cylinder-patch",
+                            ((-arc / 2.0, arc / 2.0), (0.0, height)), fields)
 
     if kind == "graph":
         L1 = float(params.pop("length1", 1.0))
@@ -376,11 +347,8 @@ def make_chart(kind, **params):
             return {"f": f, "f1": f1, "f2": f2,
                     "f11": f11, "f12": f12, "f22": f22}
 
-        return SurfaceChart(
-            "graph", ((0.0, L1), (0.0, L2)), _graph_maps(fz),
-            {"kind": kind, "length1": L1, "length2": L2,
-             "poly": poly, "bump": bump},
-        )
+        return SurfaceChart("graph", ((0.0, L1), (0.0, L2)),
+                            _graph_fields(fz))
 
     raise ConfigError("unknown chart kind %r" % (kind,))
 
@@ -401,8 +369,9 @@ class TrigDisplacement:
     Each term is ``vec * sin(pi k1 u) * sin(pi k2 v)`` in normalized domain
     coordinates (u, v) in [0, 1]^2, so the displacement and its tangential
     derivatives vanish nowhere in general but the displacement itself is
-    zero on the domain boundary.  Analytic first and second derivatives are
-    available, which keeps manufactured deformed charts exact.
+    zero on the domain boundary.  ``fields`` returns the displacement and
+    its exact first and second derivatives in the chart-field layout, which
+    keeps manufactured deformed charts exact.
     """
 
     def __init__(self, domain, terms):
@@ -422,70 +391,43 @@ class TrigDisplacement:
             ((0.0, 0.5 * a, 0.0), 1, 2),
         ])
 
-    def _uv(self, X1, X2):
-        return (X1 - self.a1) * self.s1, (X2 - self.a2) * self.s2
-
-    def _accumulate(self, X1, X2, fu, fv):
-        u, v = self._uv(X1, X2)
-        shape = np.broadcast(X1, X2).shape
-        out = np.zeros(shape + (3,))
+    def fields(self, X1, X2):
+        u, v = (X1 - self.a1) * self.s1, (X2 - self.a2) * self.s2
+        shape = np.broadcast(X1, X2).shape + (3,)
+        acc = {key: np.zeros(shape) for key in ("value",) + SLOT_NAMES}
         for vec, k1, k2 in self.terms:
             w1 = np.pi * k1
             w2 = np.pi * k2
-            out += fu(w1, u)[..., None] * fv(w2, v)[..., None] * vec
-        return out
-
-    def value(self, X1, X2):
-        return self._accumulate(X1, X2,
-                                lambda w, t: np.sin(w * t),
-                                lambda w, t: np.sin(w * t))
-
-    def d1(self, X1, X2):
-        return self.s1 * self._accumulate(X1, X2,
-                                          lambda w, t: w * np.cos(w * t),
-                                          lambda w, t: np.sin(w * t))
-
-    def d2(self, X1, X2):
-        return self.s2 * self._accumulate(X1, X2,
-                                          lambda w, t: np.sin(w * t),
-                                          lambda w, t: w * np.cos(w * t))
-
-    def d11(self, X1, X2):
-        return self.s1 ** 2 * self._accumulate(
-            X1, X2,
-            lambda w, t: -w * w * np.sin(w * t),
-            lambda w, t: np.sin(w * t))
-
-    def d12(self, X1, X2):
-        return self.s1 * self.s2 * self._accumulate(
-            X1, X2,
-            lambda w, t: w * np.cos(w * t),
-            lambda w, t: w * np.cos(w * t))
-
-    def d22(self, X1, X2):
-        return self.s2 ** 2 * self._accumulate(
-            X1, X2,
-            lambda w, t: np.sin(w * t),
-            lambda w, t: -w * w * np.sin(w * t))
+            # (u-factor, v-factor) of each field, before the domain scaling
+            sin_u, sin_v = np.sin(w1 * u), np.sin(w2 * v)
+            cos_u, cos_v = w1 * np.cos(w1 * u), w2 * np.cos(w2 * v)
+            factors = {
+                "value": (sin_u, sin_v),
+                "d1": (cos_u, sin_v),
+                "d2": (sin_u, cos_v),
+                "d11": (-w1 * w1 * sin_u, sin_v),
+                "d12": (cos_u, cos_v),
+                "d22": (sin_u, -w2 * w2 * sin_v),
+            }
+            for key, (fu, fv) in factors.items():
+                acc[key] += fu[..., None] * fv[..., None] * vec
+        scale = {"value": 1.0, "d1": self.s1, "d2": self.s2,
+                 "d11": self.s1 ** 2, "d12": self.s1 * self.s2,
+                 "d22": self.s2 ** 2}
+        return {key: scale[key] * acc[key] for key in acc}
 
 
 def displace_chart(base, displacement, label=None):
     """Analytic chart ``base + displacement`` (both with exact derivatives)."""
     if base.is_nodal:
         raise ConfigError("displace_chart needs an analytic base chart")
-    maps = {}
-    for key in ("value",) + SLOT_NAMES:
-        base_map = base.maps[key]
-        disp_map = getattr(displacement, key if key != "value" else "value")
-        maps[key] = _sum_maps(base_map, disp_map)
-    return SurfaceChart(label or (base.name + "+displacement"),
-                        base.domain, maps, base.params)
 
+    def fields(X1, X2):
+        own, extra = base.fields(X1, X2), displacement.fields(X1, X2)
+        return {key: own[key] + extra[key] for key in own}
 
-def _sum_maps(f, g):
-    def h(X1, X2):
-        return f(X1, X2) + g(X1, X2)
-    return h
+    return SurfaceChart(label or (base.name + "+displacement"), base.domain,
+                        fields)
 
 
 # ---------------------------------------------------------------------------

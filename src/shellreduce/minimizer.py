@@ -11,8 +11,8 @@ and cannot be eliminated node-wise.
 Gradients are exact to round-off: the density is evaluated once with dual
 numbers seeded in the fifteen slot components (five derivative slots times
 three Cartesian components), and the per-point sensitivities are pushed
-back through the transposed stencils.  A central finite-difference fallback
-exists for cross-checking.
+back through the transposed stencils.  Central finite differences
+(``ShellObjective.grad_fd``) stay as the test oracle.
 
 The iteration is limited-memory BFGS with a two-phase backtracking line
 search: first the step is shrunk until every node keeps a_m and both face
@@ -55,9 +55,6 @@ class SolverConfig:
     armijo_c1: float = 1e-4
     backtrack: float = 0.5
     penalty_beta: float = 0.0
-    grad_mode: str = "ad"
-    fd_step: float = 1e-6
-    precondition: bool = True
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -70,12 +67,8 @@ class SolverConfig:
             raise ConfigError("backtracking factor must lie in (0, 1)")
         if self.max_iter < 0 or self.memory < 1:
             raise ConfigError("max_iter must be >= 0 and memory >= 1")
-        if self.grad_mode not in ("ad", "fd"):
-            raise ConfigError("grad_mode must be 'ad' or 'fd'")
         if self.penalty_beta < 0:
             raise ConfigError("penalty weight must be >= 0")
-        if self.fd_step <= 0:
-            raise ConfigError("finite-difference step must be positive")
 
 
 @dataclass
@@ -177,14 +170,7 @@ class ShellObjective:
 
     # -- gradient -----------------------------------------------------------
 
-    def value_and_grad(self, positions, mode="ad", fd_step=1e-6):
-        if mode == "ad":
-            return self._value_and_grad_ad(positions)
-        if mode == "fd":
-            return self.value(positions), self.grad_fd(positions, fd_step)
-        raise ConfigError("gradient mode must be 'ad' or 'fd'")
-
-    def _value_and_grad_ad(self, positions):
+    def value_and_grad(self, positions):
         slots = self.ops.all_slots(positions)
         seeded = dual.seed([slots[name][..., c] for name in SLOT_NAMES
                             for c in range(3)])
@@ -298,7 +284,7 @@ def line_search(objective, unpack, x, d, energy, slope, iteration,
                                 step, iteration)
 
 
-def _two_loop(g, pairs, dinv=None):
+def _two_loop(g, pairs, dinv):
     """Two-loop recursion; the initial metric is gamma * diag(dinv)."""
     q = g.copy()
     alphas = []
@@ -306,12 +292,10 @@ def _two_loop(g, pairs, dinv=None):
         a = rho * np.dot(s, q)
         alphas.append(a)
         q -= a * y
-    if dinv is not None:
-        q *= dinv
+    q *= dinv
     if pairs:
         s, y, _ = pairs[-1]
-        q *= np.dot(s, y) / (np.dot(y, dinv * y) if dinv is not None
-                             else np.dot(y, y))
+        q *= np.dot(s, y) / np.dot(y, dinv * y)
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * np.dot(y, q)
         q += (a - b) * s
@@ -359,8 +343,7 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
         return out
 
     def eval_vg(pos):
-        value, grad = objective.value_and_grad(pos, mode=config.grad_mode,
-                                               fd_step=config.fd_step)
+        value, grad = objective.value_and_grad(pos)
         return value, pack(grad)
 
     _, g = eval_vg(positions)
@@ -381,10 +364,8 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
                               report=report)
 
     x = pack(positions)
-    dinv = None
-    if config.precondition:
-        diag = objective.metric_diagonal()
-        dinv = 1.0 / np.repeat(diag[free][:, None], 3, axis=1).ravel()
+    diag = objective.metric_diagonal()
+    dinv = 1.0 / np.repeat(diag[free][:, None], 3, axis=1).ravel()
     pairs = []
     converged = False
     message = "iteration limit reached"
@@ -394,7 +375,7 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
         slope = float(np.dot(g, d))
         if slope >= -1e-14 * np.linalg.norm(g) * np.linalg.norm(d):
             pairs = []
-            d = -(dinv * g if dinv is not None else g)
+            d = -(dinv * g)
             slope = float(np.dot(g, d))
 
         try:

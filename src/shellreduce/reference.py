@@ -7,22 +7,19 @@ built from the reference chart:
     F2(Q) = <Q, L^T I^{-1} L>,
 
 with <A, B> = sum_ij A_ij B_ij.  Those kernels, the face factors
-A^{+-} = 1 -+ h H + h^2 K / 4, the symmetric square roots of the first form,
-and the curvature suprema entering the convexity thresholds are all fixed
-once per (chart, grid, thickness), so they live in one cached record.
+A^{+-} = 1 -+ h H + h^2 K / 4 and the curvature suprema entering the
+convexity thresholds are all fixed once per (chart, grid, thickness), so
+:func:`build_reference` computes them once into a :class:`ReferenceField`.
 """
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .geometry import FundamentalData, fundamental_data
-from .grids import Grid
 
 
 def spd_sqrt_2x2(mat):
@@ -54,24 +51,24 @@ def face_factors(mean, gauss, h):
 class ReferenceField:
     """Reference-chart data on a grid for one thickness value."""
 
-    chart_name: str
-    chart_params: dict
-    grid: Grid
     h: float
-    order: int
     fd: FundamentalData
     positions: np.ndarray       # y0 nodal positions  (n1, n2, 3)
-    inv_first: np.ndarray       # I^{-1}               (n1, n2, 2, 2)
-    sqrt_first: np.ndarray      # I^{1/2}
-    inv_sqrt_first: np.ndarray  # I^{-1/2}
-    kernel0: np.ndarray         # I^{-1}
+    kernel0: np.ndarray         # I^{-1}               (n1, n2, 2, 2)
     kernel1: np.ndarray         # L I^{-1} + I^{-1} L
     kernel2: np.ndarray         # L^T I^{-1} L
     a_plus: np.ndarray          # A^+ = b(+h/2)
     a_minus: np.ndarray         # A^- = b(-h/2)
-    bend_norm: np.ndarray       # |I^{1/2} L^T I^{-1/2}|_F per node
     curvature_bound: float      # C = 2 sup |I^{1/2} L^T I^{-1/2}|_F
     kappa_sup: float            # sup max(|kappa1|, |kappa2|)
+
+    @property
+    def grid(self):
+        return self.fd.grid
+
+    @property
+    def order(self):
+        return self.fd.order
 
     @property
     def area(self):
@@ -89,10 +86,6 @@ class ReferenceField:
     def normal(self):
         return self.fd.normal
 
-    def thickness_margin(self):
-        """h * sup|kappa|, admissible geometry iff < 2."""
-        return self.h * self.kappa_sup
-
 
 def contract(Q, kernel):
     """<Q, kernel> = sum_ij Q_ij kernel_ij pointwise.
@@ -108,20 +101,16 @@ def contract(Q, kernel):
 
 
 def build_reference(chart, grid, h, order=4):
-    """Assemble the ReferenceField for a chart/grid/thickness triple.
+    """The ReferenceField of a chart/grid/thickness triple.
 
     Never raises on thick geometry: the face factors may come out
-    non-positive and :func:`check_thickness` reports the verdict, so the
-    admissibility CLI can describe a failing thickness instead of crashing.
+    non-positive and :func:`~shellreduce.admissibility.admissibility_report`
+    reports the geometric bound ``h_geom``, so the admissibility CLI can
+    describe a failing thickness instead of crashing.
     """
     if h <= 0:
         raise ConfigError("thickness must be positive, h = %g" % h)
-    return _assemble(fundamental_data(chart, grid, order), h,
-                     chart.positions_on(grid), chart.name, chart.params)
-
-
-def _assemble(fd, h, positions, chart_name, chart_params):
-    """The kernels, face factors and curvature suprema of ``fd`` at ``h``."""
+    fd = fundamental_data(chart, grid, order)
     inv_first = np.linalg.inv(fd.first)
     sqrt_first, inv_sqrt_first = spd_sqrt_2x2(fd.first)
 
@@ -139,110 +128,14 @@ def _assemble(fd, h, positions, chart_name, chart_params):
     kappa_sup = float(np.maximum(np.abs(fd.kappa1), np.abs(fd.kappa2)).max())
 
     return ReferenceField(
-        chart_name=str(chart_name),
-        chart_params=dict(chart_params),
-        grid=fd.grid,
         h=float(h),
-        order=int(fd.order),
         fd=fd,
-        positions=np.asarray(positions, dtype=float),
-        inv_first=inv_first,
-        sqrt_first=sqrt_first,
-        inv_sqrt_first=inv_sqrt_first,
+        positions=np.asarray(chart.positions_on(grid), dtype=float),
         kernel0=inv_first,
         kernel1=kernel1,
         kernel2=kernel2,
         a_plus=a_plus,
         a_minus=a_minus,
-        bend_norm=bend_norm,
         curvature_bound=curvature_bound,
         kappa_sup=kappa_sup,
     )
-
-
-def check_thickness(ref):
-    """(margin, ok): margin = h * sup|kappa| must stay below 2.
-
-    Equivalent to b(x3) > 0 through the whole thickness, hence to positive
-    face factors A^{+-} everywhere.
-    """
-    margin = ref.thickness_margin()
-    return margin, bool(margin < 2.0)
-
-
-# ---------------------------------------------------------------------------
-# cache serialization
-# ---------------------------------------------------------------------------
-
-_ARRAY_FIELDS = (
-    "grad", "normal", "grad_n", "area", "first", "second", "third",
-    "shape_op", "mean", "gauss", "kappa1", "kappa2",
-)
-
-
-def save_reference(ref, path):
-    """Write a ReferenceField to an .npz cache file."""
-    header = {
-        "chart_name": ref.chart_name,
-        "chart_params": _jsonable(ref.chart_params),
-        "h": ref.h,
-        "order": ref.order,
-        "domain": ref.grid.domain,
-        "shape": [ref.grid.n1, ref.grid.n2],
-    }
-    arrays = {name: getattr(ref.fd, name) for name in _ARRAY_FIELDS}
-    arrays["positions"] = ref.positions
-    arrays["x1"] = ref.grid.x1
-    arrays["x2"] = ref.grid.x2
-    with open(path, "wb") as fh:
-        np.savez_compressed(fh, header=json.dumps(header, sort_keys=True),
-                            **arrays)
-
-
-def load_reference(path, expect=None):
-    """Load a cached ReferenceField; optionally validate its identity.
-
-    ``expect`` may hold any of the header keys (chart_name, h, order, shape,
-    domain); mismatches raise ConfigError so a stale cache cannot silently
-    feed a run.
-    """
-    with open(path, "rb") as fh:
-        data = np.load(io.BytesIO(fh.read()), allow_pickle=False)
-    header = json.loads(str(data["header"]))
-    if expect:
-        for key, want in expect.items():
-            have = header.get(key)
-            if _normalize(have) != _normalize(want):
-                raise ConfigError(
-                    "reference cache mismatch for %r: cache has %r, run wants %r"
-                    % (key, have, want)
-                )
-    grid = Grid(data["x1"], data["x2"])
-    fd = FundamentalData(
-        grid=grid, order=int(header["order"]),
-        **{name: data[name] for name in _ARRAY_FIELDS},
-    )
-    return _assemble(fd, float(header["h"]), data["positions"],
-                     header["chart_name"], header["chart_params"])
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {_key_str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
-def _key_str(k):
-    if isinstance(k, tuple):
-        return ",".join(str(x) for x in k)
-    return str(k)
-
-
-def _normalize(x):
-    if isinstance(x, (list, tuple)):
-        return tuple(_normalize(v) for v in x)
-    return x

@@ -101,9 +101,10 @@ def derivative_matrix(n, spacing, deriv, order=4):
 class GridDerivatives:
     """Pre-built differentiation matrices for a tensor grid.
 
-    Applies first and second derivative operators along either axis of
-    fields shaped ``(n1, n2)`` or ``(n1, n2, c)``, and exposes the
-    transposed applications the gradient assembly needs.
+    Each derivative slot is a tensor product of one 1-D matrix per axis
+    (or none), listed once in ``slot_ops``.  That table drives both the
+    forward application to fields shaped ``(n1, n2)`` or ``(n1, n2, c)``
+    and the transposed application the gradient assembly needs.
     """
 
     def __init__(self, n1, n2, dx1, dx2, order=4):
@@ -112,45 +113,41 @@ class GridDerivatives:
         self.d2 = derivative_matrix(n2, dx2, 1, order)
         self.d11 = derivative_matrix(n1, dx1, 2, order)
         self.d22 = derivative_matrix(n2, dx2, 2, order)
-
-    # forward applications ------------------------------------------------
-    def along1(self, f, second=False):
-        op = self.d11 if second else self.d1
-        return np.einsum("ik,k...->i...", op, f)
-
-    def along2(self, f, second=False):
-        op = self.d22 if second else self.d2
-        return np.einsum("jk,ik...->ij...", op, f)
+        # slot -> (axis-0 matrix, axis-1 matrix); None skips that axis
+        self.slot_ops = {
+            "d1": (self.d1, None),
+            "d2": (None, self.d2),
+            "d11": (self.d11, None),
+            "d12": (self.d1, self.d2),
+            "d22": (None, self.d22),
+        }
 
     def all_slots(self, f):
         """The five derivative fields of ``f``: d1, d2, d11, d12, d22."""
-        g1 = self.along1(f)
-        return {
-            "d1": g1,
-            "d2": self.along2(f),
-            "d11": self.along1(f, second=True),
-            "d12": self.along2(g1),
-            "d22": self.along2(f, second=True),
-        }
+        along0 = {}     # axis-0 passes by matrix, so d12 reuses d1's
+        out = {}
+        for slot, (op0, op1) in self.slot_ops.items():
+            g = f
+            if op0 is not None:
+                if id(op0) not in along0:
+                    along0[id(op0)] = np.einsum("ik,k...->i...", op0, f)
+                g = along0[id(op0)]
+            if op1 is not None:
+                g = np.einsum("jk,ik...->ij...", op1, g)
+            out[slot] = g
+        return out
 
-    # transposed applications (scatter for gradients) ----------------------
     def scatter(self, slot, sigma):
         """Adjoint of the slot operator applied to a weight field.
 
         If ``F_slot = op(f)`` is linear, the gradient contribution of a
         functional ``sum(sigma * F_slot)`` with respect to nodal ``f`` is
-        ``op^T sigma``; this returns that field.
+        ``op^T sigma``; this returns that field.  The axis-1 transpose is
+        applied first, the reverse of the forward order.
         """
-        if slot == "d1":
-            return np.einsum("ki,k...->i...", self.d1, sigma)
-        if slot == "d2":
-            return np.einsum("kj,ik...->ij...", self.d2, sigma)
-        if slot == "d11":
-            return np.einsum("ki,k...->i...", self.d11, sigma)
-        if slot == "d22":
-            return np.einsum("kj,ik...->ij...", self.d22, sigma)
-        if slot == "d12":
-            # d12 = along2(along1(f))  =>  adjoint = d1^T sigma d2
-            tmp = np.einsum("kj,ik...->ij...", self.d2, sigma)
-            return np.einsum("ki,k...->i...", self.d1, tmp)
-        raise KeyError(slot)
+        op0, op1 = self.slot_ops[slot]
+        if op1 is not None:
+            sigma = np.einsum("kj,ik...->ij...", op1, sigma)
+        if op0 is not None:
+            sigma = np.einsum("ki,k...->i...", op0, sigma)
+        return sigma

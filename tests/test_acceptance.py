@@ -231,7 +231,7 @@ def test_criterion_6_gradient_modes_and_secant_probes_agree():
                                    clamped_edges=("left",), penalty_beta=0.1)
         for seed in range(20):
             pos = _feasible_state(objective, ref, seed=seed)
-            _, grad = objective.value_and_grad(pos, mode="ad")
+            _, grad = objective.value_and_grad(pos)
             fd = objective.grad_fd(pos, step_scale=1e-6)
             scale = np.abs(fd).max()
             rel = float(np.abs(grad - fd).max() / scale)

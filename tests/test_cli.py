@@ -1,6 +1,8 @@
 """End-to-end runs of the command-line driver, in process."""
 
 import glob
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -188,6 +190,18 @@ def test_energy_nan_node_exits_with_orientation_code(tmp_path, capsys):
         assert "grid node (4, 3)" in capsys.readouterr().err, bad
 
 
+def test_energy_beyond_the_geometric_bound_exits_with_thickness_code(
+        tmp_path, capsys):
+    # unit sphere at h = 2.5: both face factors stay positive, but
+    # h sup|kappa| >= 2 puts a zero of b(x3) inside the slab
+    text = SPHERE.replace("material.h = 0.8", "material.h = 2.5")
+    vtk, _ = _natural_vtk(tmp_path, text)
+    rc = main(["energy", "--config", _config(tmp_path, text),
+               "--deformation", vtk, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "h sup|kappa| = 2.500, needs < 2" in capsys.readouterr().err
+
+
 def test_infinite_thickness_is_a_config_error(tmp_path, capsys):
     cfg = _config(tmp_path, PLATE.replace("material.h = 0.1",
                                           "material.h = inf"))
@@ -215,9 +229,8 @@ def test_compare3d_small_sweep(tmp_path, capsys):
 
 
 def test_compare3d_is_identical_across_thread_counts(tmp_path):
-    # one fresh process per run; importing the package starts BLAS before
-    # main() reads --threads, so the child's environment sets the BLAS pool
-    # and the flag sets the per-thickness worker pool
+    # one fresh process per run, so --threads sizes both the BLAS pool and
+    # the per-thickness worker pool
     text = (SPHERE.replace("material.h = 0.8", "material.h = 0.1")
             .replace("= 9\n", "= 17\n"))
     text += "compare3d.h_values = 0.04, 0.02\ncompare3d.thickness_nodes = 8\n"
@@ -251,6 +264,33 @@ def test_check_loads_no_scipy(tmp_path):
     proc = _run_fresh(["-c", code, cfg, str(tmp_path)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # --threads can only size the BLAS pool if numpy starts after main()
+    # has set the thread variables
+    code = ("import sys\n"
+            "import shellreduce.cli\n"
+            "print('numpy' in sys.modules)\n")
+    proc = _run_fresh(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_traced_benchmark_targets_resolve():
+    # every function the benchmark's tracer wraps must still exist
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(root, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for modname, attr, _ in tracing.TARGETS:
+        obj = importlib.import_module(modname)
+        for part in attr.split("."):
+            assert hasattr(obj, part), (modname, attr)
+            obj = getattr(obj, part)
+        assert callable(obj), (modname, attr)
 
 
 def test_minimize_writes_surface_and_trace(tmp_path, capsys):

@@ -36,7 +36,7 @@ def test_parse_config_strips_comments_and_blank_lines():
 
 def test_parse_config_keeps_extra_equals_in_value():
     # only the first '=' splits; the rest belongs to the value
-    raw = parse_config("solver.grad_mode = ad\nchart.kind = a=b")
+    raw = parse_config("constants = oracle\nchart.kind = a=b")
     assert raw["chart.kind"] == "a=b"
 
 
@@ -66,8 +66,6 @@ def test_runconfig_defaults():
     assert (s.max_iter, s.memory) == (200, 10)
     assert s.gtol_rel == 1e-6 and s.gtol_abs == 1e-11
     assert s.penalty_beta == 0.0
-    assert s.grad_mode == "ad"
-    assert s.precondition is True
     # material went through floats
     assert cfg.material.lam == 1.5 and cfg.material.h == 0.05
 
@@ -187,18 +185,14 @@ def test_loads_and_edge_rejections(extra, fragment):
 def test_solver_overrides_and_bool_parsing():
     cfg = RunConfig.from_text(_cfg(
         "solver.max_iter = 500\n"
-        "solver.precondition = off\n"
-        "solver.penalty_beta = 2.5\n"
-        "solver.grad_mode = fd"))
+        "solver.penalty_beta = 2.5"))
     assert cfg.solver.max_iter == 500
-    assert cfg.solver.precondition is False
     assert cfg.solver.penalty_beta == 2.5
-    assert cfg.solver.grad_mode == "fd"
-    for text in ("yes", "1", "ON", "True"):
-        assert RunConfig.from_text(
-            _cfg("solver.precondition = %s" % text)).solver.precondition
-    with pytest.raises(ConfigError, match="solver.precondition"):
-        RunConfig.from_text(_cfg("solver.precondition = maybe"))
+    # the gradient-mode, FD-step and metric switches are gone
+    for line in ("solver.precondition = off", "solver.grad_mode = fd",
+                 "solver.fd_step = 1e-6"):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            RunConfig.from_text(_cfg(line))
     with pytest.raises(ConfigError, match="solver.max_iter"):
         RunConfig.from_text(_cfg("solver.max_iter = many"))
 

@@ -207,6 +207,17 @@ def test_overthick_reference_raises_thickness_error():
         energy_density_fields(state.bundle, ref, mat, 1)
 
 
+def test_overthick_sphere_raises_thickness_error_with_positive_faces():
+    # on the unit sphere at h = 2.5 both face factors stay positive while
+    # b(x3) vanishes inside the slab (h sup|kappa| = 2.5 >= 2)
+    chart, grid, ref, mat = _setup("sphere-cap", h=2.5,
+                                   **CHARTS["sphere-cap"])
+    assert min(ref.a_plus.min(), ref.a_minus.min()) > 0.0
+    state = deformed_state(chart, grid, mat.h)
+    with pytest.raises(ThicknessError, match="h sup\\|kappa\\| = 2.500"):
+        energy_density_fields(state.bundle, ref, mat, 1)
+
+
 def test_model_and_mode_lists_are_exposed():
     assert MODELS == (1, 2, 3)
     assert set(CONSTANT_MODES) == {"oracle", "paper"}

@@ -132,24 +132,42 @@ def test_make_chart_validates_kind_and_parameters():
 
 
 def test_displaced_chart_derivatives_are_consistent():
-    # analytic derivative maps of base + displacement must agree with
-    # finite differences of the summed position map
-    base = make_chart("sphere-cap", radius=1.0, extent=0.5)
-    disp = TrigDisplacement.standard(base.domain, 0.03)
-    chart = displace_chart(base, disp)
-    grid = Grid.uniform(chart.domain, 9, 9)
-    X1, X2 = grid.mesh()
-    t = 1e-6
-    d1_fd = (chart.position(X1 + t, X2) - chart.position(X1 - t, X2)) / (2 * t)
-    d2_fd = (chart.position(X1, X2 + t) - chart.position(X1, X2 - t)) / (2 * t)
-    slots = chart.derivative_fields(grid, 4)
-    assert np.abs(slots["d1"] - d1_fd).max() < 1e-8
-    assert np.abs(slots["d2"] - d2_fd).max() < 1e-8
-    t = 1e-4  # wider step: the mixed difference divides round-off by 4 t^2
-    d12_fd = (chart.position(X1 + t, X2 + t) - chart.position(X1 + t, X2 - t)
-              - chart.position(X1 - t, X2 + t) + chart.position(X1 - t, X2 - t)) \
-        / (4 * t * t)
-    assert np.abs(slots["d12"] - d12_fd).max() < 1e-6
+    # every analytic chart's derivative fields, the displaced chart's
+    # included, must agree with finite differences of its position map
+    sphere = make_chart("sphere-cap", radius=1.0, extent=0.5)
+    charts = {
+        "plate": make_chart("plate", length1=1.3),
+        "sphere-cap": sphere,
+        "cylinder-patch": make_chart("cylinder-patch", radius=0.8,
+                                     height=1.0, arc=1.2),
+        "graph": make_chart("graph", poly={(2, 0): 0.3, (1, 2): -0.2},
+                            bump=(0.1, 2, 1)),
+        "displaced": displace_chart(
+            sphere, TrigDisplacement.standard(sphere.domain, 0.03)),
+    }
+    for kind, chart in charts.items():
+        grid = Grid.uniform(chart.domain, 9, 9)
+        X1, X2 = grid.mesh()
+        slots = chart.derivative_fields(grid, 4)
+        assert set(slots) == set(SLOT_NAMES), kind
+        assert np.array_equal(chart.positions_on(grid),
+                              chart.position(X1, X2)), kind
+
+        def y(s1, s2):
+            return chart.position(X1 + s1, X2 + s2)
+
+        t = 1e-6
+        d1_fd = (y(t, 0) - y(-t, 0)) / (2 * t)
+        d2_fd = (y(0, t) - y(0, -t)) / (2 * t)
+        assert np.abs(slots["d1"] - d1_fd).max() < 1e-8, kind
+        assert np.abs(slots["d2"] - d2_fd).max() < 1e-8, kind
+        t = 1e-4  # wider step: second differences divide round-off by t^2
+        d11_fd = (y(t, 0) - 2 * y(0, 0) + y(-t, 0)) / (t * t)
+        d22_fd = (y(0, t) - 2 * y(0, 0) + y(0, -t)) / (t * t)
+        d12_fd = (y(t, t) - y(t, -t) - y(-t, t) + y(-t, -t)) / (4 * t * t)
+        assert np.abs(slots["d11"] - d11_fd).max() < 1e-6, kind
+        assert np.abs(slots["d12"] - d12_fd).max() < 1e-6, kind
+        assert np.abs(slots["d22"] - d22_fd).max() < 1e-6, kind
 
 
 def test_trig_displacement_vanishes_on_the_domain_boundary():
@@ -157,10 +175,12 @@ def test_trig_displacement_vanishes_on_the_domain_boundary():
     disp = TrigDisplacement.standard(domain, 0.07)
     edge = np.linspace(domain[1][0], domain[1][1], 13)
     for x1 in domain[0]:
-        assert np.abs(disp.value(np.full_like(edge, x1), edge)).max() < 1e-15
+        value = disp.fields(np.full_like(edge, x1), edge)["value"]
+        assert np.abs(value).max() < 1e-15
     edge = np.linspace(domain[0][0], domain[0][1], 13)
     for x2 in domain[1]:
-        assert np.abs(disp.value(edge, np.full_like(edge, x2))).max() < 1e-15
+        value = disp.fields(edge, np.full_like(edge, x2))["value"]
+        assert np.abs(value).max() < 1e-15
 
 
 def test_graph_chart_matches_direct_polynomial_evaluation():

@@ -84,7 +84,7 @@ def test_seeded_gradient_matches_finite_differences(kind, params):
                                clamped_edges=("left",), penalty_beta=0.1)
     for seed in (1, 2):
         pos = _random_feasible_state(objective, ref, seed=seed)
-        value, grad = objective.value_and_grad(pos, mode="ad")
+        value, grad = objective.value_and_grad(pos)
         assert abs(value - objective.value(pos)) < 1e-12 * max(1.0, abs(value))
         fd = objective.grad_fd(pos, step_scale=1e-6)
         scale = np.abs(fd).max()
@@ -100,15 +100,15 @@ def test_seeded_gradient_matches_finite_differences(kind, params):
 
 
 def test_gradient_mode_dispatch_and_validation():
+    # one gradient path; central differences stay as its oracle
     ref, mat = _setup()
     objective = ShellObjective(ref, mat, model=1)
     pos = ref.positions
-    v_ad, g_ad = objective.value_and_grad(pos, mode="ad")
-    v_fd, g_fd = objective.value_and_grad(pos, mode="fd", fd_step=1e-6)
-    assert abs(v_ad - v_fd) < 1e-14
-    assert np.abs(g_ad - g_fd).max() < 1e-6
-    with pytest.raises(ConfigError):
-        objective.value_and_grad(pos, mode="exact")
+    value, grad = objective.value_and_grad(pos)
+    assert abs(value - objective.value(pos)) < 1e-14
+    assert np.abs(grad - objective.grad_fd(pos, 1e-6)).max() < 1e-6
+    with pytest.raises(TypeError):
+        objective.value_and_grad(pos, mode="fd")
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +168,7 @@ def test_discrete_deformation_pins_clamped_nodes():
 def test_solver_config_validation():
     for bad in (dict(model=7), dict(gtol_rel=0.0), dict(gtol_abs=-1.0),
                 dict(armijo_c1=1.5), dict(backtrack=1.0), dict(memory=0),
-                dict(max_iter=-1), dict(grad_mode="adjoint"),
-                dict(penalty_beta=-2.0), dict(fd_step=0.0)):
+                dict(max_iter=-1), dict(penalty_beta=-2.0)):
         with pytest.raises(ConfigError):
             SolverConfig(**bad)
 
@@ -284,13 +283,3 @@ def test_nan_initial_state_is_rejected():
         with pytest.raises(InadmissibleInitialState,
                            match=r"grid node \(4, 3\)"):
             minimize(ref, mat, SolverConfig(model=1), initial=initial)
-
-
-def test_fd_solver_smoke():
-    ref, mat = _setup()
-    loads = reduce_loads(uniform_transverse(0.002), mat.h)
-    result = minimize(ref, mat,
-                      SolverConfig(model=1, grad_mode="fd", max_iter=3),
-                      loads=loads)
-    energies = [row[1] for row in result.trace]
-    assert energies[-1] < energies[0]

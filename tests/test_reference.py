@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from shellreduce.admissibility import admissibility_report
 from shellreduce.errors import ConfigError
 from shellreduce.geometry import make_chart
 from shellreduce.grids import Grid
-from shellreduce.reference import (build_reference, check_thickness, contract,
-                                   face_factors, load_reference,
-                                   save_reference, spd_sqrt_2x2)
+from shellreduce.reference import (build_reference, contract, face_factors,
+                                   spd_sqrt_2x2)
 
 RNG = np.random.default_rng(20240517)
 
@@ -94,12 +94,13 @@ def test_curvature_bound_on_sphere_and_cylinder():
 
 
 def test_check_thickness_verdicts():
+    # the thickness gate is h < h_geom = 2 / sup|kappa|
     thin = _ref("sphere-cap", radius=1.0, extent=0.6, h=0.05)
-    margin, ok = check_thickness(thin)
-    assert ok and abs(margin - 0.05) < 1e-8
+    assert abs(thin.h * thin.kappa_sup - 0.05) < 1e-8
+    assert abs(admissibility_report(thin).h_geom - 2.0) < 1e-6
     thick = _ref("sphere-cap", radius=1.0, extent=0.6, h=2.5)
-    margin, ok = check_thickness(thick)
-    assert not ok and margin > 2.0
+    assert thick.h * thick.kappa_sup > 2.0
+    assert thick.h > admissibility_report(thick).h_geom
     # a passing margin guarantees positive face factors ...
     assert thin.a_plus.min() > 0.0 and thin.a_minus.min() > 0.0
     # ... a failing one means b(x3) = 1 - 2 H x3 + K x3^2 dips to zero
@@ -118,31 +119,3 @@ def test_build_reference_rejects_nonpositive_thickness():
         build_reference(chart, grid, 0.0)
     with pytest.raises(ConfigError):
         build_reference(chart, grid, -0.1)
-
-
-def test_reference_cache_round_trip(tmp_path):
-    ref = _ref("sphere-cap", radius=1.0, extent=0.5, h=0.07, n=9)
-    path = tmp_path / "ref.npz"
-    save_reference(ref, path)
-    back = load_reference(path)
-    assert back.chart_name == ref.chart_name
-    assert back.h == ref.h and back.order == ref.order
-    for name in ("kernel0", "kernel1", "kernel2", "a_plus", "a_minus",
-                 "inv_first", "sqrt_first", "positions"):
-        a, b = getattr(ref, name), getattr(back, name)
-        assert np.array_equal(a, b), name
-    assert back.curvature_bound == ref.curvature_bound
-    assert np.array_equal(back.grid.x1, ref.grid.x1)
-
-
-def test_reference_cache_identity_validation(tmp_path):
-    ref = _ref("plate", h=0.1, n=9)
-    path = tmp_path / "ref.npz"
-    save_reference(ref, path)
-    load_reference(path, expect={"chart_name": "plate", "h": 0.1})
-    with pytest.raises(ConfigError):
-        load_reference(path, expect={"h": 0.2})
-    with pytest.raises(ConfigError):
-        load_reference(path, expect={"chart_name": "sphere-cap"})
-    with pytest.raises(ConfigError):
-        load_reference(path, expect={"shape": [11, 11]})
