@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dual
+from . import adjoint
 from .errors import (ConfigError, NonFinitePosition, OrientationViolation,
                      ThicknessError)
 from .geometry import surface_bundle
@@ -44,6 +44,11 @@ MODELS = (1, 2, 3)
 CONSTANT_MODES = ("oracle", "paper")
 
 EPS_ORIENT = 1e-10
+# surface_bundle multiplies up to four stencil derivatives of the positions,
+# and stencil weights grow like 1/spacing^2: below this magnitude every such
+# product stays finite for grid spacings down to 1e-6, above it an overflow
+# turns into a NaN at whichever node the stencils carry it to
+MAX_COORDINATE = 1e60
 
 
 @dataclass(frozen=True)
@@ -108,8 +113,9 @@ class DeformedState:
 
 def require_finite_positions(positions):
     """Raise NonFinitePosition at the first grid node of an (n1, n2, 3)
-    position array that has a NaN or infinite coordinate."""
-    bad = ~np.isfinite(positions).all(axis=-1)
+    position array that has a NaN, infinite or overflowing coordinate
+    (magnitude at or above MAX_COORDINATE)."""
+    bad = ~(np.abs(positions) < MAX_COORDINATE).all(axis=-1)
     if bad.any():
         idx = np.unravel_index(np.argmax(bad), bad.shape)
         raise NonFinitePosition(idx, positions[idx])
@@ -148,9 +154,9 @@ def orientation_violations(bundle, ref, h, eps=EPS_ORIENT):
     factors above eps at every node.  argmin returns the first NaN, so a
     NaN factor (a non-finite position upstream) is a violation at its node.
     """
-    a_m = dual.value(bundle["a"])
-    plus, minus = face_factors(dual.value(bundle["H"]),
-                               dual.value(bundle["K"]), h)
+    a_m = adjoint.value(bundle["a"])
+    plus, minus = face_factors(adjoint.value(bundle["H"]),
+                               adjoint.value(bundle["K"]), h)
     checks = (
         ("midsurface area factor a_m", a_m, eps * ref.area),
         ("face factor A_m^+", plus, eps),
@@ -176,7 +182,7 @@ def require_orientation(bundle, ref, h, eps=EPS_ORIENT):
 
 
 # ---------------------------------------------------------------------------
-# density kernels (numpy or Dual fields)
+# density kernels (numpy or Var fields)
 # ---------------------------------------------------------------------------
 
 def _forms_from_bundle(bundle):
@@ -284,9 +290,9 @@ def w_curv_log(bundle, ref, mat, constants="oracle"):
     log_p0 = np.log(ref.area * ref.a_plus)
     log_m0 = np.log(ref.area * ref.a_minus)
     bracket = (
-        ref.a_minus * (dual.log(a_m * minus_m) - log_m0)
-        + 4.0 * (dual.log(a_m) - log_a0)
-        + ref.a_plus * (dual.log(a_m * plus_m) - log_p0)
+        ref.a_minus * (adjoint.log(a_m * minus_m) - log_m0)
+        + 4.0 * (adjoint.log(a_m) - log_a0)
+        + ref.a_plus * (adjoint.log(a_m * plus_m) - log_p0)
     )
     return _log_coefficient(mat, constants) * (mat.h / 6.0) * bracket
 

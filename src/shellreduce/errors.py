@@ -53,13 +53,14 @@ class OrientationViolation(ShellError):
 
 
 class NonFinitePosition(ShellError):
-    """A nodal position given as input has a NaN or infinite coordinate."""
+    """A nodal position given as input has a NaN, infinite or overflowing
+    coordinate."""
 
     def __init__(self, index, position):
         self.index = tuple(int(k) for k in index)
         self.position = tuple(float(x) for x in position)
         super().__init__(
-            "non-finite position at grid node %s: (%s)"
+            "non-finite or overflowing position at grid node %s: (%s)"
             % (self.index, ", ".join("%g" % x for x in self.position))
         )
 

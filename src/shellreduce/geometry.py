@@ -19,8 +19,8 @@ and finite-difference modes.
 
 The pipeline in :func:`surface_bundle` is written against a scalar-field
 algebra (``+ - * /``, ``sqrt``) satisfied by plain numpy arrays *and* by
-:class:`~shellreduce.dual.Dual` numbers, so the same code path serves
-evaluation and forward-mode differentiation.
+:class:`~shellreduce.adjoint.Var` fields, so the same code path serves
+evaluation and reverse-mode differentiation.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dual
+from . import adjoint
 from .errors import ConfigError, CurvatureInconsistent, DegenerateChart
 from .grids import Grid
 from .stencils import GridDerivatives
@@ -40,14 +40,14 @@ SLOT_NAMES = ("d1", "d2", "d11", "d12", "d22")
 
 
 # ---------------------------------------------------------------------------
-# scalar-field algebra helpers (numpy arrays or Duals)
+# scalar-field algebra helpers (numpy arrays or Vars)
 # ---------------------------------------------------------------------------
 
 def components(vec):
     """Split a vector field into its three scalar components.
 
     Accepts a stacked ndarray (..., 3) or an already-split sequence of three
-    scalar fields (the dual-number path).
+    scalar fields (the reverse-mode path).
     """
     if isinstance(vec, np.ndarray):
         return vec[..., 0], vec[..., 1], vec[..., 2]
@@ -89,7 +89,7 @@ def surface_bundle(slots):
     d22 = components(slots["d22"])
 
     c = cross(d1, d2)
-    a = dual.sqrt(dot3(c, c))
+    a = adjoint.sqrt(dot3(c, c))
     inv_a = 1.0 / a
     n = (c[0] * inv_a, c[1] * inv_a, c[2] * inv_a)
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dual
 from .errors import ConfigError
 from .grids import EDGES, area_weights, edge_index, edge_weights
 
@@ -211,15 +210,15 @@ class LoadCovector:
     ref: object
 
     def potential(self, positions, normals):
-        """L(m, n_m) for (n1, n2, 3) arrays or triples of (Dual) fields."""
+        """L(m, n_m) for (n1, n2, 3) arrays or triples of component fields."""
         acc = 0.0
         for k in range(3):
             if self.force is not None:
                 v_k = _vec_component(positions, k) - self.ref.positions[..., k]
-                acc = acc + dual.total(self.force[..., k] * v_k)
+                acc = acc + np.sum(self.force[..., k] * v_k)
             if self.moment is not None:
                 dn_k = _vec_component(normals, k) - self.ref.normal[..., k]
-                acc = acc + dual.total(self.moment[..., k] * dn_k)
+                acc = acc + np.sum(self.moment[..., k] * dn_k)
         return acc
 
 
@@ -252,9 +251,8 @@ def load_potential(res, ref, positions, normals):
     """Evaluate L(m, n_m) for deformed positions m and normals n_m.
 
     ``positions``/``normals`` are either (n1, n2, 3) arrays or triples of
-    per-component grid fields; the triple form admits Dual components, and
-    the potential is assembled with scalar arithmetic so sensitivities flow
-    through.
+    per-component grid fields, such as the normal components of a surface
+    bundle.
     """
     return load_covector(res, ref).potential(positions, normals)
 

@@ -8,10 +8,11 @@ the reference values; the normal condition on those edges enters as a
 quadratic penalty because the normal is a nonlinear function of positions
 and cannot be eliminated node-wise.
 
-Gradients are exact to round-off: the density is evaluated once with dual
-numbers seeded in the fifteen slot components (five derivative slots times
-three Cartesian components), and the per-point sensitivities are pushed
-back through the transposed stencils.  Central finite differences
+Gradients are exact to round-off: the density is evaluated once on
+reverse-mode fields whose leaves are the fifteen slot components (five
+derivative slots times three Cartesian components), one adjoint sweep gives
+the per-point sensitivities, and they are pushed back through the
+transposed stencils.  Central finite differences
 (``ShellObjective.grad_fd``) stay as the test oracle.
 
 The iteration is limited-memory BFGS with a two-phase backtracking line
@@ -37,7 +38,7 @@ from .geometry import SLOT_NAMES, surface_bundle
 from .grids import EDGES, area_weights, edge_mask
 from .loads import _edge_measure, load_covector
 from .stencils import GridDerivatives
-from . import dual
+from . import adjoint
 
 EPS_FEAS = 1e-8
 STEP_MIN = 1e-14
@@ -121,8 +122,7 @@ class ShellObjective:
         self.ops = GridDerivatives(grid.n1, grid.n2, grid.dx1, grid.dx2,
                                    ref.order)
         self.w2d = area_weights(grid) * ref.area
-        self.constant_total = float(
-            np.sum(self.w2d * constant_density(ref, mat, constants)))
+        self.constant_density = constant_density(ref, mat, constants)
 
         # clamp penalty measure: arclength-weighted union of the clamped edges
         pen = np.zeros((grid.n1, grid.n2))
@@ -154,8 +154,11 @@ class ShellObjective:
         return self._total(density, positions, normal)
 
     def _total(self, density, positions, normal):
-        """Internal energy plus constant, minus loads, plus clamp penalty."""
-        total = float(np.sum(self.w2d * density)) + self.constant_total
+        """Internal energy plus constant, minus loads, plus clamp penalty.
+
+        The constant joins the density node by node: near the natural state
+        two separate sums cancel to a round-off larger than late descents."""
+        total = float(np.sum(self.w2d * (density + self.constant_density)))
         total -= float(self.load.potential(positions, normal))
         return total + self._penalty_value(normal)
 
@@ -172,24 +175,28 @@ class ShellObjective:
 
     def value_and_grad(self, positions):
         slots = self.ops.all_slots(positions)
-        seeded = dual.seed([slots[name][..., c] for name in SLOT_NAMES
-                            for c in range(3)])
-        bundle = surface_bundle({name: tuple(seeded[3 * si:3 * si + 3])
+        leaves = [adjoint.Var(slots[name][..., c]) for name in SLOT_NAMES
+                  for c in range(3)]
+        bundle = surface_bundle({name: tuple(leaves[3 * si:3 * si + 3])
                                  for si, name in enumerate(SLOT_NAMES)})
         require_orientation(bundle, self.ref, self.mat.h)
 
         dens = energy_density_fields(bundle, self.ref, self.mat, self.model,
                                      self.constants)
         density = dens["shell"] + dens["curv_log"] + dens["curv_det2"]
-        obj_dot = self.w2d[..., None] * density.dot
         normal = (bundle["nx"], bundle["ny"], bundle["nz"])
+        # adjoints of the objective in the density and in each normal
+        # component (load moment and clamp penalty); one sweep for all
+        seeds = [(density, self.w2d)]
         for k, n_k in enumerate(normal):
+            seed = np.zeros_like(self.w2d)
             if self.load.moment is not None:
-                obj_dot = obj_dot - self.load.moment[..., k, None] * n_k.dot
+                seed -= self.load.moment[..., k]
             if self.penalty_beta > 0.0:
                 dn = n_k.val - self.ref.normal[..., k]
-                pw = self.penalty_beta * self.penalty_weights
-                obj_dot = obj_dot + (2.0 * pw * dn)[..., None] * n_k.dot
+                seed += 2.0 * self.penalty_beta * self.penalty_weights * dn
+            seeds.append((n_k, seed))
+        obj_dot = np.stack(adjoint.gradient(seeds, leaves), axis=-1)
 
         grad = np.zeros_like(positions)
         for si, name in enumerate(SLOT_NAMES):
@@ -346,10 +353,7 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
         value, grad = objective.value_and_grad(pos)
         return value, pack(grad)
 
-    _, g = eval_vg(positions)
-    # record the plain-evaluation energy so every trace row (this one and
-    # the accepted line-search values) comes from the same summation path
-    energy = objective.value(positions)
+    energy, g = eval_vg(positions)
     gnorm = float(np.max(np.abs(g))) if g.size else 0.0
     tol = max(config.gtol_abs, config.gtol_rel * gnorm)
     trace = [(0, energy, gnorm, 0.0)]
@@ -387,9 +391,6 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
             it -= 1
             break
 
-        # the accepted line-search energy is the one recorded: the AD pass
-        # re-sums the same terms in a different order, and that round-off
-        # would show up as spurious 1e-15-size upticks in the trace
         _, new_g = eval_vg(unpack(trial))
         s = trial - x
         yv = new_g - g

@@ -90,7 +90,7 @@ class ReferenceField:
 def contract(Q, kernel):
     """<Q, kernel> = sum_ij Q_ij kernel_ij pointwise.
 
-    ``Q`` may be a stacked (n1, n2, 2, 2) array or a dict of possibly-Dual
+    ``Q`` may be a stacked (n1, n2, 2, 2) array or a dict of numpy or Var
     components {"11": .., "12": .., "21": .., "22": ..}; the kernel is always
     a plain stacked array.
     """

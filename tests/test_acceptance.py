@@ -251,7 +251,7 @@ def test_criterion_6_gradient_modes_and_secant_probes_agree():
     dt = time.perf_counter() - t0
     if dt >= 60.0:
         failures.append("gradient checks took %.1f s" % dt)
-    _verdict(6, "dual-number and finite-difference gradients agree to 1e-6 "
+    _verdict(6, "adjoint and finite-difference gradients agree to 1e-6 "
                 "on 20 random states per chart; secants to 1e-5", failures)
 
 

@@ -177,9 +177,9 @@ def test_energy_folded_surface_exits_with_orientation_code(tmp_path,
 
 def test_energy_nan_node_exits_with_orientation_code(tmp_path, capsys):
     # the error names the input node, not a node the value reaches through
-    # the stencils
+    # the stencils; a finite 1e300 would overflow there into a NaN
     cfg = _config(tmp_path, PLATE)
-    for bad in (np.nan, np.inf, -np.inf):
+    for bad in (np.nan, np.inf, -np.inf, 1e300, -1e300):
         vtk, _ = _natural_vtk(tmp_path, PLATE)
         pos, _ = read_vtk(vtk)
         pos[4, 3, 2] = bad

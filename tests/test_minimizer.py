@@ -99,6 +99,35 @@ def test_seeded_gradient_matches_finite_differences(kind, params):
         assert abs(secant - slope) < 1e-5 * max(1.0, abs(slope))
 
 
+@pytest.mark.parametrize("kind,model,constants", [
+    ("sphere-cap", 1, "paper"),
+    ("sphere-cap", 2, "oracle"),
+    ("sphere-cap", 3, "paper"),
+    ("graph", 2, "paper"),
+    ("graph", 3, "oracle"),
+])
+def test_gradient_matches_finite_differences_across_models_and_loads(
+        kind, model, constants):
+    params = {"sphere-cap": dict(radius=1.0, extent=0.6),
+              "graph": dict(poly={(2, 0): 0.2, (1, 1): -0.15},
+                            bump=(0.05, 1, 2))}[kind]
+    ref, mat = _setup(kind, h=0.05, **params)
+    # unequal faces carry a moment; the top edge carries a traction
+    spec = LoadSpec(face_plus=(0.0, 0.004, 0.003),
+                    face_minus=(0.002, 0.0, -0.001),
+                    lateral={"top": {0: (0.0, 0.003, 0.001)}},
+                    gamma_t=("top",))
+    objective = ShellObjective(ref, mat, model=model, constants=constants,
+                               loads=reduce_loads(spec, mat.h),
+                               clamped_edges=("left",), penalty_beta=0.3)
+    assert objective.load.moment is not None
+    pos = _random_feasible_state(objective, ref, seed=7)
+    value, grad = objective.value_and_grad(pos)
+    assert value == objective.value(pos)
+    fd = objective.grad_fd(pos, step_scale=1e-6)
+    assert np.abs(grad - fd).max() < 1e-6 * np.abs(fd).max()
+
+
 def test_gradient_mode_dispatch_and_validation():
     # one gradient path; central differences stay as its oracle
     ref, mat = _setup()
@@ -277,7 +306,7 @@ def test_folded_initial_state_is_rejected():
 
 def test_nan_initial_state_is_rejected():
     ref, mat = _setup()
-    for bad in (np.nan, np.inf, -np.inf):
+    for bad in (np.nan, np.inf, -np.inf, 1e300, -1e300):
         initial = ref.positions.copy()
         initial[4, 3, 2] = bad
         with pytest.raises(InadmissibleInitialState,
