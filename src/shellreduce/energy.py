@@ -70,25 +70,25 @@ class MaterialParams:
 
 @dataclass
 class EnergyBreakdown:
-    """Per-term energies; total = internal terms summed minus load_term."""
+    """Per-term energies; total = internal - load_term.
+
+    ``internal`` is the quadrature of the summed densities (``internal_sum``,
+    the minimizer's order), so it can differ from the sum of the four
+    separately integrated terms in the last bits.
+    """
 
     shell_term: float
     curv_log_term: float
     curv_det2_term: float
     constant_term: float
+    internal: float
     load_term: float
     model: int
     constants: str
 
     @property
     def total(self):
-        return (self.shell_term + self.curv_log_term + self.curv_det2_term
-                + self.constant_term - self.load_term)
-
-    @property
-    def internal(self):
-        return (self.shell_term + self.curv_log_term + self.curv_det2_term
-                + self.constant_term)
+        return self.internal - self.load_term
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +391,17 @@ def energy_density_fields(bundle, ref, mat, model, constants="oracle"):
 # totals
 # ---------------------------------------------------------------------------
 
+def internal_sum(w2d, density, constant):
+    """Quadrature of the internal density plus the constant, node by node.
+
+    Near the natural state the density sum and the constant sum cancel, and
+    summing them separately leaves a round-off larger than the minimizer's
+    late descents; ``total_energy`` and the minimizer share this order, so
+    both print the same energy for the same surface.
+    """
+    return float(np.sum(w2d * (density + constant)))
+
+
 def total_energy(state, ref, mat, model, constants="oracle", loads=None,
                  check_orientation=True):
     """Integrate a model's densities over the midsurface.
@@ -407,6 +418,7 @@ def total_energy(state, ref, mat, model, constants="oracle", loads=None,
     fields = energy_density_fields(state.bundle, ref, mat, model, constants)
     w2d = area_weights(ref.grid) * ref.area
     parts = {key: float(np.sum(w2d * fields[key])) for key in fields}
+    density = fields["shell"] + fields["curv_log"] + fields["curv_det2"]
 
     load_term = 0.0
     if loads is not None:
@@ -419,6 +431,7 @@ def total_energy(state, ref, mat, model, constants="oracle", loads=None,
         curv_log_term=parts["curv_log"],
         curv_det2_term=parts["curv_det2"],
         constant_term=parts["constant"],
+        internal=internal_sum(w2d, density, fields["constant"]),
         load_term=load_term,
         model=model,
         constants=constants,

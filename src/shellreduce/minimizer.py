@@ -30,8 +30,8 @@ import numpy as np
 
 from .admissibility import admissibility_report
 from .energy import (MODELS, constant_density, energy_density_fields,
-                     orientation_violations, require_finite_positions,
-                     require_orientation)
+                     internal_sum, orientation_violations,
+                     require_finite_positions, require_orientation)
 from .errors import (ConfigError, InadmissibleInitialState,
                      InadmissibleThickness, NonFinitePosition, StepCollapsed)
 from .geometry import SLOT_NAMES, surface_bundle
@@ -154,11 +154,8 @@ class ShellObjective:
         return self._total(density, positions, normal)
 
     def _total(self, density, positions, normal):
-        """Internal energy plus constant, minus loads, plus clamp penalty.
-
-        The constant joins the density node by node: near the natural state
-        two separate sums cancel to a round-off larger than late descents."""
-        total = float(np.sum(self.w2d * (density + self.constant_density)))
+        """Internal energy plus constant, minus loads, plus clamp penalty."""
+        total = internal_sum(self.w2d, density, self.constant_density)
         total -= float(self.load.potential(positions, normal))
         return total + self._penalty_value(normal)
 
@@ -214,20 +211,18 @@ class ShellObjective:
         stencil rows: first-derivative slots carry the membrane weight
         ~ (2 mu + lam) h, second-derivative slots the bending weight
         ~ (2 mu + lam) h^3/12.  Each slot operator is a tensor product of
-        1-D matrices, so diag(op^T W op) costs a couple of einsums.  This
-        is a scale model rather than the true Hessian diagonal; the secant
-        pairs correct the remaining O(1) factors, but seeding the metric
-        with the right stencil-induced anisotropy cuts the iteration count
-        by an order of magnitude on fine grids.
+        1-D matrices, so diag(op^T W op) is two batched products of the
+        entrywise-squared matrices with the weight grid
+        (``GridDerivatives.gram_diagonal``).  This is a scale model rather
+        than the true Hessian diagonal; the secant pairs correct the
+        remaining O(1) factors, but seeding the metric with the right
+        stencil-induced anisotropy cuts the iteration count by an order of
+        magnitude on fine grids.
         """
+        gram = self.ops.gram_diagonal
         w = self.w2d
-        d1, d2 = self.ops.d1, self.ops.d2
-        d11, d22 = self.ops.d11, self.ops.d22
-        first = (np.einsum("xi,xj->ij", d1 ** 2, w)
-                 + np.einsum("ix,xj->ij", w, d2 ** 2))
-        second = (np.einsum("xi,xj->ij", d11 ** 2, w)
-                  + 2.0 * np.einsum("xy,xi,yj->ij", w, d1 ** 2, d2 ** 2)
-                  + np.einsum("ix,xj->ij", w, d22 ** 2))
+        first = gram("d1", w) + gram("d2", w)
+        second = gram("d11", w) + 2.0 * gram("d12", w) + gram("d22", w)
         stiff = 2.0 * self.mat.mu + self.mat.lam
         h = self.mat.h
         out = stiff * (h * first + (h ** 3 / 12.0) * second)
@@ -291,20 +286,28 @@ def line_search(objective, unpack, x, d, energy, slope, iteration,
                                 step, iteration)
 
 
+def _dot(a, b):
+    """Inner product as numpy's pairwise sum.  BLAS ``ddot`` (behind
+    ``np.dot`` and ``np.linalg.norm``) splits long vectors across threads,
+    so its last bits, and the whole iteration after them, would change with
+    the thread count."""
+    return float(np.sum(a * b))
+
+
 def _two_loop(g, pairs, dinv):
     """Two-loop recursion; the initial metric is gamma * diag(dinv)."""
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
-        a = rho * np.dot(s, q)
+        a = rho * _dot(s, q)
         alphas.append(a)
         q -= a * y
     q *= dinv
     if pairs:
         s, y, _ = pairs[-1]
-        q *= np.dot(s, y) / np.dot(y, dinv * y)
+        q *= _dot(s, y) / _dot(y, dinv * y)
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * np.dot(y, q)
+        b = rho * _dot(y, q)
         q += (a - b) * s
     return q
 
@@ -376,11 +379,11 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
     it = 0
     for it in range(1, config.max_iter + 1):
         d = -_two_loop(g, pairs, dinv)
-        slope = float(np.dot(g, d))
-        if slope >= -1e-14 * np.linalg.norm(g) * np.linalg.norm(d):
+        slope = _dot(g, d)
+        if slope >= -1e-14 * np.sqrt(_dot(g, g) * _dot(d, d)):
             pairs = []
             d = -(dinv * g)
-            slope = float(np.dot(g, d))
+            slope = _dot(g, d)
 
         try:
             step, trial, trial_energy = line_search(
@@ -394,8 +397,8 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
         _, new_g = eval_vg(unpack(trial))
         s = trial - x
         yv = new_g - g
-        sy = float(np.dot(s, yv))
-        if sy > CURVATURE_FLOOR * np.linalg.norm(s) * np.linalg.norm(yv):
+        sy = _dot(s, yv)
+        if sy > CURVATURE_FLOOR * np.sqrt(_dot(s, s) * _dot(yv, yv)):
             pairs.append((s, yv, 1.0 / sy))
             if len(pairs) > config.memory:
                 pairs.pop(0)

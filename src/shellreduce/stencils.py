@@ -2,9 +2,18 @@
 
 Weights come from Fornberg's recursion, which returns the exact
 interpolatory differentiation weights for an arbitrary node set.  Interior
-rows use centered windows of the requested order; rows too close to the
-boundary fall back to one-sided windows wide enough to keep the same formal
-order.
+rows use centered windows of the requested order; on a uniform grid they all
+share one set of weights.  Rows too close to the boundary fall back to
+one-sided windows wide enough to keep the same formal order.
+
+Slots are applied to ``(n1, n2, c)`` fields as batched BLAS matmuls: one
+``(n, n)`` operator times an ``(n, c)`` slab per grid line.  The batched form
+is kept over a single 2-D GEMM on the flattened field (``op @
+f.reshape(n1, -1)``) because results must not depend on the thread count:
+with OpenBLAS 0.3.31 the 2-D GEMM gives different last bits at one and two
+threads from 97^2 up (as does the (n, n) by (n, n) product a 129^2 metric
+diagonal would take), while the batched products hash identically at both
+thread counts from 17^2 to 257^2.
 """
 
 from __future__ import annotations
@@ -87,11 +96,13 @@ def derivative_matrix(n, spacing, deriv, order=4):
         )
     mat = np.zeros((n, n))
     half = npts_int // 2
-    for i in range(n):
-        if half <= i <= n - 1 - half:
-            lo, hi = i - half, i + half + 1
-        else:
-            lo, hi = _window(i, n, npts_bnd)
+    # uniform spacing: every centered row has the same weights
+    offsets = np.arange(-half, half + 1, dtype=float) * spacing
+    centered = fornberg_weights(0.0, offsets, deriv)[:, deriv]
+    for i in range(half, n - half):
+        mat[i, i - half:i + half + 1] = centered
+    for i in list(range(half)) + list(range(n - half, n)):
+        lo, hi = _window(i, n, npts_bnd)
         nodes = np.arange(lo, hi, dtype=float) * spacing
         w = fornberg_weights(i * spacing, nodes, deriv)
         mat[i, lo:hi] = w[:, deriv]
@@ -102,9 +113,10 @@ class GridDerivatives:
     """Pre-built differentiation matrices for a tensor grid.
 
     Each derivative slot is a tensor product of one 1-D matrix per axis
-    (or none), listed once in ``slot_ops``.  That table drives both the
-    forward application to fields shaped ``(n1, n2)`` or ``(n1, n2, c)``
-    and the transposed application the gradient assembly needs.
+    (or none), listed once in ``slot_ops``.  That table drives the forward
+    application to fields shaped ``(n1, n2, c)``, the transposed
+    application the gradient assembly needs, and the diagonal of
+    ``op^T diag(w) op`` that seeds the quasi-Newton metric.
     """
 
     def __init__(self, n1, n2, dx1, dx2, order=4):
@@ -130,10 +142,10 @@ class GridDerivatives:
             g = f
             if op0 is not None:
                 if id(op0) not in along0:
-                    along0[id(op0)] = np.einsum("ik,k...->i...", op0, f)
+                    along0[id(op0)] = _along0(op0, f)
                 g = along0[id(op0)]
             if op1 is not None:
-                g = np.einsum("jk,ik...->ij...", op1, g)
+                g = np.matmul(op1, g)
             out[slot] = g
         return out
 
@@ -145,9 +157,32 @@ class GridDerivatives:
         ``op^T sigma``; this returns that field.  The axis-1 transpose is
         applied first, the reverse of the forward order.
         """
-        op0, op1 = self.slot_ops[slot]
-        if op1 is not None:
-            sigma = np.einsum("kj,ik...->ij...", op1, sigma)
-        if op0 is not None:
-            sigma = np.einsum("ki,k...->i...", op0, sigma)
-        return sigma
+        return _transposed(*self.slot_ops[slot], sigma)
+
+    def gram_diagonal(self, slot, w):
+        """Diagonal of ``op^T diag(w) op`` for a weight field ``(n1, n2)``.
+
+        The slot operator is a tensor product A (x) B, so the entry at node
+        (i, j) is sum_xy w[x, y] A[x, i]^2 B[y, j]^2: the transposed
+        application of the entrywise-squared matrices to ``w``.
+        """
+        op0, op1 = (None if op is None else op * op
+                    for op in self.slot_ops[slot])
+        return _transposed(op0, op1, w[..., None])[..., 0]
+
+
+def _transposed(op0, op1, sigma):
+    """``(op0 (x) op1)^T sigma``, axis-1 transpose first; None skips an axis."""
+    if op1 is not None:
+        sigma = np.matmul(op1.T, sigma)
+    if op0 is not None:
+        sigma = _along0(op0.T, sigma)
+    return sigma
+
+
+def _along0(op, f):
+    """``op`` applied along axis 0 of an (n1, n2, c) field, one (n1, n1) by
+    (n1, c) product per axis-1 line; batched, not one GEMM on
+    ``f.reshape(n1, -1)``, so the bits do not depend on the thread count
+    (see the module docstring)."""
+    return np.matmul(op, f.transpose(1, 0, 2)).transpose(1, 0, 2)

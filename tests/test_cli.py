@@ -250,6 +250,44 @@ def test_compare3d_is_identical_across_thread_counts(tmp_path):
     assert tables[0] == tables[1]
 
 
+def test_stencil_commands_are_identical_across_thread_counts(tmp_path):
+    # energy and minimize run every stencil slot and its transpose on a
+    # nodal surface; at 97^2 a thread-split BLAS product would change their
+    # output bits between one and two threads
+    text = (SPHERE.replace("material.h = 0.8", "material.h = 0.05")
+            .replace("= 9\n", "= 97\n"))
+    text += ("boundary.clamped = left,right\n"
+             "loads.face_plus = 0, 0, -0.002\n"
+             "loads.face_minus = 0, 0, -0.002\n"
+             "loads.edge.top.0 = 0, 0.005, 0\n"
+             "solver.max_iter = 3\n")
+    vtk, cfg_obj = _natural_vtk(tmp_path, text)
+    pos, _ = read_vtk(vtk)
+    (a1, b1), (a2, b2) = cfg_obj.grid.domain
+    u = (cfg_obj.grid.x1[:, None] - a1) / (b1 - a1)
+    v = (cfg_obj.grid.x2[None, :] - a2) / (b2 - a2)
+    bump = np.sin(np.pi * u) * np.sin(2.0 * np.pi * v)
+    pos += 0.01 * bump[..., None] * np.array([0.3, -0.2, 1.0])
+    write_vtk(vtk, pos)
+    cfg = _config(tmp_path, text)
+    commands = (
+        (["energy", "--deformation", vtk, "--dump-density"],
+         ("energy-breakdown.csv", "energy-density.vtk")),
+        (["minimize"], ("minimize-trace.csv", "minimize-final.vtk")),
+    )
+    for args, names in commands:
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / ("%s-threads-%s" % (args[0], threads))
+            out.mkdir()
+            proc = _run_fresh(["-m", "shellreduce.cli"] + args
+                              + ["--config", cfg, "--threads", threads,
+                                 "--out", str(out)])
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / name).read_bytes() for name in names])
+        assert outputs[0] == outputs[1], args[0]
+
+
 def test_check_loads_no_scipy(tmp_path):
     cfg = _config(tmp_path, SPHERE.replace("material.h = 0.8",
                                            "material.h = 0.1"))

@@ -8,7 +8,7 @@ from shellreduce.energy import (CONSTANT_MODES, MODELS, MaterialParams,
 from shellreduce.errors import (ConfigError, OrientationViolation,
                                 ThicknessError)
 from shellreduce.geometry import TrigDisplacement, displace_chart, make_chart
-from shellreduce.grids import Grid
+from shellreduce.grids import Grid, area_weights
 from shellreduce.reference import build_reference
 
 RNG = np.random.default_rng(41)
@@ -146,10 +146,19 @@ def test_breakdown_bookkeeping_and_positivity_near_natural_state():
     for model in MODELS:
         out = total_energy(state, ref, mat, model)
         assert out.load_term == 0.0
-        assert abs(out.total - (out.internal - out.load_term)) < 1e-18
-        assert abs(out.internal - (out.shell_term + out.curv_log_term
-                                   + out.curv_det2_term + out.constant_term)) \
-            < 1e-18
+        assert out.total == out.internal - out.load_term
+        # internal is the node-by-node quadrature of the summed densities
+        # (the minimizer's order), so the separately integrated terms add
+        # up to it only to their own round-off
+        fields = energy_density_fields(state.bundle, ref, mat, model)
+        density = fields["shell"] + fields["curv_log"] + fields["curv_det2"]
+        w2d = area_weights(grid) * ref.area
+        assert out.internal == float(np.sum(w2d * (density
+                                                   + fields["constant"])))
+        terms = (out.shell_term, out.curv_log_term, out.curv_det2_term,
+                 out.constant_term)
+        assert abs(out.internal - sum(terms)) \
+            <= 4.0 * np.finfo(float).eps * max(abs(t) for t in terms)
         # the natural state minimizes the calibrated energy
         assert out.total > 0.0
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shellreduce.energy import MaterialParams
+from shellreduce.energy import MaterialParams, deformed_state, total_energy
 from shellreduce.errors import (ConfigError, InadmissibleInitialState,
                                 InadmissibleThickness, StepCollapsed)
 from shellreduce.geometry import make_chart
@@ -70,6 +70,30 @@ def test_metric_diagonal_is_positive():
     diag = objective.metric_diagonal()
     assert diag.shape == (ref.grid.n1, ref.grid.n2)
     assert diag.min() > 0.0
+
+
+def test_metric_diagonal_matches_the_dense_normal_operators():
+    # oracle: diag(sum_slot w_slot op^T diag(w2d) op) with every slot
+    # operator assembled densely as a Kronecker product, on a non-square grid
+    chart = make_chart("sphere-cap", radius=1.0, extent=0.6)
+    grid = Grid.uniform(chart.domain, 9, 7)
+    ref = build_reference(chart, grid, 0.05)
+    mat = MaterialParams(mu=1.3, lam=0.7, h=0.05)
+    objective = ShellObjective(ref, mat, model=1)
+    ops = objective.ops
+    stiff = 2.0 * mat.mu + mat.lam
+    membrane, bending = stiff * mat.h, stiff * mat.h ** 3 / 12.0
+    weights = {"d1": membrane, "d2": membrane, "d11": bending,
+               "d12": 2.0 * bending, "d22": bending}
+    w = objective.w2d.ravel()
+    dense = np.zeros(w.size)
+    for slot, (op0, op1) in ops.slot_ops.items():
+        op = np.kron(np.eye(grid.n1) if op0 is None else op0,
+                     np.eye(grid.n2) if op1 is None else op1)
+        dense += weights[slot] * np.diag(op.T @ (w[:, None] * op))
+    want = np.maximum(dense, 1e-8 * dense.max()).reshape(grid.n1, grid.n2)
+    got = objective.metric_diagonal()
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("kind,params", [
@@ -239,6 +263,20 @@ def test_loaded_plate_descends_monotonically_with_feasible_iterates():
     assert np.array_equal(result.positions[boundary], ref.positions[boundary])
     # small load: deflection stays below the thickness
     assert np.abs(result.positions - ref.positions).max() < mat.h
+
+
+def test_total_energy_replays_the_minimizer_energy_exactly():
+    # the energy command and minimize sum the internal density in the same
+    # node-by-node order, so they print the same bits for the same surface
+    ref, mat = _setup()
+    loads = reduce_loads(uniform_transverse(0.002), mat.h)
+    result = minimize(ref, mat, SolverConfig(model=1, max_iter=60,
+                                             penalty_beta=0.0),
+                      loads=loads)
+    assert result.iterations > 0
+    state = deformed_state(result.positions, ref.grid, mat.h, ref.order)
+    replay = total_energy(state, ref, mat, 1, loads=loads)
+    assert replay.total == result.energy
 
 
 def test_minimizer_final_state_is_mirror_symmetric_and_load_equivariant():

@@ -3,8 +3,8 @@ import pytest
 
 from shellreduce.errors import GridTooSmall
 from shellreduce.geometry import SLOT_NAMES
-from shellreduce.stencils import (GridDerivatives, derivative_matrix,
-                                  fornberg_weights)
+from shellreduce.stencils import (GridDerivatives, _window,
+                                  derivative_matrix, fornberg_weights)
 
 
 def test_fornberg_weights_differentiate_polynomials_exactly():
@@ -58,29 +58,90 @@ def test_derivative_matrix_rejects_bad_arguments():
         derivative_matrix(4, 0.1, 2, order=4)
 
 
+def _relerr(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+# (n1, n2, dx1, dx2, order): non-square grids at both accuracy orders
+GRIDS = ((11, 9, 0.1, 0.2, 4), (9, 13, 0.21, 0.08, 4), (7, 12, 0.3, 0.05, 2),
+         (16, 5, 0.04, 0.5, 2))
+
+
+def _einsum_slot(ops, slot, f):
+    """Oracle: the slot operator applied with einsum, axis 0 first."""
+    op0, op1 = ops.slot_ops[slot]
+    if op0 is not None:
+        f = np.einsum("ik,kjc->ijc", op0, f)
+    if op1 is not None:
+        f = np.einsum("jk,ikc->ijc", op1, f)
+    return f
+
+
+def _einsum_adjoint(ops, slot, sigma):
+    """Oracle: the transposed slot operator applied with einsum."""
+    op0, op1 = ops.slot_ops[slot]
+    if op1 is not None:
+        sigma = np.einsum("kj,ikc->ijc", op1, sigma)
+    if op0 is not None:
+        sigma = np.einsum("ki,kjc->ijc", op0, sigma)
+    return sigma
+
+
+def test_derivative_matrix_matches_the_per_row_build():
+    # interior rows share one Fornberg call; the oracle runs the recursion
+    # on every row's own window
+    for n, dx in ((5, 0.3), (6, 0.7), (13, 0.37), (40, 1.0 / 39)):
+        for deriv in (1, 2):
+            for order in (2, 4):
+                if n < order + deriv:
+                    continue
+                mat = derivative_matrix(n, dx, deriv, order)
+                want = np.zeros((n, n))
+                half = (order + 1) // 2
+                for i in range(n):
+                    if half <= i <= n - 1 - half:
+                        lo, hi = i - half, i + half + 1
+                    else:
+                        lo, hi = _window(i, n, order + deriv)
+                    nodes = np.arange(lo, hi, dtype=float) * dx
+                    want[i, lo:hi] = fornberg_weights(i * dx, nodes,
+                                                      deriv)[:, deriv]
+                assert _relerr(mat, want) <= 1e-13, (n, deriv, order)
+
+
 def test_all_slots_match_manual_axis_application():
-    rng = np.random.default_rng(3)
-    ops = GridDerivatives(11, 9, 0.1, 0.2, order=4)
-    f = rng.standard_normal((11, 9, 3))
-    slots = ops.all_slots(f)
-    assert np.allclose(slots["d1"], np.einsum("ik,kjc->ijc", ops.d1, f))
-    assert np.allclose(slots["d2"], np.einsum("jk,ikc->ijc", ops.d2, f))
-    assert np.allclose(slots["d22"], np.einsum("jk,ikc->ijc", ops.d22, f))
-    # mixed derivative must not depend on application order
-    d21 = np.einsum("ik,kjc->ijc", ops.d1, np.einsum("jk,ikc->ijc", ops.d2, f))
-    assert np.allclose(slots["d12"], d21, atol=1e-12)
+    for seed in (3, 17, 29):
+        rng = np.random.default_rng(seed)
+        for n1, n2, dx1, dx2, order in GRIDS:
+            ops = GridDerivatives(n1, n2, dx1, dx2, order=order)
+            f = rng.standard_normal((n1, n2, 3))
+            slots = ops.all_slots(f)
+            assert list(slots) == list(SLOT_NAMES)
+            for name in SLOT_NAMES:
+                assert slots[name].shape == f.shape
+                assert _relerr(slots[name], _einsum_slot(ops, name, f)) \
+                    <= 1e-13, (seed, n1, n2, order, name)
+            # mixed derivative must not depend on application order
+            d21 = np.einsum("ik,kjc->ijc", ops.d1,
+                            np.einsum("jk,ikc->ijc", ops.d2, f))
+            assert _relerr(slots["d12"], d21) <= 1e-13
 
 
 def test_scatter_is_the_exact_adjoint_of_every_slot():
     # <sigma, op(f)> == <scatter(op, sigma), f> must hold to round-off;
     # the gradient assembly relies on this identity, not on approximations
-    rng = np.random.default_rng(11)
-    ops = GridDerivatives(9, 13, 0.21, 0.08, order=4)
-    for _ in range(5):
-        f = rng.standard_normal((9, 13, 3))
-        sigma = rng.standard_normal((9, 13, 3))
-        slots = ops.all_slots(f)
-        for name in SLOT_NAMES:
-            lhs = np.sum(sigma * slots[name])
-            rhs = np.sum(ops.scatter(name, sigma) * f)
-            assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
+    for seed in (11, 23, 37):
+        rng = np.random.default_rng(seed)
+        for n1, n2, dx1, dx2, order in GRIDS:
+            ops = GridDerivatives(n1, n2, dx1, dx2, order=order)
+            f = rng.standard_normal((n1, n2, 3))
+            sigma = rng.standard_normal((n1, n2, 3))
+            slots = ops.all_slots(f)
+            for name in SLOT_NAMES:
+                back = ops.scatter(name, sigma)
+                assert back.shape == sigma.shape
+                assert _relerr(back, _einsum_adjoint(ops, name, sigma)) \
+                    <= 1e-13, (seed, n1, n2, order, name)
+                lhs = np.sum(sigma * slots[name])
+                rhs = np.sum(back * f)
+                assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
