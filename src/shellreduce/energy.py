@@ -111,11 +111,11 @@ class DeformedState:
     a_minus: np.ndarray
 
 
-def require_finite_positions(positions):
+def require_finite_positions(positions, bound=MAX_COORDINATE):
     """Raise NonFinitePosition at the first grid node of an (n1, n2, 3)
     position array that has a NaN, infinite or overflowing coordinate
-    (magnitude at or above MAX_COORDINATE)."""
-    bad = ~(np.abs(positions) < MAX_COORDINATE).all(axis=-1)
+    (magnitude at or above ``bound``; ``np.inf`` admits every finite one)."""
+    bad = ~(np.abs(positions) < bound).all(axis=-1)
     if bad.any():
         idx = np.unravel_index(np.argmax(bad), bad.shape)
         raise NonFinitePosition(idx, positions[idx])

@@ -11,9 +11,10 @@ Slots are applied to ``(n1, n2, c)`` fields as batched BLAS matmuls: one
 is kept over a single 2-D GEMM on the flattened field (``op @
 f.reshape(n1, -1)``) because results must not depend on the thread count:
 with OpenBLAS 0.3.31 the 2-D GEMM gives different last bits at one and two
-threads from 97^2 up (as does the (n, n) by (n, n) product a 129^2 metric
-diagonal would take), while the batched products hash identically at both
-thread counts from 17^2 to 257^2.
+threads from 97^2 up (as do the square GEMMs a tensor-product metric
+would take: seen at 97^2 and 129^2), while the batched products hash
+identically at both thread counts from 17^2 to 257^2.  The minimizer's
+tensor metric applies its 1-D mode matrices through the same two helpers.
 """
 
 from __future__ import annotations
@@ -114,9 +115,8 @@ class GridDerivatives:
 
     Each derivative slot is a tensor product of one 1-D matrix per axis
     (or none), listed once in ``slot_ops``.  That table drives the forward
-    application to fields shaped ``(n1, n2, c)``, the transposed
-    application the gradient assembly needs, and the diagonal of
-    ``op^T diag(w) op`` that seeds the quasi-Newton metric.
+    application to fields shaped ``(n1, n2, c)`` and the transposed
+    application the gradient assembly needs.
     """
 
     def __init__(self, n1, n2, dx1, dx2, order=4):
@@ -158,17 +158,6 @@ class GridDerivatives:
         applied first, the reverse of the forward order.
         """
         return _transposed(*self.slot_ops[slot], sigma)
-
-    def gram_diagonal(self, slot, w):
-        """Diagonal of ``op^T diag(w) op`` for a weight field ``(n1, n2)``.
-
-        The slot operator is a tensor product A (x) B, so the entry at node
-        (i, j) is sum_xy w[x, y] A[x, i]^2 B[y, j]^2: the transposed
-        application of the entrywise-squared matrices to ``w``.
-        """
-        op0, op1 = (None if op is None else op * op
-                    for op in self.slot_ops[slot])
-        return _transposed(op0, op1, w[..., None])[..., 0]
 
 
 def _transposed(op0, op1, sigma):

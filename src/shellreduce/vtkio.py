@@ -17,6 +17,7 @@ import csv
 
 import numpy as np
 
+from .energy import require_finite_positions
 from .errors import ConfigError
 
 
@@ -61,6 +62,8 @@ def read_vtk(path):
 
     Returns (positions, fields) with positions shaped (n1, n2, 3) and
     fields a dict of (n1, n2) arrays (empty when the file has none).
+    A NaN or infinite point raises NonFinitePosition naming its grid node
+    (i, j); finite coordinates of any size read back bit-exactly.
     """
     with open(path) as fh:
         tokens_by_line = [line.split() for line in fh]
@@ -93,6 +96,7 @@ def read_vtk(path):
     if coords.size != 3 * count:
         raise ConfigError("%s: truncated coordinate block" % path)
     positions = coords.reshape(n1, n2, 3)
+    require_finite_positions(positions, bound=np.inf)
 
     fields = {}
     idx = start + 3 * count

@@ -338,7 +338,7 @@ def test_minimize_writes_surface_and_trace(tmp_path, capsys):
         "loads.face_minus = 0, 0, 0.001\n"
         "solver.max_iter = 400\n"
         "solver.gtol_abs = 1e-8\n"
-        "minimize.snapshot_every = 25\n")
+        "minimize.snapshot_every = 5\n")
     cfg = _config(tmp_path, text)
     rc = main(["minimize", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shellreduce.config import RunConfig, parse_config
-from shellreduce.errors import ConfigError
+from shellreduce.errors import ConfigError, NonFinitePosition
 from shellreduce.vtkio import read_csv, read_vtk, write_csv, write_vtk
 
 BASE = """
@@ -295,6 +295,21 @@ def test_vtk_read_rejects_malformed_files(tmp_path):
     miscount.write_text(text.replace("POINTS 35 double", "POINTS 34 double"))
     with pytest.raises(ConfigError, match="does not match"):
         read_vtk(miscount)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_vtk_read_names_the_node_of_a_non_finite_point(tmp_path, token):
+    # points are listed with the second index fastest, so line 6 + 7 * 3 + 4
+    # holds node (3, 4) of a 5 x 7 grid
+    path = tmp_path / "mesh.vtk"
+    write_vtk(path, np.ones((5, 7, 3)))
+    lines = path.read_text().splitlines()
+    lines[6 + 7 * 3 + 4] = "1 %s 1" % token
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(NonFinitePosition) as info:
+        read_vtk(path)
+    assert info.value.index == (3, 4)
+    assert "(3, 4)" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
