@@ -41,7 +41,6 @@ _SCALAR_KEYS = {
     "grid.n1", "grid.n2", "stencil.order",
     "material.mu", "material.lambda", "material.h",
     "solver.max_iter", "solver.gtol_rel", "solver.gtol_abs",
-    "solver.memory", "solver.armijo_c1", "solver.backtrack",
     "solver.penalty_beta",
     "compare3d.h_values", "compare3d.amplitude", "compare3d.thickness_nodes",
     "energy.deformation", "minimize.snapshot_every",
@@ -233,9 +232,6 @@ class RunConfig:
             max_iter=_typed(raw, "solver.max_iter", int, default=200),
             gtol_rel=_typed(raw, "solver.gtol_rel", float, default=1e-6),
             gtol_abs=_typed(raw, "solver.gtol_abs", float, default=1e-11),
-            memory=_typed(raw, "solver.memory", int, default=10),
-            armijo_c1=_typed(raw, "solver.armijo_c1", float, default=1e-4),
-            backtrack=_typed(raw, "solver.backtrack", float, default=0.5),
             penalty_beta=_typed(raw, "solver.penalty_beta", float,
                                 default=0.0),
         )

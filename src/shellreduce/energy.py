@@ -25,6 +25,11 @@ coefficient ``-(lam + 2 mu)/4``, flat constant ``-(3 mu/2 + lam/4)``, an
 interior ``a_y0`` inside both squared-volume blocks, and the cubic model's
 standalone thickness factor read as ``h + h^3 K / 6``.  The natural-state
 and 3-D-agreement guarantees hold for ``oracle`` only.
+
+A deformed configuration enters as the same per-node record the reference
+is built on, :func:`~shellreduce.geometry.deformed_state` (re-exported
+here); :func:`total_energy` reads its bundle and checks that the material
+and the reference share one thickness.
 """
 
 from __future__ import annotations
@@ -34,21 +39,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adjoint
-from .errors import (ConfigError, NonFinitePosition, OrientationViolation,
-                     ThicknessError)
-from .geometry import surface_bundle
+from .errors import ConfigError, OrientationViolation, ThicknessError
+# deformed_state/DeformedState live in geometry so that the reference can
+# build on them without an import cycle; they are re-exported here because
+# the package exports, the CLI and the benchmark (perfbench/) call them as
+# shellreduce.energy.deformed_state
+from .geometry import DeformedState, deformed_state, face_factors  # noqa: F401
 from .grids import area_weights
-from .reference import contract, face_factors
+from .reference import contract
 
 MODELS = (1, 2, 3)
 CONSTANT_MODES = ("oracle", "paper")
 
 EPS_ORIENT = 1e-10
-# surface_bundle multiplies up to four stencil derivatives of the positions,
-# and stencil weights grow like 1/spacing^2: below this magnitude every such
-# product stays finite for grid spacings down to 1e-6, above it an overflow
-# turns into a NaN at whichever node the stencils carry it to
-MAX_COORDINATE = 1e60
 
 
 @dataclass(frozen=True)
@@ -91,60 +94,13 @@ class EnergyBreakdown:
         return self.internal - self.load_term
 
 
-# ---------------------------------------------------------------------------
-# deformed state
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DeformedState:
-    """Deformed-midsurface fields on the reference grid."""
-
-    positions: np.ndarray   # (n1, n2, 3)
-    bundle: dict            # surface_bundle output (numpy fields)
-    grad: np.ndarray        # (n1, n2, 3, 2)
-    normal: np.ndarray      # (n1, n2, 3)
-    grad_n: np.ndarray      # (n1, n2, 3, 2)
-    area: np.ndarray        # (n1, n2)
-    mean: np.ndarray
-    gauss: np.ndarray
-    a_plus: np.ndarray      # face factor at +h/2 for the state's thickness
-    a_minus: np.ndarray
-
-
-def require_finite_positions(positions, bound=MAX_COORDINATE):
-    """Raise NonFinitePosition at the first grid node of an (n1, n2, 3)
-    position array that has a NaN, infinite or overflowing coordinate
-    (magnitude at or above ``bound``; ``np.inf`` admits every finite one)."""
-    bad = ~(np.abs(positions) < bound).all(axis=-1)
-    if bad.any():
-        idx = np.unravel_index(np.argmax(bad), bad.shape)
-        raise NonFinitePosition(idx, positions[idx])
-
-
-def deformed_state(source, grid, h, order=4):
-    """Build a DeformedState from a chart or a nodal position array."""
-    from .geometry import SurfaceChart  # local to avoid cycle in docs tools
-
-    if isinstance(source, np.ndarray):
-        require_finite_positions(source)
-        source = SurfaceChart.from_grid("deformed", grid, source)
-    slots = source.derivative_fields(grid, order)
-    bundle = surface_bundle(slots)
-    a_plus, a_minus = face_factors(bundle["H"], bundle["K"], h)
-    return DeformedState(
-        positions=source.positions_on(grid),
-        bundle=bundle,
-        grad=np.stack([slots["d1"], slots["d2"]], axis=-1),
-        normal=np.stack([bundle["nx"], bundle["ny"], bundle["nz"]], axis=-1),
-        grad_n=np.stack(
-            [np.stack(bundle["dn1"], axis=-1),
-             np.stack(bundle["dn2"], axis=-1)], axis=-1),
-        area=bundle["a"],
-        mean=bundle["H"],
-        gauss=bundle["K"],
-        a_plus=a_plus,
-        a_minus=a_minus,
-    )
+def require_same_thickness(ref, mat):
+    """Raise ConfigError unless ``mat`` has the reference's thickness: the
+    reference face factors and kernels hold for that thickness only."""
+    if abs(mat.h - ref.h) > 1e-15 * max(1.0, ref.h):
+        raise ConfigError(
+            "material thickness %g disagrees with reference thickness %g"
+            % (mat.h, ref.h))
 
 
 def orientation_violations(bundle, ref, h, eps=EPS_ORIENT):
@@ -409,10 +365,7 @@ def total_energy(state, ref, mat, model, constants="oracle", loads=None,
     ``loads`` is a LoadResultants from the loads module (or None); its
     potential enters the total with a minus sign.
     """
-    if abs(mat.h - ref.h) > 1e-15 * max(1.0, ref.h):
-        raise ConfigError(
-            "material thickness %g disagrees with reference thickness %g"
-            % (mat.h, ref.h))
+    require_same_thickness(ref, mat)
     if check_orientation:
         require_orientation(state.bundle, ref, mat.h)
     fields = energy_density_fields(state.bundle, ref, mat, model, constants)

@@ -1,10 +1,10 @@
 """Parametrized midsurfaces and their pointwise differential geometry.
 
-A chart is a map y : omega in R^2 -> R^3 given either by one analytic
-function (position and first/second derivatives in a single call) or by
-nodal positions on a tensor grid with finite-difference derivatives.  From
-the five derivative fields ``d1 y, d2 y, d11 y, d12 y, d22 y`` everything
-else follows pointwise:
+A midsurface y : omega in R^2 -> R^3 is given either by an analytic chart
+(position and first/second derivatives in a single call) or by nodal
+positions on a tensor grid with finite-difference derivatives.  From the
+five derivative fields ``d1 y, d2 y, d11 y, d12 y, d22 y`` everything else
+follows pointwise:
 
 - unit normal       n = d1 x d2 / |d1 x d2|,  area factor a = |d1 x d2|
 - first form        I = (grad y)^T grad y
@@ -20,7 +20,9 @@ and finite-difference modes.
 The pipeline in :func:`surface_bundle` is written against a scalar-field
 algebra (``+ - * /``, ``sqrt``) satisfied by plain numpy arrays *and* by
 :class:`~shellreduce.adjoint.Var` fields, so the same code path serves
-evaluation and reverse-mode differentiation.
+evaluation and reverse-mode differentiation.  :func:`deformed_state` packs
+the per-node fields of one configuration, reference or deformed, into one
+:class:`DeformedState` record.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adjoint
-from .errors import ConfigError, CurvatureInconsistent, DegenerateChart
+from .errors import (ConfigError, CurvatureInconsistent, DegenerateChart,
+                     NonFinitePosition)
 from .grids import Grid
 from .stencils import GridDerivatives
 
@@ -150,58 +153,27 @@ def lift_flat(mat2):
 # ---------------------------------------------------------------------------
 
 class SurfaceChart:
-    """A parametrized surface patch.
+    """An analytic parametrized surface patch.
 
-    Analytic mode wraps one function ``fields(X1, X2)`` that returns the
-    position and its five derivatives as stacked ``(..., 3)`` arrays, keyed
-    ``value`` and SLOT_NAMES.  Nodal mode stores grid positions and
-    differentiates them with finite-difference stencils when asked.
+    Wraps one function ``fields(X1, X2)`` that returns the position and its
+    five derivatives as stacked ``(..., 3)`` arrays, keyed ``value`` and
+    SLOT_NAMES.  Nodal positions need no chart: :func:`deformed_state`
+    differentiates them with finite-difference stencils.
     """
 
-    def __init__(self, name, domain, fields=None):
+    def __init__(self, name, domain, fields):
         self.name = name
         self.domain = tuple((float(lo), float(hi)) for (lo, hi) in domain)
         self.fields = fields
-        self._nodal = None  # (grid, positions)
-
-    @classmethod
-    def from_grid(cls, name, grid, positions):
-        positions = np.asarray(positions, dtype=float)
-        if positions.shape != (grid.n1, grid.n2, 3):
-            raise ConfigError(
-                "nodal chart positions must have shape (n1, n2, 3), got %s"
-                % (positions.shape,)
-            )
-        chart = cls(name, grid.domain)
-        chart._nodal = (grid, positions)
-        return chart
-
-    @property
-    def is_nodal(self):
-        return self._nodal is not None
 
     def position(self, X1, X2):
-        if self.fields is None:
-            raise ConfigError("nodal chart has no analytic position map")
         return self.fields(X1, X2)["value"]
 
     def positions_on(self, grid):
-        if self.is_nodal:
-            own, pos = self._nodal
-            if own.key() != grid.key():
-                raise ConfigError("nodal chart queried on a different grid")
-            return pos
-        X1, X2 = grid.mesh()
-        return self.position(X1, X2)
+        return self.position(*grid.mesh())
 
-    def derivative_fields(self, grid, order=4):
+    def derivative_fields(self, grid):
         """The five stacked derivative fields on the grid, keys SLOT_NAMES."""
-        if self.is_nodal:
-            own, pos = self._nodal
-            if own.key() != grid.key():
-                raise ConfigError("nodal chart queried on a different grid")
-            ops = GridDerivatives(grid.n1, grid.n2, grid.dx1, grid.dx2, order)
-            return ops.all_slots(pos)
         fields = self.fields(*grid.mesh())
         return {name: fields[name] for name in SLOT_NAMES}
 
@@ -419,8 +391,6 @@ class TrigDisplacement:
 
 def displace_chart(base, displacement, label=None):
     """Analytic chart ``base + displacement`` (both with exact derivatives)."""
-    if base.is_nodal:
-        raise ConfigError("displace_chart needs an analytic base chart")
 
     def fields(X1, X2):
         own, extra = base.fields(X1, X2), displacement.fields(X1, X2)
@@ -431,47 +401,103 @@ def displace_chart(base, displacement, label=None):
 
 
 # ---------------------------------------------------------------------------
-# fundamental data (numpy path, rank and curvature checks)
+# the per-node surface record of one configuration (numpy path)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FundamentalData:
-    """Per-node differential geometry of a chart on a grid."""
+# surface_bundle multiplies up to four stencil derivatives of the positions,
+# and stencil weights grow like 1/spacing^2: below this magnitude every such
+# product stays finite for grid spacings down to 1e-6, above it an overflow
+# turns into a NaN at whichever node the stencils carry it to
+MAX_COORDINATE = 1e60
 
+
+def require_finite_positions(positions, bound=MAX_COORDINATE):
+    """Raise NonFinitePosition at the first grid node of an (n1, n2, 3)
+    position array that has a NaN, infinite or overflowing coordinate
+    (magnitude at or above ``bound``; ``np.inf`` admits every finite one)."""
+    bad = ~(np.abs(positions) < bound).all(axis=-1)
+    if bad.any():
+        idx = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NonFinitePosition(idx, positions[idx])
+
+
+def face_factors(mean, gauss, h):
+    """A^+ = 1 - hH + h^2 K/4 and A^- = 1 + hH + h^2 K/4 (the thickness
+    Jacobian b(x3) = 1 - 2 H x3 + K x3^2 evaluated at x3 = +-h/2)."""
+    quarter = 0.25 * h * h * gauss
+    return 1.0 - h * mean + quarter, 1.0 + h * mean + quarter
+
+
+@dataclass
+class DeformedState:
+    """Per-node fields of one midsurface configuration on a grid, with the
+    face factors of one thickness.  The reference configuration's record is
+    a :class:`~shellreduce.reference.ReferenceField`."""
+
+    h: float
     grid: Grid
     order: int
-    grad: np.ndarray      # (n1, n2, 3, 2)
-    normal: np.ndarray    # (n1, n2, 3)
-    grad_n: np.ndarray    # (n1, n2, 3, 2)
-    area: np.ndarray      # (n1, n2)
-    first: np.ndarray     # (n1, n2, 2, 2)
-    second: np.ndarray    # (n1, n2, 2, 2)
-    third: np.ndarray     # (n1, n2, 2, 2)
-    shape_op: np.ndarray  # (n1, n2, 2, 2)
-    mean: np.ndarray      # (n1, n2)
-    gauss: np.ndarray     # (n1, n2)
-    kappa1: np.ndarray    # (n1, n2)
-    kappa2: np.ndarray    # (n1, n2)
+    positions: np.ndarray   # (n1, n2, 3)
+    bundle: dict            # surface_bundle output (numpy fields)
+    grad: np.ndarray        # (n1, n2, 3, 2)
+    normal: np.ndarray      # (n1, n2, 3)
+    grad_n: np.ndarray      # (n1, n2, 3, 2)
+    area: np.ndarray        # (n1, n2)
+    mean: np.ndarray
+    gauss: np.ndarray
+    a_plus: np.ndarray      # A^+ = b(+h/2)
+    a_minus: np.ndarray     # A^- = b(-h/2)
 
 
-def _pack22(b, k11, k12, k21, k22):
-    out = np.empty(b[k11].shape + (2, 2))
-    out[..., 0, 0] = b[k11]
-    out[..., 0, 1] = b[k12]
-    out[..., 1, 0] = b[k21]
-    out[..., 1, 1] = b[k22]
+def deformed_state(source, grid, h, order=4):
+    """The DeformedState of an analytic chart, or of an (n1, n2, 3) array
+    of nodal positions differentiated by the order-``order`` stencils."""
+    if isinstance(source, SurfaceChart):
+        fields = source.fields(*grid.mesh())
+        positions = fields["value"]
+        slots = {name: fields[name] for name in SLOT_NAMES}
+    else:
+        positions = np.asarray(source, dtype=float)
+        if positions.shape != (grid.n1, grid.n2, 3):
+            raise ConfigError("nodal positions must have shape (%d, %d, 3), "
+                              "got %s" % (grid.n1, grid.n2, positions.shape))
+        require_finite_positions(positions)
+        ops = GridDerivatives(grid.n1, grid.n2, grid.dx1, grid.dx2, order)
+        slots = ops.all_slots(positions)
+    bundle = surface_bundle(slots)
+    a_plus, a_minus = face_factors(bundle["H"], bundle["K"], h)
+    return DeformedState(
+        h=float(h), grid=grid, order=order, positions=positions,
+        bundle=bundle,
+        grad=np.stack([slots["d1"], slots["d2"]], axis=-1),
+        normal=np.stack([bundle["nx"], bundle["ny"], bundle["nz"]], axis=-1),
+        grad_n=np.stack(
+            [np.stack(bundle["dn1"], axis=-1),
+             np.stack(bundle["dn2"], axis=-1)], axis=-1),
+        area=bundle["a"], mean=bundle["H"], gauss=bundle["K"],
+        a_plus=a_plus, a_minus=a_minus,
+    )
+
+
+def form22(bundle, form):
+    """A bundle form ("I", "II", "III" or the shape operator "L") packed as
+    (n1, n2, 2, 2); the symmetric forms store no 21 entry."""
+    lower = form + "21" if form + "21" in bundle else form + "12"
+    out = np.empty(bundle[form + "11"].shape + (2, 2))
+    out[..., 0, 0] = bundle[form + "11"]
+    out[..., 0, 1] = bundle[form + "12"]
+    out[..., 1, 0] = bundle[lower]
+    out[..., 1, 1] = bundle[form + "22"]
     return out
 
 
-def check_rank(bundle, slots):
+def check_rank(state):
     """Raise DegenerateChart where |d1 x d2| drops below round-off scale."""
-    d1 = slots["d1"]
-    d2 = slots["d2"]
-    scale2 = np.maximum(np.sum(d1 * d1, axis=-1), np.sum(d2 * d2, axis=-1))
-    bad = bundle["a"] <= EPS_RANK * scale2
+    scale2 = np.max(np.sum(state.grad * state.grad, axis=-2), axis=-1)
+    bad = state.area <= EPS_RANK * scale2
     if np.any(bad):
         idx = np.unravel_index(np.argmax(bad), bad.shape)
-        raise DegenerateChart(idx, bundle["a"][idx], scale2[idx])
+        raise DegenerateChart(idx, state.area[idx], scale2[idx])
 
 
 def principal_curvatures(mean, gauss):
@@ -486,31 +512,3 @@ def principal_curvatures(mean, gauss):
         )
     root = np.sqrt(np.maximum(disc, 0.0))
     return mean + root, mean - root
-
-
-def fundamental_data(chart, grid, order=4):
-    """Fundamental forms and curvatures of a chart on a grid (numpy path)."""
-    slots = chart.derivative_fields(grid, order)
-    bundle = surface_bundle(slots)
-    check_rank(bundle, slots)
-
-    n1n2 = (grid.n1, grid.n2)
-    grad = np.stack([slots["d1"], slots["d2"]], axis=-1)
-    normal = np.stack([bundle["nx"], bundle["ny"], bundle["nz"]], axis=-1)
-    grad_n = np.stack(
-        [np.stack(bundle["dn1"], axis=-1), np.stack(bundle["dn2"], axis=-1)],
-        axis=-1,
-    )
-    first = _pack22(bundle, "I11", "I12", "I12", "I22")
-    second = _pack22(bundle, "II11", "II12", "II21", "II22")
-    third = _pack22(bundle, "III11", "III12", "III12", "III22")
-    shape_op = _pack22(bundle, "L11", "L12", "L21", "L22")
-    kappa1, kappa2 = principal_curvatures(bundle["H"], bundle["K"])
-
-    assert grad.shape == n1n2 + (3, 2)
-    return FundamentalData(
-        grid=grid, order=order, grad=grad, normal=normal, grad_n=grad_n,
-        area=bundle["a"], first=first, second=second, third=third,
-        shape_op=shape_op, mean=bundle["H"], gauss=bundle["K"],
-        kappa1=kappa1, kappa2=kappa2,
-    )

@@ -1,4 +1,5 @@
-"""Tensor grids on rectangular parameter domains and Simpson quadrature."""
+"""Tensor grids on rectangular parameter domains, Simpson quadrature and the
+through-thickness rules."""
 
 from __future__ import annotations
 
@@ -51,10 +52,6 @@ class Grid:
     def mesh(self):
         return np.meshgrid(self.x1, self.x2, indexing="ij")
 
-    def key(self):
-        (a1, b1), (a2, b2) = self.domain
-        return (self.n1, self.n2, a1, b1, a2, b2)
-
 
 def simpson_weights(n, dx):
     """Composite Simpson weights on ``n`` uniform nodes (``n`` odd, >= 3)."""
@@ -64,6 +61,18 @@ def simpson_weights(n, dx):
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w * (dx / 3.0)
+
+
+def thickness_rule(kind="gauss", count=16, h=1.0):
+    """Quadrature nodes/weights on [-h/2, h/2]; weights sum to h."""
+    if kind == "gauss":
+        x, w = np.polynomial.legendre.leggauss(int(count))
+        return 0.5 * h * x, 0.5 * h * w
+    if kind == "simpson":
+        n = int(count)
+        x = np.linspace(-0.5 * h, 0.5 * h, max(n, 2))  # simpson_weights checks n
+        return x, simpson_weights(n, x[1] - x[0])
+    raise ConfigError("unknown thickness rule %r" % (kind,))
 
 
 def area_weights(grid):

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .grids import EDGES, area_weights, edge_index, edge_weights
+from .grids import (EDGES, area_weights, edge_index, edge_weights,
+                    thickness_rule)
 
 BOUNDARY_MEASURES = ("surface", "parameter")
 
@@ -128,9 +129,7 @@ def thickness_moments(profile, h, rule):
     if kind != "gauss":
         raise ConfigError("load reduction uses Gauss-Legendre thickness "
                           "quadrature, got %r" % (kind,))
-    nodes, weights = np.polynomial.legendre.leggauss(int(count))
-    nodes = 0.5 * h * nodes
-    weights = 0.5 * h * weights
+    nodes, weights = thickness_rule(kind, count, h)
     zeroth = None
     first = None
     for power, coef in profile.items():
@@ -174,7 +173,7 @@ def edge_arclength(ref, edge):
     """|d_tau y0| along an edge's running coordinate, as a full-grid field."""
     axis, _ = edge_index(edge, ref.grid.n1, ref.grid.n2)
     run = 1 if axis == 0 else 0   # frozen axis 0 => runs along x2
-    tangent = ref.fd.grad[..., run]
+    tangent = ref.grad[..., run]
     return np.sqrt(np.sum(tangent * tangent, axis=-1))
 
 

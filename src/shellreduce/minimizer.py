@@ -44,11 +44,11 @@ import numpy as np
 
 from .admissibility import admissibility_report
 from .energy import (MODELS, constant_density, energy_density_fields,
-                     internal_sum, orientation_violations,
-                     require_finite_positions, require_orientation)
+                     internal_sum, orientation_violations, require_orientation,
+                     require_same_thickness)
 from .errors import (ConfigError, InadmissibleInitialState,
                      InadmissibleThickness, NonFinitePosition, StepCollapsed)
-from .geometry import SLOT_NAMES, surface_bundle
+from .geometry import SLOT_NAMES, require_finite_positions, surface_bundle
 from .grids import (EDGES, area_weights, edge_index, edge_mask,
                     simpson_weights)
 from .loads import _edge_measure, load_covector
@@ -58,6 +58,9 @@ from . import adjoint
 EPS_FEAS = 1e-8
 STEP_MIN = 1e-14
 CURVATURE_FLOOR = 1e-12
+MEMORY = 10             # curvature pairs kept by L-BFGS
+ARMIJO_C1 = 1e-4        # sufficient-decrease constant
+BACKTRACK = 0.5         # step shrink factor of the line search
 
 
 @dataclass
@@ -67,9 +70,6 @@ class SolverConfig:
     max_iter: int = 200
     gtol_rel: float = 1e-6
     gtol_abs: float = 1e-11
-    memory: int = 10
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
     penalty_beta: float = 0.0
 
     def __post_init__(self):
@@ -77,12 +77,8 @@ class SolverConfig:
             raise ConfigError("model must be one of %s" % (MODELS,))
         if self.gtol_rel <= 0 or self.gtol_abs <= 0:
             raise ConfigError("gradient tolerances must be positive")
-        if not (0.0 < self.armijo_c1 < 1.0):
-            raise ConfigError("Armijo constant must lie in (0, 1)")
-        if not (0.0 < self.backtrack < 1.0):
-            raise ConfigError("backtracking factor must lie in (0, 1)")
-        if self.max_iter < 0 or self.memory < 1:
-            raise ConfigError("max_iter must be >= 0 and memory >= 1")
+        if self.max_iter < 0:
+            raise ConfigError("max_iter must be >= 0")
         if self.penalty_beta < 0:
             raise ConfigError("penalty weight must be >= 0")
 
@@ -128,6 +124,7 @@ class ShellObjective:
 
     def __init__(self, ref, mat, model, constants="oracle", loads=None,
                  clamped_edges=(), penalty_beta=0.0):
+        require_same_thickness(ref, mat)
         self.ref = ref
         self.mat = mat
         self.model = model
@@ -371,8 +368,7 @@ class MinimizeResult:
     report: object              # AdmissibilityReport of the thickness gate
 
 
-def line_search(objective, unpack, x, d, energy, slope, iteration,
-                armijo_c1=1e-4, backtrack=0.5):
+def line_search(objective, unpack, x, d, energy, slope, iteration):
     """Fused feasibility-then-Armijo backtracking from the unit step.
 
     Each trial ``unpack(x + step * d)`` gets one geometry pass, used both
@@ -390,9 +386,9 @@ def line_search(objective, unpack, x, d, energy, slope, iteration,
             bundle, objective.ref, objective.mat.h, eps=EPS_FEAS) is None
         if feasible:
             trial_energy = objective.value(trial_pos, bundle=bundle)
-            if trial_energy <= energy + armijo_c1 * step * slope:
+            if trial_energy <= energy + ARMIJO_C1 * step * slope:
                 return step, trial, trial_energy, slots
-        step *= backtrack
+        step *= BACKTRACK
         if step < STEP_MIN:
             raise StepCollapsed("line-search" if feasible else "feasibility",
                                 step, iteration)
@@ -500,8 +496,7 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
 
         try:
             step, trial, trial_energy, slots = line_search(
-                objective, unpack, x, d, energy, slope, it,
-                config.armijo_c1, config.backtrack)
+                objective, unpack, x, d, energy, slope, it)
         except StepCollapsed as exc:
             message = str(exc)
             it -= 1
@@ -513,7 +508,7 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
         sy = _dot(s, yv)
         if sy > CURVATURE_FLOOR * np.sqrt(_dot(s, s) * _dot(yv, yv)):
             pairs.append((s, yv, 1.0 / sy))
-            if len(pairs) > config.memory:
+            if len(pairs) > MEMORY:
                 pairs.pop(0)
         else:
             pairs = []

@@ -30,8 +30,8 @@ import numpy as np
 
 from .energy import MaterialParams, deformed_state, total_energy
 from .errors import ConfigError, NonPositiveDeterminant
-from .geometry import lift_flat
-from .grids import area_weights
+from .geometry import form22, lift_flat
+from .grids import area_weights, thickness_rule
 from .reference import build_reference
 
 EYE3 = np.eye(3)
@@ -47,24 +47,6 @@ def stored_energy(F, mu, lam):
     frob2 = np.einsum("...ij,...ij->...", F, F)
     return (0.5 * mu * (frob2 - 2.0 * log_det - 3.0)
             + 0.25 * lam * (det * det - 2.0 * log_det - 1.0))
-
-
-def thickness_rule(kind="gauss", count=16, h=1.0):
-    """Quadrature nodes/weights on [-h/2, h/2]; weights sum to h."""
-    if kind == "gauss":
-        x, w = np.polynomial.legendre.leggauss(int(count))
-        return 0.5 * h * x, 0.5 * h * w
-    if kind == "simpson":
-        n = int(count)
-        if n < 3 or n % 2 == 0:
-            raise ConfigError("simpson thickness rule needs odd count >= 3")
-        x = np.linspace(-0.5 * h, 0.5 * h, n)
-        dx = x[1] - x[0]
-        w = np.ones(n)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return x, w * (dx / 3.0)
-    raise ConfigError("unknown thickness rule %r" % (kind,))
 
 
 # ---------------------------------------------------------------------------
@@ -90,16 +72,16 @@ def ansatz_point(ref, state, x3, check=False):
     1e-10 relative and raises ConfigError on disagreement.
     """
     x3 = float(x3)
-    fd = ref.fd
-    grad_theta = _frame(fd.grad + x3 * fd.grad_n, fd.normal)
+    grad_theta = _frame(ref.grad + x3 * ref.grad_n, ref.normal)
 
-    b = thickness_jacobian(fd.mean, fd.gauss, x3)
-    frame0_inv = np.linalg.inv(_frame(fd.grad, fd.normal))
+    b = thickness_jacobian(ref.mean, ref.gauss, x3)
+    frame0_inv = np.linalg.inv(_frame(ref.grad, ref.normal))
     correction = (
         EYE3
-        + x3 * (lift_flat(fd.shape_op) - 2.0 * fd.mean[..., None, None] * EYE3)
+        + x3 * (lift_flat(form22(ref.bundle, "L"))
+                - 2.0 * ref.mean[..., None, None] * EYE3)
     )
-    correction[..., 2, 2] += x3 * x3 * fd.gauss
+    correction[..., 2, 2] += x3 * x3 * ref.gauss
     inv_grad_theta = np.einsum(
         "...ij,...jk->...ik", correction, frame0_inv
     ) / b[..., None, None]

@@ -6,10 +6,13 @@ built from the reference chart:
     F0(Q) = <Q, I^{-1}>,   F1(Q) = <Q, L I^{-1} + I^{-1} L>,
     F2(Q) = <Q, L^T I^{-1} L>,
 
-with <A, B> = sum_ij A_ij B_ij.  Those kernels, the face factors
-A^{+-} = 1 -+ h H + h^2 K / 4 and the curvature suprema entering the
-convexity thresholds are all fixed once per (chart, grid, thickness), so
-:func:`build_reference` computes them once into a :class:`ReferenceField`.
+with <A, B> = sum_ij A_ij B_ij.  Those kernels and the curvature suprema
+entering the convexity thresholds are fixed once per (chart, grid,
+thickness).  :func:`build_reference` builds the reference's per-node record
+with the same :func:`~shellreduce.geometry.deformed_state` as any deformed
+configuration (face factors A^{+-} = 1 -+ h H + h^2 K / 4 included), checks
+its rank and curvatures, and adds the kernels to make a
+:class:`ReferenceField`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import FundamentalData, fundamental_data
+from .geometry import (DeformedState, check_rank, deformed_state, form22,
+                       principal_curvatures)
 
 
 def spd_sqrt_2x2(mat):
@@ -40,51 +44,16 @@ def spd_sqrt_2x2(mat):
     return root, inv_root
 
 
-def face_factors(mean, gauss, h):
-    """A^+ = 1 - hH + h^2 K/4 and A^- = 1 + hH + h^2 K/4 (the thickness
-    Jacobian b(x3) = 1 - 2 H x3 + K x3^2 evaluated at x3 = +-h/2)."""
-    quarter = 0.25 * h * h * gauss
-    return 1.0 - h * mean + quarter, 1.0 + h * mean + quarter
-
-
 @dataclass
-class ReferenceField:
-    """Reference-chart data on a grid for one thickness value."""
+class ReferenceField(DeformedState):
+    """The reference configuration's record on a grid for one thickness,
+    plus the fixed contraction kernels and curvature suprema."""
 
-    h: float
-    fd: FundamentalData
-    positions: np.ndarray       # y0 nodal positions  (n1, n2, 3)
     kernel0: np.ndarray         # I^{-1}               (n1, n2, 2, 2)
     kernel1: np.ndarray         # L I^{-1} + I^{-1} L
     kernel2: np.ndarray         # L^T I^{-1} L
-    a_plus: np.ndarray          # A^+ = b(+h/2)
-    a_minus: np.ndarray         # A^- = b(-h/2)
     curvature_bound: float      # C = 2 sup |I^{1/2} L^T I^{-1/2}|_F
     kappa_sup: float            # sup max(|kappa1|, |kappa2|)
-
-    @property
-    def grid(self):
-        return self.fd.grid
-
-    @property
-    def order(self):
-        return self.fd.order
-
-    @property
-    def area(self):
-        return self.fd.area
-
-    @property
-    def mean(self):
-        return self.fd.mean
-
-    @property
-    def gauss(self):
-        return self.fd.gauss
-
-    @property
-    def normal(self):
-        return self.fd.normal
 
 
 def contract(Q, kernel):
@@ -100,42 +69,42 @@ def contract(Q, kernel):
             + Q["21"] * kernel[..., 1, 0] + Q["22"] * kernel[..., 1, 1])
 
 
-def build_reference(chart, grid, h, order=4):
-    """The ReferenceField of a chart/grid/thickness triple.
+def build_reference(source, grid, h, order=4):
+    """The ReferenceField of an analytic chart or nodal positions on a grid
+    for one thickness.
 
-    Never raises on thick geometry: the face factors may come out
-    non-positive and :func:`~shellreduce.admissibility.admissibility_report`
-    reports the geometric bound ``h_geom``, so the admissibility CLI can
-    describe a failing thickness instead of crashing.
+    Raises DegenerateChart where the surface loses rank and
+    CurvatureInconsistent where H^2 < K beyond round-off.  Never raises on
+    thick geometry: the face factors may come out non-positive and
+    :func:`~shellreduce.admissibility.admissibility_report` reports the
+    geometric bound ``h_geom``, so the admissibility CLI can describe a
+    failing thickness instead of crashing.
     """
     if h <= 0:
         raise ConfigError("thickness must be positive, h = %g" % h)
-    fd = fundamental_data(chart, grid, order)
-    inv_first = np.linalg.inv(fd.first)
-    sqrt_first, inv_sqrt_first = spd_sqrt_2x2(fd.first)
+    state = deformed_state(source, grid, h, order)
+    check_rank(state)
+    kappa1, kappa2 = principal_curvatures(state.mean, state.gauss)
+    first = form22(state.bundle, "I")
+    inv_first = np.linalg.inv(first)
+    sqrt_first, inv_sqrt_first = spd_sqrt_2x2(first)
 
-    L = fd.shape_op
+    L = form22(state.bundle, "L")
     kernel1 = np.einsum("...ij,...jk->...ik", L, inv_first)
     kernel1 = kernel1 + np.einsum("...ij,...jk->...ik", inv_first, L)
     Lt = np.swapaxes(L, -1, -2)
     kernel2 = np.einsum("...ij,...jk,...kl->...il", Lt, inv_first, L)
 
-    a_plus, a_minus = face_factors(fd.mean, fd.gauss, h)
-
     bend = np.einsum("...ij,...jk,...kl->...il", sqrt_first, Lt, inv_sqrt_first)
     bend_norm = np.sqrt(np.einsum("...ij,...ij->...", bend, bend))
     curvature_bound = 2.0 * float(bend_norm.max())
-    kappa_sup = float(np.maximum(np.abs(fd.kappa1), np.abs(fd.kappa2)).max())
+    kappa_sup = float(np.maximum(np.abs(kappa1), np.abs(kappa2)).max())
 
     return ReferenceField(
-        h=float(h),
-        fd=fd,
-        positions=np.asarray(chart.positions_on(grid), dtype=float),
+        **vars(state),
         kernel0=inv_first,
         kernel1=kernel1,
         kernel2=kernel2,
-        a_plus=a_plus,
-        a_minus=a_minus,
         curvature_bound=curvature_bound,
         kappa_sup=kappa_sup,
     )

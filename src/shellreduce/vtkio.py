@@ -17,8 +17,8 @@ import csv
 
 import numpy as np
 
-from .energy import require_finite_positions
 from .errors import ConfigError
+from .geometry import require_finite_positions
 
 
 def write_vtk(path, positions, fields=None, comment="surface mesh"):

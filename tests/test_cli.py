@@ -190,6 +190,21 @@ def test_energy_nan_node_exits_with_orientation_code(tmp_path, capsys):
         assert "grid node (4, 3)" in capsys.readouterr().err, bad
 
 
+def test_energy_collapsed_surface_exits_with_orientation_code(tmp_path,
+                                                             capsys):
+    # a deformed surface collapsed to one point has rank zero everywhere;
+    # the rank check belongs to the reference, so the deformed state reaches
+    # the orientation check, which names the node
+    text = SPHERE.replace("material.h = 0.8", "material.h = 0.1")
+    vtk = str(tmp_path / "collapsed.vtk")
+    write_vtk(vtk, np.zeros((9, 9, 3)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rc = main(["energy", "--config", _config(tmp_path, text),
+                   "--deformation", vtk, "--out", str(tmp_path)])
+    assert rc == 3
+    assert "grid node (0, 0)" in capsys.readouterr().err
+
+
 def test_energy_beyond_the_geometric_bound_exits_with_thickness_code(
         tmp_path, capsys):
     # unit sphere at h = 2.5: both face factors stay positive, but
@@ -315,13 +330,19 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout.splitlines()[-1] == "False"
 
 
-def test_traced_benchmark_targets_resolve():
-    # every function the benchmark's tracer wraps must still exist
+def _perfbench_module(name):
+    """Load ``perfbench/<name>.py`` of this checkout as a module."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", os.path.join(root, "perfbench", "tracing.py"))
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+        "perfbench_" + name, os.path.join(root, "perfbench", name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_benchmark_targets_resolve():
+    # every function the benchmark's tracer wraps must still exist
+    tracing = _perfbench_module("tracing")
     assert tracing.TARGETS
     for modname, attr, _ in tracing.TARGETS:
         obj = importlib.import_module(modname)
@@ -329,6 +350,26 @@ def test_traced_benchmark_targets_resolve():
             assert hasattr(obj, part), (modname, attr)
             obj = getattr(obj, part)
         assert callable(obj), (modname, attr)
+
+
+def test_benchmark_oracles_run_on_a_small_cap(tmp_path):
+    # the benchmark's output checks call build_reference, deformed_state and
+    # integrate_3d with positional arguments; run them on a 17^2 cap
+    workloads = _perfbench_module("workloads")
+    cap = workloads.CapAnalysis(str(tmp_path), 21, grid=17)
+    cap.prepare()
+    step, scans = cap._scans()
+    assert step > 0.0 and set(scans) == {"stretch_full.h0",
+                                         "stretch_cubic.h0", "volume.h3"}
+    e3d = cap._energy_3d()
+    assert np.isfinite(e3d) and e3d > 0.0
+    _, ref = cap._reference()
+    assert ref.positions.shape == (17, 17, 3)
+    # and the CLI outputs they check pass
+    for label, _, argv in cap.commands():
+        if label in ("check", "energy-m1"):
+            rc, out = workloads.run_cli(argv)
+            assert cap.check(label, rc, out) == [], label
 
 
 def test_minimize_writes_surface_and_trace(tmp_path, capsys):

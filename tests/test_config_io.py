@@ -63,7 +63,7 @@ def test_runconfig_defaults():
     assert cfg.load_spec is None
     assert cfg.safety == 1.0
     s = cfg.solver
-    assert (s.max_iter, s.memory) == (200, 10)
+    assert s.max_iter == 200
     assert s.gtol_rel == 1e-6 and s.gtol_abs == 1e-11
     assert s.penalty_beta == 0.0
     # material went through floats
@@ -188,9 +188,11 @@ def test_solver_overrides_and_bool_parsing():
         "solver.penalty_beta = 2.5"))
     assert cfg.solver.max_iter == 500
     assert cfg.solver.penalty_beta == 2.5
-    # the gradient-mode, FD-step and metric switches are gone
+    # the gradient-mode, FD-step and metric switches are gone, and so are
+    # the L-BFGS memory and line-search constants
     for line in ("solver.precondition = off", "solver.grad_mode = fd",
-                 "solver.fd_step = 1e-6"):
+                 "solver.fd_step = 1e-6", "solver.memory = 10",
+                 "solver.armijo_c1 = 1e-4", "solver.backtrack = 0.5"):
         with pytest.raises(ConfigError, match="unknown config key"):
             RunConfig.from_text(_cfg(line))
     with pytest.raises(ConfigError, match="solver.max_iter"):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from shellreduce.errors import ConfigError, DegenerateChart
-from shellreduce.geometry import (SLOT_NAMES, SurfaceChart, TrigDisplacement,
-                                  displace_chart, fundamental_data, make_chart,
-                                  surface_bundle)
+from shellreduce.geometry import (SLOT_NAMES, TrigDisplacement, deformed_state,
+                                  displace_chart, form22, make_chart,
+                                  principal_curvatures, surface_bundle)
 from shellreduce.grids import Grid
+from shellreduce.reference import build_reference
 
 
 def _chart_grid(kind, n=17, **params):
@@ -16,34 +17,35 @@ def _chart_grid(kind, n=17, **params):
 def test_sphere_cap_curvatures_and_outward_normal():
     R = 1.3
     chart, grid = _chart_grid("sphere-cap", radius=R, extent=0.6)
-    fd = fundamental_data(chart, grid, 4)
-    assert np.abs(fd.mean + 1.0 / R).max() < 1e-12
-    assert np.abs(fd.gauss - 1.0 / R ** 2).max() < 1e-12
+    state = deformed_state(chart, grid, 0.05)
+    assert np.abs(state.mean + 1.0 / R).max() < 1e-12
+    assert np.abs(state.gauss - 1.0 / R ** 2).max() < 1e-12
     # outward normal of a sphere centered at the origin is the unit position
     pos = chart.positions_on(grid)
-    assert np.abs(fd.normal - pos / R).max() < 1e-12
+    assert np.abs(state.normal - pos / R).max() < 1e-12
     # umbilic points: H^2 - K sits at round-off, so kappa carries its sqrt
-    assert np.abs(fd.kappa1 + 1.0 / R).max() < 1e-7
-    assert np.abs(fd.kappa2 + 1.0 / R).max() < 1e-7
+    kappa1, kappa2 = principal_curvatures(state.mean, state.gauss)
+    assert np.abs(kappa1 + 1.0 / R).max() < 1e-7
+    assert np.abs(kappa2 + 1.0 / R).max() < 1e-7
 
 
 def test_cylinder_patch_curvatures():
     R = 0.8
     chart, grid = _chart_grid("cylinder-patch", radius=R, height=1.0, arc=1.2)
-    fd = fundamental_data(chart, grid, 4)
-    assert np.abs(fd.mean + 0.5 / R).max() < 1e-12
-    assert np.abs(fd.gauss).max() < 1e-12
+    state = deformed_state(chart, grid, 0.05)
+    assert np.abs(state.mean + 0.5 / R).max() < 1e-12
+    assert np.abs(state.gauss).max() < 1e-12
     T, _ = grid.mesh()
     radial = np.stack([np.cos(T), np.sin(T), np.zeros_like(T)], axis=-1)
-    assert np.abs(fd.normal - radial).max() < 1e-12
+    assert np.abs(state.normal - radial).max() < 1e-12
 
 
 def test_plate_is_flat():
     chart, grid = _chart_grid("plate")
-    fd = fundamental_data(chart, grid, 4)
-    assert np.abs(fd.mean).max() == 0.0
-    assert np.abs(fd.gauss).max() == 0.0
-    assert np.abs(fd.second).max() == 0.0
+    state = deformed_state(chart, grid, 0.05)
+    assert np.abs(state.mean).max() == 0.0
+    assert np.abs(state.gauss).max() == 0.0
+    assert np.abs(form22(state.bundle, "II")).max() == 0.0
 
 
 def test_fundamental_forms_satisfy_cayley_hamilton():
@@ -54,34 +56,38 @@ def test_fundamental_forms_satisfy_cayley_hamilton():
                          ("graph", dict(poly={(2, 0): 0.3, (1, 2): -0.2},
                                         bump=(0.1, 2, 1)))):
         chart, grid = _chart_grid(kind, **params)
-        fd = fundamental_data(chart, grid, 4)
-        resid = (fd.third - 2.0 * fd.mean[..., None, None] * fd.second
-                 + fd.gauss[..., None, None] * fd.first)
+        state = deformed_state(chart, grid, 0.05)
+        first, second, third = (form22(state.bundle, form)
+                                for form in ("I", "II", "III"))
+        resid = (third - 2.0 * state.mean[..., None, None] * second
+                 + state.gauss[..., None, None] * first)
         assert np.abs(resid).max() < 1e-11, kind
         # and the third form factors through the first two
-        inv_first = np.linalg.inv(fd.first)
-        recon = np.einsum("...ji,...jk,...kl->...il", fd.second, inv_first,
-                          fd.second)
-        scale = max(np.abs(fd.third).max(), 1e-30)
-        assert np.abs(recon - fd.third).max() < 1e-10 * scale, kind
+        inv_first = np.linalg.inv(first)
+        recon = np.einsum("...ji,...jk,...kl->...il", second, inv_first,
+                          second)
+        scale = max(np.abs(third).max(), 1e-30)
+        assert np.abs(recon - third).max() < 1e-10 * scale, kind
 
 
 def test_shape_operator_consistency():
     chart, grid = _chart_grid("graph", poly={(2, 0): 0.4, (0, 3): 0.15})
-    fd = fundamental_data(chart, grid, 4)
+    state = deformed_state(chart, grid, 0.05)
+    shape_op = form22(state.bundle, "L")
     # L = I^{-1} II reproduces H = tr L / 2 and K = det L
-    tr = fd.shape_op[..., 0, 0] + fd.shape_op[..., 1, 1]
-    det = (fd.shape_op[..., 0, 0] * fd.shape_op[..., 1, 1]
-           - fd.shape_op[..., 0, 1] * fd.shape_op[..., 1, 0])
-    assert np.abs(0.5 * tr - fd.mean).max() < 1e-12
-    assert np.abs(det - fd.gauss).max() < 1e-12
-    recon = np.einsum("...ij,...jk->...ik", fd.first, fd.shape_op)
-    assert np.abs(recon - fd.second).max() < 1e-11
+    tr = shape_op[..., 0, 0] + shape_op[..., 1, 1]
+    det = (shape_op[..., 0, 0] * shape_op[..., 1, 1]
+           - shape_op[..., 0, 1] * shape_op[..., 1, 0])
+    assert np.abs(0.5 * tr - state.mean).max() < 1e-12
+    assert np.abs(det - state.gauss).max() < 1e-12
+    recon = np.einsum("...ij,...jk->...ik", form22(state.bundle, "I"),
+                      shape_op)
+    assert np.abs(recon - form22(state.bundle, "II")).max() < 1e-11
 
 
 def test_bundle_accepts_stacked_arrays_and_component_triples():
     chart, grid = _chart_grid("sphere-cap", radius=1.0, extent=0.5, n=9)
-    slots = chart.derivative_fields(grid, 4)
+    slots = chart.derivative_fields(grid)
     b_stacked = surface_bundle(slots)
     triples = {k: tuple(v[..., c] for c in range(3)) for k, v in slots.items()}
     b_triple = surface_bundle(triples)
@@ -94,32 +100,36 @@ def test_nodal_chart_curvatures_converge_at_fourth_order():
     errs = []
     for n in (17, 33):
         grid = Grid.uniform(analytic.domain, n, n)
-        nodal = SurfaceChart.from_grid("sampled", grid,
-                                       analytic.positions_on(grid))
-        fd = fundamental_data(nodal, grid, 4)
-        errs.append(np.abs(fd.mean + 1.0).max())
+        state = deformed_state(analytic.positions_on(grid), grid, 0.05, 4)
+        errs.append(np.abs(state.mean + 1.0).max())
     assert errs[1] < errs[0] / 10.0   # ~16x for clean fourth order
 
 
 def test_nodal_chart_rejects_foreign_grid_and_bad_shape():
+    # nodal positions carry no grid of their own: their shape must match
     grid = Grid.uniform(((0.0, 1.0), (0.0, 1.0)), 9, 9)
     other = Grid.uniform(((0.0, 1.0), (0.0, 1.0)), 11, 11)
     pos = np.zeros((9, 9, 3))
     pos[..., 0], pos[..., 1] = grid.mesh()
-    chart = SurfaceChart.from_grid("flat", grid, pos)
     with pytest.raises(ConfigError):
-        chart.positions_on(other)
+        deformed_state(pos, other, 0.05)
     with pytest.raises(ConfigError):
-        SurfaceChart.from_grid("bad", grid, np.zeros((9, 9, 2)))
+        build_reference(pos, other, 0.05)
+    with pytest.raises(ConfigError):
+        deformed_state(np.zeros((9, 9, 2)), grid, 0.05)
 
 
 def test_degenerate_chart_is_reported():
-    grid = Grid.uniform(((0.0, 1.0), (0.0, 1.0)), 9, 9)
-    pos = np.zeros((9, 9, 3))  # rank-zero map: d1 x d2 == 0 everywhere
-    chart = SurfaceChart.from_grid("collapsed", grid, pos)
+    # nodal positions of a 9^2 cap collapsed to one point: d1 x d2 == 0
+    # everywhere; the rank check runs on the reference path only
+    chart, grid = _chart_grid("sphere-cap", radius=1.0, extent=0.6, n=9)
+    pos = np.zeros((9, 9, 3))
     with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(DegenerateChart):
-            fundamental_data(chart, grid, 4)
+        with pytest.raises(DegenerateChart) as info:
+            build_reference(pos, grid, 0.05)
+        assert info.value.index == (0, 0)
+        state = deformed_state(pos, grid, 0.05)
+    assert np.all(state.area == 0.0)
 
 
 def test_make_chart_validates_kind_and_parameters():
@@ -148,7 +158,7 @@ def test_displaced_chart_derivatives_are_consistent():
     for kind, chart in charts.items():
         grid = Grid.uniform(chart.domain, 9, 9)
         X1, X2 = grid.mesh()
-        slots = chart.derivative_fields(grid, 4)
+        slots = chart.derivative_fields(grid)
         assert set(slots) == set(SLOT_NAMES), kind
         assert np.array_equal(chart.positions_on(grid),
                               chart.position(X1, X2)), kind

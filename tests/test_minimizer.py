@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -309,12 +311,34 @@ def test_discrete_deformation_pins_clamped_nodes():
         DiscreteDeformation.from_reference(ref, (), positions=np.zeros((3, 3)))
 
 
+def test_objective_rejects_a_material_of_another_thickness():
+    # the reference face factors and kernels hold for h = 0.05 only; with
+    # h = 0.1 the deformed face factors would come from another thickness
+    # and the natural state would no longer read zero
+    chart = make_chart("sphere-cap", radius=1.0, extent=0.6)
+    ref = build_reference(chart, Grid.uniform(chart.domain, 17, 17), 0.05)
+    wrong = MaterialParams(mu=1.0, lam=1.0, h=0.1)
+    state = deformed_state(chart, ref.grid, wrong.h)
+    with pytest.raises(ConfigError, match="thickness"):
+        total_energy(state, ref, wrong, 1)
+    with pytest.raises(ConfigError, match="thickness"):
+        ShellObjective(ref, wrong, model=1)
+    with pytest.raises(ConfigError, match="thickness"):
+        minimize(ref, wrong, SolverConfig(model=1, max_iter=5))
+    right = MaterialParams(mu=1.0, lam=1.0, h=0.05)
+    assert abs(ShellObjective(ref, right, model=1).value(ref.positions)) < 1e-10
+
+
 def test_solver_config_validation():
     for bad in (dict(model=7), dict(gtol_rel=0.0), dict(gtol_abs=-1.0),
-                dict(armijo_c1=1.5), dict(backtrack=1.0), dict(memory=0),
                 dict(max_iter=-1), dict(penalty_beta=-2.0)):
         with pytest.raises(ConfigError):
             SolverConfig(**bad)
+    # memory, Armijo constant and backtracking factor are module constants
+    assert len(dataclasses.fields(SolverConfig)) == 6
+    for gone in (dict(memory=10), dict(armijo_c1=1e-4), dict(backtrack=0.5)):
+        with pytest.raises(TypeError):
+            SolverConfig(**gone)
 
 
 # ---------------------------------------------------------------------------

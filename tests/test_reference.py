@@ -3,10 +3,9 @@ import pytest
 
 from shellreduce.admissibility import admissibility_report
 from shellreduce.errors import ConfigError
-from shellreduce.geometry import make_chart
+from shellreduce.geometry import face_factors, make_chart
 from shellreduce.grids import Grid
-from shellreduce.reference import (build_reference, contract, face_factors,
-                                   spd_sqrt_2x2)
+from shellreduce.reference import build_reference, contract, spd_sqrt_2x2
 
 RNG = np.random.default_rng(20240517)
 
