@@ -142,10 +142,6 @@ def cmd_energy(cfg, args):
         raise ConfigError("energy needs --deformation or the config key "
                           "energy.deformation")
     positions, _ = read_vtk(path)
-    shape = (cfg.grid.n1, cfg.grid.n2, 3)
-    if positions.shape != shape:
-        raise ConfigError("deformation %s has shape %s, config grid wants %s"
-                          % (path, positions.shape, shape))
     ref = build_reference(cfg.chart, cfg.grid, cfg.material.h, cfg.order)
     state = deformed_state(positions, cfg.grid, cfg.material.h, cfg.order)
     breakdown = total_energy(state, ref, cfg.material, cfg.model,

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .energy import CONSTANT_MODES, MODELS, MaterialParams
 from .errors import ConfigError
 from .geometry import make_chart

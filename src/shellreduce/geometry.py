@@ -172,11 +172,6 @@ class SurfaceChart:
     def positions_on(self, grid):
         return self.position(*grid.mesh())
 
-    def derivative_fields(self, grid):
-        """The five stacked derivative fields on the grid, keys SLOT_NAMES."""
-        fields = self.fields(*grid.mesh())
-        return {name: fields[name] for name in SLOT_NAMES}
-
 
 def _stack3(*comps):
     return np.stack(np.broadcast_arrays(*comps), axis=-1)

@@ -12,13 +12,16 @@ evaluated on the normal-extension ansatz
     Theta(x', x3) = y0(x') + x3 n_y0(x'),
     F = grad Phi (grad Theta)^{-1}.
 
-This module assembles F without any thickness expansion (closed-form
-inverse of grad Theta with an optional np.linalg.solve cross-check) and
-integrates W over the slab with Gauss-Legendre or composite-Simpson rules
-through the thickness and the tensor Simpson rule over the surface.  It also
-exposes the closed-form thickness-moment/coefficient tables the reduced
-densities are built from, so tests can pin them against independent
-re-derivations.
+This module assembles F without any thickness expansion.  The closed-form
+inverse of grad Theta makes b(x3) F(x3) an exact quadratic in x3 whose
+per-node 3x3 coefficients do not depend on x3, so :func:`integrate_3d`
+builds them once per call and evaluates F by Horner at each thickness node;
+:func:`ansatz_point` keeps an optional np.linalg.solve cross-check of the
+same assembly.  W is integrated over the slab with Gauss-Legendre or
+composite-Simpson rules through the thickness and the tensor Simpson rule
+over the surface.  The module also exposes the closed-form
+thickness-moment/coefficient tables the reduced densities are built from,
+so tests can pin them against independent re-derivations.
 """
 
 from __future__ import annotations
@@ -37,9 +40,19 @@ from .reference import build_reference
 EYE3 = np.eye(3)
 
 
+def det3(F):
+    """Determinants of a (..., 3, 3) stack by cofactor expansion."""
+    return (F[..., 0, 0] * (F[..., 1, 1] * F[..., 2, 2]
+                            - F[..., 1, 2] * F[..., 2, 1])
+            - F[..., 0, 1] * (F[..., 1, 0] * F[..., 2, 2]
+                              - F[..., 1, 2] * F[..., 2, 0])
+            + F[..., 0, 2] * (F[..., 1, 0] * F[..., 2, 1]
+                              - F[..., 1, 1] * F[..., 2, 0]))
+
+
 def stored_energy(F, mu, lam):
     """Pointwise 3-D stored energy of deformation gradients F (..., 3, 3)."""
-    det = np.linalg.det(F)
+    det = det3(F)
     if np.any(det <= 0.0):
         idx = np.unravel_index(np.argmin(det), det.shape)
         raise NonPositiveDeterminant(det[idx], tuple(int(k) for k in idx))
@@ -63,36 +76,49 @@ def thickness_jacobian(mean, gauss, x3):
     return 1.0 - 2.0 * mean * x3 + gauss * x3 * x3
 
 
+def _ansatz_coefficients(ref, state):
+    """Per-node (M0, M1, M2) with b(x3) F(x3) = M0 + x3 M1 + x3^2 M2.
+
+    With T0 = [d1 | d2 | n] of the reference and R = T0^{-1},
+    grad Theta(x3) = T0 (Id - x3 L^) for the lifted shape operator L^, whose
+    adjugate gives (grad Theta)^{-1} b = (Id + x3 C1 + x3^2 K e3 e3^T) R
+    with C1 = L^ - 2H Id.  grad Phi(x3) = P0 + x3 P1, and P1 = [dn1 | dn2 | 0]
+    has no normal column, so the cubic term x3^3 K P1 e3 e3^T R vanishes:
+        M0 = P0 R,  M1 = (P1 + P0 C1) R,  M2 = (P1 C1 + K P0 e3 e3^T) R.
+    """
+    inv_frame0 = np.linalg.inv(_frame(ref.grad, ref.normal))
+    c1 = (lift_flat(form22(ref.bundle, "L"))
+          - 2.0 * ref.mean[..., None, None] * EYE3)
+    p0 = _frame(state.grad, state.normal)
+    p1 = _frame(state.grad_n, np.zeros_like(state.normal))
+    p2 = np.matmul(p1, c1)
+    p2[..., 2] += ref.gauss[..., None] * state.normal
+    return (np.matmul(p0, inv_frame0),
+            np.matmul(p1 + np.matmul(p0, c1), inv_frame0),
+            np.matmul(p2, inv_frame0))
+
+
+def _ansatz_gradient(coeffs, b, x3):
+    """F(x3) from _ansatz_coefficients by Horner, divided by b = b(x3)."""
+    m0, m1, m2 = coeffs
+    return (m0 + x3 * (m1 + x3 * m2)) / b[..., None, None]
+
+
 def ansatz_point(ref, state, x3, check=False):
     """Deformation-gradient data of the ansatz at offset x3.
 
-    Returns a dict with grad_theta, inv_grad_theta, grad_phi, F, det_F and
-    the reference thickness Jacobian b.  ``check=True`` verifies the
-    closed-form inverse and the solve-assembled F against each other to
-    1e-10 relative and raises ConfigError on disagreement.
+    Returns a dict with grad_theta, F, det_F and the reference thickness
+    Jacobian b.  ``check=True`` verifies F against grad Phi (grad Theta)^-1
+    assembled by np.linalg.solve to 1e-10 relative and raises ConfigError
+    on disagreement.
     """
     x3 = float(x3)
     grad_theta = _frame(ref.grad + x3 * ref.grad_n, ref.normal)
-
     b = thickness_jacobian(ref.mean, ref.gauss, x3)
-    frame0_inv = np.linalg.inv(_frame(ref.grad, ref.normal))
-    correction = (
-        EYE3
-        + x3 * (lift_flat(form22(ref.bundle, "L"))
-                - 2.0 * ref.mean[..., None, None] * EYE3)
-    )
-    correction[..., 2, 2] += x3 * x3 * ref.gauss
-    inv_grad_theta = np.einsum(
-        "...ij,...jk->...ik", correction, frame0_inv
-    ) / b[..., None, None]
-
-    grad_phi = _frame(state.grad + x3 * state.grad_n, state.normal)
-    F = np.einsum("...ij,...jk->...ik", grad_phi, inv_grad_theta)
-    det_F = np.linalg.det(F)
+    F = _ansatz_gradient(_ansatz_coefficients(ref, state), b, x3)
 
     if check:
-        resid = np.einsum("...ij,...jk->...ik", grad_theta, inv_grad_theta)
-        err_inv = np.abs(resid - EYE3).max()
+        grad_phi = _frame(state.grad + x3 * state.grad_n, state.normal)
         F_solve = np.swapaxes(
             np.linalg.solve(np.swapaxes(grad_theta, -1, -2),
                             np.swapaxes(grad_phi, -1, -2)),
@@ -100,34 +126,29 @@ def ansatz_point(ref, state, x3, check=False):
         )
         scale = max(float(np.abs(F).max()), 1.0)
         err_f = np.abs(F - F_solve).max() / scale
-        if err_inv > 1e-10 or err_f > 1e-10:
-            raise ConfigError(
-                "ansatz cross-check failed at x3=%g: inverse residual %.3e, "
-                "assembly mismatch %.3e" % (x3, err_inv, err_f))
+        if err_f > 1e-10:
+            raise ConfigError("ansatz cross-check failed at x3=%g: assembly "
+                              "mismatch %.3e" % (x3, err_f))
 
-    return {
-        "grad_theta": grad_theta,
-        "inv_grad_theta": inv_grad_theta,
-        "grad_phi": grad_phi,
-        "F": F,
-        "det_F": det_F,
-        "b": b,
-    }
+    return {"grad_theta": grad_theta, "F": F, "det_F": det3(F), "b": b}
 
 
-def integrate_3d(state, ref, mat, rule=("gauss", 16), check=False):
+def integrate_3d(state, ref, mat, rule=("gauss", 16)):
     """Slab integral of the parent stored energy over the ansatz.
 
-    integral = sum_x3 w(x3) sum_nodes W2d a_y0 b_y0(x3) W(F(x', x3)).
+    integral = sum_x3 w(x3) sum_nodes W2d a_y0 b_y0(x3) W(F(x', x3)), with
+    the x3-invariant coefficients of F built once per call.
     """
     kind, count = rule
     nodes, weights = thickness_rule(kind, count, mat.h)
+    coeffs = _ansatz_coefficients(ref, state)
     w2d = area_weights(ref.grid) * ref.area
     total = 0.0
     for x3, w in zip(nodes, weights):
-        point = ansatz_point(ref, state, x3, check=check)
-        density = stored_energy(point["F"], mat.mu, mat.lam)
-        total += w * float(np.sum(w2d * point["b"] * density))
+        b = thickness_jacobian(ref.mean, ref.gauss, x3)
+        density = stored_energy(_ansatz_gradient(coeffs, b, x3), mat.mu,
+                                mat.lam)
+        total += w * float(np.sum(w2d * b * density))
     return total
 
 

@@ -8,7 +8,6 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 import shellreduce
 from shellreduce.cli import main
@@ -161,6 +160,17 @@ def test_energy_shape_mismatch_is_a_config_error(tmp_path, capsys):
     assert "shape" in capsys.readouterr().err
 
 
+def test_energy_small_deformation_on_a_larger_grid_is_a_config_error(
+        tmp_path, capsys):
+    vtk, _ = _natural_vtk(tmp_path, PLATE)
+    cfg = _config(tmp_path, PLATE.replace("= 9\n", "= 17\n"))
+    rc = main(["energy", "--config", cfg, "--deformation", vtk,
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "(17, 17, 3)" in err
+
+
 def test_energy_folded_surface_exits_with_orientation_code(tmp_path,
                                                            capsys):
     text = SPHERE.replace("material.h = 0.8", "material.h = 0.1")
@@ -263,6 +273,33 @@ def test_compare3d_is_identical_across_thread_counts(tmp_path):
         assert proc.returncode == 0, proc.stderr
         tables.append((out / "compare3d.csv").read_bytes())
     assert tables[0] == tables[1]
+
+
+def test_integrate_3d_is_identical_across_thread_counts():
+    # the slab integral's batched 3x3 products and frame inverse must not
+    # split across BLAS threads on a large grid
+    script = (
+        "from shellreduce.energy import MaterialParams, deformed_state\n"
+        "from shellreduce.geometry import (TrigDisplacement, displace_chart,"
+        " make_chart)\n"
+        "from shellreduce.grids import Grid\n"
+        "from shellreduce.oracle3d import integrate_3d\n"
+        "from shellreduce.reference import build_reference\n"
+        "chart = make_chart('sphere-cap', radius=1.0, extent=0.6)\n"
+        "grid = Grid.uniform(chart.domain, 129, 129)\n"
+        "disp = TrigDisplacement.standard(chart.domain, 0.05)\n"
+        "state = deformed_state(displace_chart(chart, disp), grid, 0.05)\n"
+        "ref = build_reference(chart, grid, 0.05)\n"
+        "mat = MaterialParams(mu=1.0, lam=1.0, h=0.05)\n"
+        "print(integrate_3d(state, ref, mat, ('gauss', 16)).hex())\n")
+    outputs = []
+    for threads in ("1", "2"):
+        proc = _run_fresh(["-c", script], OMP_NUM_THREADS=threads,
+                          OPENBLAS_NUM_THREADS=threads,
+                          MKL_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_stencil_commands_are_identical_across_thread_counts(tmp_path):

@@ -87,7 +87,8 @@ def test_shape_operator_consistency():
 
 def test_bundle_accepts_stacked_arrays_and_component_triples():
     chart, grid = _chart_grid("sphere-cap", radius=1.0, extent=0.5, n=9)
-    slots = chart.derivative_fields(grid)
+    fields = chart.fields(*grid.mesh())
+    slots = {name: fields[name] for name in SLOT_NAMES}
     b_stacked = surface_bundle(slots)
     triples = {k: tuple(v[..., c] for c in range(3)) for k, v in slots.items()}
     b_triple = surface_bundle(triples)
@@ -158,8 +159,8 @@ def test_displaced_chart_derivatives_are_consistent():
     for kind, chart in charts.items():
         grid = Grid.uniform(chart.domain, 9, 9)
         X1, X2 = grid.mesh()
-        slots = chart.derivative_fields(grid)
-        assert set(slots) == set(SLOT_NAMES), kind
+        fields = chart.fields(X1, X2)
+        assert set(fields) == {"value"} | set(SLOT_NAMES), kind
         assert np.array_equal(chart.positions_on(grid),
                               chart.position(X1, X2)), kind
 
@@ -169,15 +170,15 @@ def test_displaced_chart_derivatives_are_consistent():
         t = 1e-6
         d1_fd = (y(t, 0) - y(-t, 0)) / (2 * t)
         d2_fd = (y(0, t) - y(0, -t)) / (2 * t)
-        assert np.abs(slots["d1"] - d1_fd).max() < 1e-8, kind
-        assert np.abs(slots["d2"] - d2_fd).max() < 1e-8, kind
+        assert np.abs(fields["d1"] - d1_fd).max() < 1e-8, kind
+        assert np.abs(fields["d2"] - d2_fd).max() < 1e-8, kind
         t = 1e-4  # wider step: second differences divide round-off by t^2
         d11_fd = (y(t, 0) - 2 * y(0, 0) + y(-t, 0)) / (t * t)
         d22_fd = (y(0, t) - 2 * y(0, 0) + y(0, -t)) / (t * t)
         d12_fd = (y(t, t) - y(t, -t) - y(-t, t) + y(-t, -t)) / (4 * t * t)
-        assert np.abs(slots["d11"] - d11_fd).max() < 1e-6, kind
-        assert np.abs(slots["d12"] - d12_fd).max() < 1e-6, kind
-        assert np.abs(slots["d22"] - d22_fd).max() < 1e-6, kind
+        assert np.abs(fields["d11"] - d11_fd).max() < 1e-6, kind
+        assert np.abs(fields["d12"] - d12_fd).max() < 1e-6, kind
+        assert np.abs(fields["d22"] - d22_fd).max() < 1e-6, kind
 
 
 def test_trig_displacement_vanishes_on_the_domain_boundary():

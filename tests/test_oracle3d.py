@@ -4,7 +4,7 @@ import pytest
 from shellreduce.energy import MaterialParams, deformed_state
 from shellreduce.errors import ConfigError, NonPositiveDeterminant
 from shellreduce.geometry import TrigDisplacement, displace_chart, make_chart
-from shellreduce.grids import Grid
+from shellreduce.grids import Grid, area_weights
 from shellreduce.oracle3d import (ansatz_point, compare_reduced_3d,
                                   det_square_bracket, det_square_series,
                                   integrate_3d, log_det_bracket,
@@ -79,6 +79,74 @@ def test_ansatz_closed_form_inverse_cross_checks():
         # reference jacobian b matches det(grad_theta) / det(frame at 0)
         det_theta = np.linalg.det(point["grad_theta"])
         assert np.abs(det_theta / (ref.area * point["b"]) - 1.0).max() < 1e-11
+
+
+def _slow_slab_integral(state, ref, mat, rule):
+    """The slab integral summed thickness node by thickness node with the
+    3x3 algebra done directly: F = grad Phi inv(grad Theta), volume element
+    det grad Theta, np.linalg.det and the W(F) formula."""
+    x, w = thickness_rule(*rule, mat.h)
+    weights = area_weights(ref.grid)
+    total = 0.0
+    for x3, wk in zip(x, w):
+        theta = np.concatenate([ref.grad + x3 * ref.grad_n,
+                                ref.normal[..., None]], axis=-1)
+        phi = np.concatenate([state.grad + x3 * state.grad_n,
+                              state.normal[..., None]], axis=-1)
+        F = phi @ np.linalg.inv(theta)
+        det = np.linalg.det(F)
+        assert det.min() > 0.0
+        W = (0.5 * mat.mu * ((F * F).sum(axis=(-2, -1)) - 2 * np.log(det) - 3)
+             + 0.25 * mat.lam * (det ** 2 - 2 * np.log(det) - 1))
+        total += wk * (weights * np.linalg.det(theta) * W).sum()
+    return total
+
+
+def _seeded_displacement(domain, seed, amp=0.04):
+    rng = np.random.default_rng(seed)
+    return TrigDisplacement(domain, [
+        (amp * rng.uniform(-1.0, 1.0, size=3), rng.integers(1, 3),
+         rng.integers(1, 3)) for _ in range(3)])
+
+
+def test_slab_integral_matches_per_node_inverse_sum():
+    charts = (make_chart("sphere-cap", radius=1.0, extent=0.6),
+              make_chart("cylinder-patch", radius=0.8, height=1.0, arc=1.2),
+              make_chart("graph", poly={(2, 0): 0.3, (1, 2): -0.2},
+                         bump=(0.1, 2, 1)))
+    h = 0.05
+    mat = MaterialParams(mu=1.0, lam=1.3, h=h)
+    for chart in charts:
+        grid = Grid.uniform(chart.domain, 13, 11)
+        ref = build_reference(chart, grid, h)
+        for seed in (3, 17, 40):
+            deformed = displace_chart(chart,
+                                      _seeded_displacement(chart.domain, seed))
+            state = deformed_state(deformed, grid, h)
+            for rule in (("gauss", 8), ("gauss", 16), ("simpson", 9)):
+                fast = integrate_3d(state, ref, mat, rule)
+                slow = _slow_slab_integral(state, ref, mat, rule)
+                assert abs(fast / slow - 1.0) < 1e-13, (chart.name, seed,
+                                                        rule)
+
+
+def test_folded_state_names_its_grid_node():
+    # det F = a_m b_m(x3) / (a b(x3)), so the ansatz folds where the
+    # deformed surface bends tighter than the half-thickness: a bump of
+    # height 6 on a 1 x 4 plate has curvatures ~6 pi^2 and ~6 pi^2 / 16
+    # at its crest, the centre node (5, 5), and b_m changes sign there
+    # inside the slab |x3| <= 0.025
+    chart = make_chart("plate", length2=4.0)
+    grid = Grid.uniform(chart.domain, 11, 11)
+    h = 0.05
+    ref = build_reference(chart, grid, h)
+    fold = TrigDisplacement(chart.domain, [((0.0, 0.0, 6.0), 1, 1)])
+    state = deformed_state(displace_chart(chart, fold), grid, h)
+    assert min(state.a_plus.min(), state.a_minus.min()) < 0.0
+    with pytest.raises(NonPositiveDeterminant) as err:
+        integrate_3d(state, ref, MaterialParams(mu=1.0, lam=1.0, h=h))
+    assert err.value.where == (5, 5)
+    assert "(5, 5)" in str(err.value)
 
 
 def test_natural_state_slab_integral_is_quadrature_zero():
