@@ -27,7 +27,7 @@ the per-node fields of one configuration, reference or deformed, into one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -416,6 +416,12 @@ def require_finite_positions(positions, bound=MAX_COORDINATE):
         raise NonFinitePosition(idx, positions[idx])
 
 
+def require_thickness(h):
+    """Raise ConfigError unless the thickness h is finite and positive."""
+    if not 0.0 < h < np.inf:
+        raise ConfigError("thickness must be finite and positive, h = %g" % h)
+
+
 def face_factors(mean, gauss, h):
     """A^+ = 1 - hH + h^2 K/4 and A^- = 1 + hH + h^2 K/4 (the thickness
     Jacobian b(x3) = 1 - 2 H x3 + K x3^2 evaluated at x3 = +-h/2)."""
@@ -442,6 +448,14 @@ class DeformedState:
     gauss: np.ndarray
     a_plus: np.ndarray      # A^+ = b(+h/2)
     a_minus: np.ndarray     # A^- = b(-h/2)
+
+
+def with_thickness(record, h):
+    """A DeformedState (or ReferenceField) of the same configuration with the
+    face factors of thickness ``h``: nothing else in the record depends on
+    h, so a thickness sweep builds the surface fields once."""
+    a_plus, a_minus = face_factors(record.mean, record.gauss, h)
+    return replace(record, h=float(h), a_plus=a_plus, a_minus=a_minus)
 
 
 def deformed_state(source, grid, h, order=4):

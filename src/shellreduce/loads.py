@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .geometry import require_thickness
 from .grids import (EDGES, area_weights, edge_index, edge_weights,
                     thickness_rule)
 
@@ -142,8 +143,7 @@ def thickness_moments(profile, h, rule):
 
 def reduce_loads(spec, h, rule=("gauss", 8)):
     """Collapse a LoadSpec onto the midsurface for thickness ``h``."""
-    if h <= 0:
-        raise ConfigError("thickness must be positive, h = %g" % h)
+    require_thickness(h)
     force_area, moment_area = thickness_moments(spec.body, h, rule)
     if spec.face_plus is not None:
         force_area = (spec.face_plus if force_area is None

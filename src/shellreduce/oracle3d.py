@@ -33,7 +33,7 @@ import numpy as np
 
 from .energy import MaterialParams, deformed_state, total_energy
 from .errors import ConfigError, NonPositiveDeterminant
-from .geometry import form22, lift_flat
+from .geometry import form22, lift_flat, require_thickness, with_thickness
 from .grids import area_weights, thickness_rule
 from .reference import build_reference
 
@@ -133,15 +133,18 @@ def ansatz_point(ref, state, x3, check=False):
     return {"grad_theta": grad_theta, "F": F, "det_F": det3(F), "b": b}
 
 
-def integrate_3d(state, ref, mat, rule=("gauss", 16)):
+def integrate_3d(state, ref, mat, rule=("gauss", 16), coeffs=None):
     """Slab integral of the parent stored energy over the ansatz.
 
     integral = sum_x3 w(x3) sum_nodes W2d a_y0 b_y0(x3) W(F(x', x3)), with
-    the x3-invariant coefficients of F built once per call.
+    the x3-invariant coefficients of F built once per call, or passed in as
+    ``coeffs`` (``_ansatz_coefficients(ref, state)``, which does not depend
+    on the thickness) by a thickness sweep.
     """
     kind, count = rule
     nodes, weights = thickness_rule(kind, count, mat.h)
-    coeffs = _ansatz_coefficients(ref, state)
+    if coeffs is None:
+        coeffs = _ansatz_coefficients(ref, state)
     w2d = area_weights(ref.grid) * ref.area
     total = 0.0
     for x3, w in zip(nodes, weights):
@@ -266,18 +269,29 @@ def compare_reduced_3d(chart, deformed_chart, grid, mu, lam, h_values,
 
     Returns {"rows": [(h, model, reduced, full3d, abs_err), ...],
              "orders": {model: fitted slope of log|err| vs log h}}.
-    The sweep is mapped over a thread pool (numpy releases the GIL in the
-    heavy kernels); results are collected in submission order so the output
-    is deterministic.
+    Every thickness is checked before any geometry is built.  The reference,
+    the deformed state and the ansatz coefficients are built once; each
+    thickness only swaps in its face factors
+    (:func:`~shellreduce.geometry.with_thickness`).  The sweep is mapped
+    over a thread pool (numpy releases the GIL in the heavy kernels);
+    results are collected in submission order so the output is
+    deterministic.
     """
     h_values = [float(h) for h in h_values]
+    if not h_values:
+        raise ConfigError("the thickness sweep is empty")
+    for h in h_values:
+        require_thickness(h)
     models = tuple(models)
+    shared_ref = build_reference(chart, grid, h_values[0], order)
+    shared_state = deformed_state(deformed_chart, grid, h_values[0], order)
+    coeffs = _ansatz_coefficients(shared_ref, shared_state)
 
     def one(h):
-        ref = build_reference(chart, grid, h, order)
+        ref = with_thickness(shared_ref, h)
+        state = with_thickness(shared_state, h)
         mat = MaterialParams(mu=mu, lam=lam, h=h)
-        state = deformed_state(deformed_chart, grid, h, order)
-        full3d = integrate_3d(state, ref, mat, rule=rule)
+        full3d = integrate_3d(state, ref, mat, rule=rule, coeffs=coeffs)
         per_model = {}
         for model in models:
             reduced = total_energy(state, ref, mat, model, constants).internal

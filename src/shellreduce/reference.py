@@ -7,23 +7,25 @@ built from the reference chart:
     F2(Q) = <Q, L^T I^{-1} L>,
 
 with <A, B> = sum_ij A_ij B_ij.  Those kernels and the curvature suprema
-entering the convexity thresholds are fixed once per (chart, grid,
-thickness).  :func:`build_reference` builds the reference's per-node record
-with the same :func:`~shellreduce.geometry.deformed_state` as any deformed
-configuration (face factors A^{+-} = 1 -+ h H + h^2 K / 4 included), checks
-its rank and curvatures, and adds the kernels to make a
-:class:`ReferenceField`.
+entering the convexity thresholds are fixed once per (chart, grid); only the
+face factors depend on the thickness (see
+:func:`~shellreduce.geometry.with_thickness`).  :func:`build_reference`
+builds the reference's per-node record with the same
+:func:`~shellreduce.geometry.deformed_state` as any deformed configuration
+(face factors A^{+-} = 1 -+ h H + h^2 K / 4 included), checks its rank and
+curvatures, and adds the kernels to make a :class:`ReferenceField`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .geometry import (DeformedState, check_rank, deformed_state, form22,
-                       principal_curvatures)
+                       principal_curvatures, require_thickness)
 
 
 def spd_sqrt_2x2(mat):
@@ -69,6 +71,28 @@ def contract(Q, kernel):
             + Q["21"] * kernel[..., 1, 0] + Q["22"] * kernel[..., 1, 1])
 
 
+def _product22(*factors):
+    """Pointwise product of two or three stacked (..., 2, 2) fields.
+
+    Each entry is a sum over the inner index path, with every term
+    multiplied left to right and the terms added in lexicographic path order
+    (np.einsum's order, so the result matches the einsum bit for bit).
+    Working on whole component planes avoids the per-node overhead that
+    einsum and batched matmul pay on 2x2 blocks.
+    """
+    out = np.empty(factors[0].shape)
+    for i, last in itertools.product(range(2), repeat=2):
+        total = 0.0
+        for inner in itertools.product(range(2), repeat=len(factors) - 1):
+            path = (i,) + inner + (last,)
+            term = factors[0][..., path[0], path[1]]
+            for factor, a, b in zip(factors[1:], path[1:], path[2:]):
+                term = term * factor[..., a, b]
+            total = total + term
+        out[..., i, last] = total
+    return out
+
+
 def build_reference(source, grid, h, order=4):
     """The ReferenceField of an analytic chart or nodal positions on a grid
     for one thickness.
@@ -80,8 +104,7 @@ def build_reference(source, grid, h, order=4):
     geometric bound ``h_geom``, so the admissibility CLI can describe a
     failing thickness instead of crashing.
     """
-    if h <= 0:
-        raise ConfigError("thickness must be positive, h = %g" % h)
+    require_thickness(h)
     state = deformed_state(source, grid, h, order)
     check_rank(state)
     kappa1, kappa2 = principal_curvatures(state.mean, state.gauss)
@@ -90,13 +113,14 @@ def build_reference(source, grid, h, order=4):
     sqrt_first, inv_sqrt_first = spd_sqrt_2x2(first)
 
     L = form22(state.bundle, "L")
-    kernel1 = np.einsum("...ij,...jk->...ik", L, inv_first)
-    kernel1 = kernel1 + np.einsum("...ij,...jk->...ik", inv_first, L)
     Lt = np.swapaxes(L, -1, -2)
-    kernel2 = np.einsum("...ij,...jk,...kl->...il", Lt, inv_first, L)
+    kernel1 = _product22(L, inv_first) + _product22(inv_first, L)
+    kernel2 = _product22(Lt, inv_first, L)
 
-    bend = np.einsum("...ij,...jk,...kl->...il", sqrt_first, Lt, inv_sqrt_first)
-    bend_norm = np.sqrt(np.einsum("...ij,...ij->...", bend, bend))
+    bend = _product22(sqrt_first, Lt, inv_sqrt_first)
+    # squared Frobenius norm as the sum of the two squared column norms
+    bend_norm = np.sqrt((bend[..., 0, 0] ** 2 + bend[..., 1, 0] ** 2)
+                        + (bend[..., 0, 1] ** 2 + bend[..., 1, 1] ** 2))
     curvature_bound = 2.0 * float(bend_norm.max())
     kappa_sup = float(np.maximum(np.abs(kappa1), np.abs(kappa2)).max())
 

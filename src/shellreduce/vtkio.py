@@ -28,7 +28,7 @@ def write_vtk(path, positions, fields=None, comment="surface mesh"):
         raise ConfigError("positions must have shape (n1, n2, 3), got %s"
                           % (positions.shape,))
     n1, n2, _ = positions.shape
-    lines = [
+    header = [
         "# vtk DataFile Version 3.0",
         str(comment).splitlines()[0] if comment else "surface mesh",
         "ASCII",
@@ -36,25 +36,26 @@ def write_vtk(path, positions, fields=None, comment="surface mesh"):
         "DIMENSIONS %d %d 1" % (n2, n1),
         "POINTS %d double" % (n1 * n2),
     ]
-    for i in range(n1):
-        for j in range(n2):
-            x, y, z = positions[i, j]
-            lines.append("%.17g %.17g %.17g" % (x, y, z))
+    blocks = ["\n".join(header) + "\n", _format_block(positions, 3)]
     if fields:
-        lines.append("POINT_DATA %d" % (n1 * n2))
+        blocks.append("POINT_DATA %d\n" % (n1 * n2))
         for name in fields:
             values = np.asarray(fields[name], dtype=float)
             if values.shape != (n1, n2):
                 raise ConfigError(
                     "field %r must have shape (%d, %d), got %s"
                     % (name, n1, n2, values.shape))
-            lines.append("SCALARS %s double 1" % name)
-            lines.append("LOOKUP_TABLE default")
-            for i in range(n1):
-                for j in range(n2):
-                    lines.append("%.17g" % values[i, j])
+            blocks.append("SCALARS %s double 1\nLOOKUP_TABLE default\n" % name)
+            blocks.append(_format_block(values, 1))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(blocks))
+
+
+def _format_block(values, per_line):
+    """``per_line`` %.17g numbers to a line, row-major, in one % call."""
+    line = " ".join(["%.17g"] * per_line) + "\n"
+    flat = values.ravel().tolist()
+    return (line * (len(flat) // per_line)) % tuple(flat)
 
 
 def read_vtk(path):
@@ -66,14 +67,13 @@ def read_vtk(path):
     (i, j); finite coordinates of any size read back bit-exactly.
     """
     with open(path) as fh:
-        tokens_by_line = [line.split() for line in fh]
-    flat = [tok for line in tokens_by_line for tok in line]
+        flat = fh.read().split()
 
     def find(keyword):
-        for pos, tok in enumerate(flat):
-            if tok == keyword:
-                return pos
-        return -1
+        try:
+            return flat.index(keyword)
+        except ValueError:
+            return -1
 
     k = find("DATASET")
     if k < 0 or k + 1 >= len(flat) or flat[k + 1] != "STRUCTURED_GRID":
@@ -81,18 +81,18 @@ def read_vtk(path):
     k = find("DIMENSIONS")
     if k < 0:
         raise ConfigError("%s: missing DIMENSIONS" % path)
-    n2, n1, nz = (int(t) for t in flat[k + 1:k + 4])
+    n2, n1, nz = _header_ints(path, flat, k, 3)
     if nz != 1:
         raise ConfigError("%s: expected a single sheet, got nz=%d" % (path, nz))
     k = find("POINTS")
     if k < 0:
         raise ConfigError("%s: missing POINTS" % path)
-    count = int(flat[k + 1])
+    count, = _header_ints(path, flat, k, 1)
     if count != n1 * n2:
         raise ConfigError("%s: POINTS count %d does not match dimensions"
                           % (path, count))
     start = k + 3
-    coords = np.array([float(t) for t in flat[start:start + 3 * count]])
+    coords = _parse_block(path, "POINTS", flat[start:start + 3 * count])
     if coords.size != 3 * count:
         raise ConfigError("%s: truncated coordinate block" % path)
     positions = coords.reshape(n1, n2, 3)
@@ -106,7 +106,7 @@ def read_vtk(path):
             idx += 4  # SCALARS name type ncomp
             if idx < len(flat) and flat[idx] == "LOOKUP_TABLE":
                 idx += 2
-            vals = np.array([float(t) for t in flat[idx:idx + count]])
+            vals = _parse_block(path, "field %r" % name, flat[idx:idx + count])
             if vals.size != count:
                 raise ConfigError("%s: truncated field %r" % (path, name))
             fields[name] = vals.reshape(n1, n2)
@@ -114,6 +114,28 @@ def read_vtk(path):
         else:
             idx += 1
     return positions, fields
+
+
+def _parse_block(path, block, tokens):
+    """The float64 values of a block's tokens; a token that is not a number
+    raises ConfigError naming the file and the block."""
+    try:
+        return np.array(tokens, dtype=float)
+    except ValueError as exc:
+        raise ConfigError("%s: bad value in the %s block (%s)"
+                          % (path, block, exc)) from None
+
+
+def _header_ints(path, flat, k, count):
+    """The ``count`` integers after the keyword at token ``k``."""
+    tokens = flat[k + 1:k + 1 + count]
+    try:
+        values = [int(t) for t in tokens]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise ConfigError("%s: bad %s header %s" % (path, flat[k], tokens))
+    return values
 
 
 def write_csv(path, header, rows):

@@ -215,6 +215,20 @@ def test_energy_collapsed_surface_exits_with_orientation_code(tmp_path,
     assert "grid node (0, 0)" in capsys.readouterr().err
 
 
+def test_energy_malformed_deformation_is_a_config_error(tmp_path, capsys):
+    vtk, _ = _natural_vtk(tmp_path, SPHERE)
+    lines = open(vtk).read().splitlines()
+    lines[6 + 4] = "1 1 zz"
+    with open(vtk, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    rc = main(["energy", "--config", _config(tmp_path, SPHERE),
+               "--deformation", vtk, "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("shellreduce: config error: ")
+    assert "surface.vtk" in err and "POINTS" in err
+
+
 def test_energy_beyond_the_geometric_bound_exits_with_thickness_code(
         tmp_path, capsys):
     # unit sphere at h = 2.5: both face factors stay positive, but

@@ -298,6 +298,88 @@ def test_vtk_read_rejects_malformed_files(tmp_path):
     with pytest.raises(ConfigError, match="does not match"):
         read_vtk(miscount)
 
+    for header, bad in (("DIMENSIONS 7 5 1", "DIMENSIONS 7 x 1"),
+                        ("POINTS 35 double", "POINTS many double")):
+        garbled = tmp_path / "header.vtk"
+        garbled.write_text(text.replace(header, bad))
+        keyword = bad.split()[0]
+        with pytest.raises(ConfigError, match="bad %s header" % keyword):
+            read_vtk(garbled)
+
+
+def _per_node_vtk_text(positions, fields, comment):
+    """The legacy-VTK text written one node and one value at a time."""
+    n1, n2, _ = positions.shape
+    lines = ["# vtk DataFile Version 3.0", comment, "ASCII",
+             "DATASET STRUCTURED_GRID", "DIMENSIONS %d %d 1" % (n2, n1),
+             "POINTS %d double" % (n1 * n2)]
+    for i in range(n1):
+        for j in range(n2):
+            lines.append("%.17g %.17g %.17g" % tuple(positions[i, j]))
+    lines.append("POINT_DATA %d" % (n1 * n2))
+    for name, values in fields.items():
+        lines += ["SCALARS %s double 1" % name, "LOOKUP_TABLE default"]
+        for i in range(n1):
+            for j in range(n2):
+                lines.append("%.17g" % values[i, j])
+    return "\n".join(lines) + "\n"
+
+
+def test_vtk_writer_matches_the_per_node_format(tmp_path):
+    pos = _awkward_positions()
+    pos[2, 3] = (1e300, -1e300, 0.0)
+    fields = {"energy": np.random.default_rng(11).standard_normal((5, 7)),
+              "b_min": np.linspace(-1.0, 1.0, 35).reshape(5, 7)}
+    fields["energy"][0, 1] = -0.0
+    fields["energy"][3, 6] = 5e-324
+    fields["b_min"][4, 0] = 1e300
+    path = tmp_path / "mesh.vtk"
+    write_vtk(path, pos, fields=fields, comment="densities")
+    assert path.read_text() == _per_node_vtk_text(pos, fields, "densities")
+    back, fback = read_vtk(path)
+    assert back.tobytes() == pos.tobytes()
+    for name in fields:
+        assert fback[name].tobytes() == fields[name].tobytes()
+
+
+def _replace_line(path, number, text):
+    lines = path.read_text().splitlines()
+    lines[number] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_vtk_read_names_the_block_of_a_bad_value(tmp_path):
+    path = tmp_path / "mesh.vtk"
+    write_vtk(path, np.ones((5, 7, 3)), fields={"energy": np.ones((5, 7))})
+    text = path.read_text()
+
+    # a point line with a non-number
+    _replace_line(path, 6 + 9, "1 1 zz")
+    with pytest.raises(ConfigError, match=r"mesh\.vtk.*POINTS.*'zz'"):
+        read_vtk(path)
+
+    # a truncated coordinate block runs into POINT_DATA
+    lines = text.splitlines()
+    short = tmp_path / "short.vtk"
+    short.write_text("\n".join(lines[:6 + 30] + lines[6 + 35:]) + "\n")
+    with pytest.raises(ConfigError, match=r"short\.vtk.*POINTS.*POINT_DATA"):
+        read_vtk(short)
+
+    # a value of a field
+    path.write_text(text)
+    _replace_line(path, 6 + 35 + 3 + 12, "zz")
+    with pytest.raises(ConfigError, match=r"mesh\.vtk.*'energy'.*'zz'"):
+        read_vtk(path)
+
+    # a truncated field runs into the next one
+    second = text + "SCALARS other double 1\nLOOKUP_TABLE default\n"
+    second += "1\n" * 35
+    lines = second.splitlines()
+    del lines[6 + 35 + 3 + 30:6 + 35 + 3 + 35]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=r"'energy'.*SCALARS"):
+        read_vtk(path)
+
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
 def test_vtk_read_names_the_node_of_a_non_finite_point(tmp_path, token):

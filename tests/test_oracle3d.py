@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from shellreduce.energy import MaterialParams, deformed_state
+from shellreduce import oracle3d
+from shellreduce.energy import MaterialParams, deformed_state, total_energy
 from shellreduce.errors import ConfigError, NonPositiveDeterminant
 from shellreduce.geometry import TrigDisplacement, displace_chart, make_chart
 from shellreduce.grids import Grid, area_weights
@@ -311,3 +314,80 @@ def test_comparison_sweep_is_thread_deterministic_and_fifth_order():
     assert hs == [0.04, 0.02, 0.01]
     for row in serial["rows"]:
         assert abs(row[2] - row[3]) == row[4]
+
+
+def _rebuilt_sweep(chart, deformed, grid, h_values, models=(1, 2, 3)):
+    """The thickness sweep with the reference and the deformed state built
+    from scratch at every h."""
+    rows, errs = [], {model: [] for model in models}
+    for h in h_values:
+        ref = build_reference(chart, grid, h)
+        state = deformed_state(deformed, grid, h)
+        mat = MaterialParams(mu=1.0, lam=1.0, h=h)
+        full3d = integrate_3d(state, ref, mat, rule=("gauss", 12))
+        for model in models:
+            reduced = total_energy(state, ref, mat, model).internal
+            rows.append((h, model, reduced, full3d, abs(reduced - full3d)))
+            errs[model].append(abs(reduced - full3d))
+    log_h = np.log(h_values)
+    orders = {model: float(np.polyfit(log_h, np.log(errs[model]), 1)[0])
+              for model in models}
+    return rows, orders
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("sphere-cap", {"radius": 1.0, "extent": 0.6}),
+    ("cylinder-patch", {"radius": 1.0, "arc": 1.0}),
+    ("graph", {"poly": {(2, 0): 0.3, (1, 1): -0.2}, "bump": (0.05, 1, 2)}),
+])
+def test_sweep_shares_one_reference_and_matches_per_h_rebuild(
+        kind, params, monkeypatch):
+    chart = make_chart(kind, **params)
+    grid = Grid.uniform(chart.domain, 9, 9)
+    deformed = displace_chart(
+        chart, TrigDisplacement.standard(chart.domain, 0.05))
+    h_values = [0.04, 0.02, 0.01]
+    rows, orders = _rebuilt_sweep(chart, deformed, grid, h_values)
+
+    calls = {"build_reference": 0, "deformed_state": 0}
+
+    def counted(name):
+        original = getattr(oracle3d, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(oracle3d, name, counted(name))
+    result = compare_reduced_3d(chart, deformed, grid, 1.0, 1.0, h_values,
+                                rule=("gauss", 12), threads=1)
+    assert calls == {"build_reference": 1, "deformed_state": 1}
+
+    assert len(result["rows"]) == len(rows)
+    for got, want in zip(result["rows"], rows):
+        assert got[:2] == want[:2]
+        for a, b in zip(got[2:], want[2:]):
+            assert abs(a - b) <= 1e-14 * abs(b)
+    assert result["orders"] == orders
+
+
+@pytest.mark.parametrize("h_values, message", [
+    ([0.04, -0.01], "h = -0.01$"), ([float("nan"), 0.02], "h = nan$"),
+    ([0.04, float("inf")], "h = inf$"), ([0.0, 0.02], "h = 0$"),
+    ([], "sweep is empty"),
+])
+def test_sweep_rejects_a_bad_thickness_before_any_geometry(
+        h_values, message, monkeypatch):
+    def no_geometry(*args, **kwargs):
+        raise AssertionError("geometry built before the sweep was checked")
+
+    monkeypatch.setattr(oracle3d, "build_reference", no_geometry)
+    monkeypatch.setattr(oracle3d, "deformed_state", no_geometry)
+    chart = make_chart("sphere-cap", radius=1.0, extent=0.6)
+    grid = Grid.uniform(chart.domain, 9, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=message):
+            compare_reduced_3d(chart, chart, grid, 1.0, 1.0, h_values)

@@ -3,7 +3,7 @@ import pytest
 
 from shellreduce.admissibility import admissibility_report
 from shellreduce.errors import ConfigError
-from shellreduce.geometry import face_factors, make_chart
+from shellreduce.geometry import face_factors, form22, make_chart
 from shellreduce.grids import Grid
 from shellreduce.reference import build_reference, contract, spd_sqrt_2x2
 
@@ -118,3 +118,47 @@ def test_build_reference_rejects_nonpositive_thickness():
         build_reference(chart, grid, 0.0)
     with pytest.raises(ConfigError):
         build_reference(chart, grid, -0.1)
+
+
+def _einsum_kernels(ref):
+    """kernel1, kernel2 and the curvature bound by the einsum contractions."""
+    first = form22(ref.bundle, "I")
+    inv_first = np.linalg.inv(first)
+    sqrt_first, inv_sqrt_first = spd_sqrt_2x2(first)
+    L = form22(ref.bundle, "L")
+    Lt = np.swapaxes(L, -1, -2)
+    kernel1 = (np.einsum("...ij,...jk->...ik", L, inv_first)
+               + np.einsum("...ij,...jk->...ik", inv_first, L))
+    kernel2 = np.einsum("...ij,...jk,...kl->...il", Lt, inv_first, L)
+    bend = np.einsum("...ij,...jk,...kl->...il", sqrt_first, Lt,
+                     inv_sqrt_first)
+    bound = 2.0 * float(np.sqrt(np.einsum("...ij,...ij->...", bend,
+                                          bend)).max())
+    return kernel1, kernel2, bound
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("sphere-cap", {"radius": 1.3, "extent": 0.7}),
+    ("cylinder-patch", {"radius": 0.8, "arc": 1.2}),
+    ("graph", {"poly": {(2, 0): 0.3, (1, 1): -0.2, (0, 3): 0.1},
+               "bump": (0.05, 1, 2)}),
+])
+def test_kernels_match_the_einsum_contractions(kind, params):
+    ref = _ref(kind, n=13, **params)
+    kernel1, kernel2, bound = _einsum_kernels(ref)
+    for fast, slow in ((ref.kernel1, kernel1), (ref.kernel2, kernel2)):
+        assert np.abs(fast - slow).max() <= 1e-14 * np.abs(slow).max()
+    assert abs(ref.curvature_bound - bound) <= 1e-14 * bound
+    assert bound > 0.0
+
+
+def test_plate_kernels_vanish():
+    ref = _ref("plate")
+    assert not ref.kernel1.any() and not ref.kernel2.any()
+    assert ref.curvature_bound == 0.0
+
+
+@pytest.mark.parametrize("h", [0.0, -0.01, float("nan"), float("inf")])
+def test_build_reference_rejects_a_bad_thickness(h):
+    with pytest.raises(ConfigError, match="h = %g" % h):
+        _ref("plate", h=h)
