@@ -1,19 +1,23 @@
-"""Reverse-mode differentiation of scalar fields over numpy arrays.
+"""Reverse-mode differentiation of grid fields over numpy arrays.
 
-A :class:`Var` carries a value array (typically an ``(n1, n2)`` grid field)
-and, until the backward sweep has passed it, one ``(operand, local
-partial)`` pair per operand.  Arithmetic (``+ - * /``, integer powers,
-``sqrt``, ``log``) computes values exactly as numpy does on plain arrays
-and records the partials; :func:`gradient` seeds output adjoints and sweeps
-the graph once in reverse creation order, a topological order since
-operands are created before their results (Griewank & Walther, *Evaluating
-Derivatives*, ch. 3-4).  One sweep gives the adjoint of every leaf.
+A :class:`Var` carries a value array, a scalar ``(n1, n2)`` or a stacked
+vector ``(n1, n2, 3)`` field, and, until the backward sweep has passed it,
+one ``(operand, local partial)`` pair per operand.  Elementwise arithmetic
+(``+ - * /``, integer powers, ``sqrt``, ``log``) computes values exactly as
+numpy does on plain arrays and records each partial as a multiplier of the
+output adjoint; negation, :func:`cross`, :func:`dot` and :func:`scale`
+record a vector-Jacobian product, a callable of the output adjoint.
+:func:`gradient` seeds output adjoints and sweeps the graph once in reverse
+creation order, a topological order since operands are created before their
+results (Griewank & Walther, *Evaluating Derivatives*, ch. 3-4).  One sweep
+gives the adjoint of every leaf.
 
-A Var references only its operands, never a tape, so a graph holds no
-reference cycles and reference counting frees it; the sweep drops each
-node's partials and adjoint once it has pushed them.  Plain numpy arrays
-pass through :func:`sqrt`, :func:`log` and :func:`value` untouched, so one
-code path serves both numeric evaluation and differentiation.
+A Var references only its operands, never a tape, and a vector-Jacobian
+product only operand values, so a graph holds no reference cycles and
+reference counting frees it; the sweep drops each node's partials and
+adjoint once it has pushed them.  Plain numpy arrays pass through every
+function here untouched, so one code path serves both numeric evaluation
+and differentiation.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import itertools
 import numpy as np
 
 _ONE = 1.0
-_MINUS_ONE = -1.0
 _ids = itertools.count()
 
 
@@ -52,14 +55,14 @@ class Var:
     def __sub__(self, other):
         if isinstance(other, Var):
             return Var(self.val - other.val,
-                       ((self, _ONE), (other, _MINUS_ONE)))
+                       ((self, _ONE), (other, np.negative)))
         return Var(self.val - other, ((self, _ONE),))
 
     def __rsub__(self, other):
-        return Var(other - self.val, ((self, _MINUS_ONE),))
+        return Var(other - self.val, ((self, np.negative),))
 
     def __neg__(self):
-        return Var(-self.val, ((self, _MINUS_ONE),))
+        return Var(-self.val, ((self, np.negative),))
 
     def __mul__(self, other):
         if isinstance(other, Var):
@@ -109,6 +112,62 @@ def value(x):
     return x.val if isinstance(x, Var) else x
 
 
+# Vector fields are stacked (..., 3) arrays.  The kernels run over their
+# (3, nodes) component views, each component rounded as its scalar formula:
+# a loop over the length-3 last axis innermost is several times slower.
+
+def _planes(x):
+    return x.reshape(-1, 3).T
+
+
+def _cross(u, v):
+    out = np.empty(u.shape)
+    u_k, v_k, out_k = _planes(u), _planes(v), _planes(out)
+    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        res = out_k[k]
+        np.multiply(u_k[i], v_k[j], out=res)
+        res -= u_k[j] * v_k[i]
+    return out
+
+
+def _dot(u, v):
+    prod = u * v
+    return prod[..., 0] + prod[..., 1] + prod[..., 2]
+
+
+def _scale(s, u):
+    out = np.empty(u.shape)
+    np.multiply(np.reshape(s, -1), _planes(u), out=_planes(out), order="C")
+    return out
+
+
+def _node(val, *pairs):
+    """``val`` as a Var with its Var operands' VJPs; plain if none is a Var."""
+    parents = tuple([pair for pair in pairs if isinstance(pair[0], Var)])
+    return Var(val, parents) if parents else val
+
+
+def cross(u, v):
+    """Cross product u x v of two vector fields."""
+    a, b = value(u), value(v)
+    return _node(_cross(a, b), (u, lambda g: _cross(b, g)),
+                 (v, lambda g: _cross(g, a)))
+
+
+def dot(u, v):
+    """Scalar field u . v of two vector fields."""
+    a, b = value(u), value(v)
+    return _node(_dot(a, b), (u, lambda g: _scale(g, b)),
+                 (v, lambda g: _scale(g, a)))
+
+
+def scale(s, u):
+    """Vector field s u of a scalar field s and a vector field u."""
+    a, b = value(s), value(u)
+    return _node(_scale(a, b), (s, lambda g: _dot(g, b)),
+                 (u, lambda g: _scale(a, g)))
+
+
 def _receive(heap, var, adj):
     """Add ``adj`` to the adjoint of ``var``, queueing it on first touch."""
     if var.adj is None:
@@ -139,8 +198,8 @@ def gradient(seeds, wrt):
         for parent, partial in var.parents:
             if partial is _ONE:
                 _receive(heap, parent, g)
-            elif partial is _MINUS_ONE:
-                _receive(heap, parent, -g)
+            elif callable(partial):
+                _receive(heap, parent, partial(g))
             else:
                 _receive(heap, parent, g * partial)
         var.parents = ()

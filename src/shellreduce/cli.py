@@ -178,8 +178,8 @@ def cmd_compare3d(cfg, args):
 
     h_values = cfg.float_list("compare3d.h_values",
                               default=(0.04, 0.02, 0.01))
-    amplitude = float(cfg.raw.get("compare3d.amplitude", "0.05"))
-    nodes = int(cfg.raw.get("compare3d.thickness_nodes", "16"))
+    amplitude = cfg.scalar("compare3d.amplitude", float, 0.05)
+    nodes = cfg.scalar("compare3d.thickness_nodes", int, 16, minimum=1)
     deformed = displace_chart(
         cfg.chart, TrigDisplacement.standard(cfg.chart.domain, amplitude))
     result = compare_reduced_3d(cfg.chart, deformed, cfg.grid,
@@ -205,7 +205,7 @@ def cmd_minimize(cfg, args):
     from .vtkio import write_csv, write_vtk
 
     ref = build_reference(cfg.chart, cfg.grid, cfg.material.h, cfg.order)
-    cadence = int(cfg.raw.get("minimize.snapshot_every", "0"))
+    cadence = cfg.scalar("minimize.snapshot_every", int, 0, minimum=0)
 
     def snapshot(it, positions):
         if cadence > 0 and it > 0 and it % cadence == 0:

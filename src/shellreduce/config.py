@@ -32,6 +32,7 @@ from .geometry import make_chart
 from .grids import EDGES, Grid
 from .loads import LoadSpec
 from .minimizer import SolverConfig
+from .stencils import ORDERS
 
 _SCALAR_KEYS = {
     "model", "constants", "safety", "boundary.clamped",
@@ -96,17 +97,23 @@ def _edge_list(text, key):
     return edges
 
 
-def _typed(raw, key, kind, default=None):
+def _typed(raw, key, kind, default=None, minimum=None, choices=None):
     if key not in raw:
         if default is None:
             raise ConfigError("missing required config key %r" % key)
         return default
     text = raw[key]
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise ConfigError("%s: cannot read %r as %s" % (key, text,
                                                         kind.__name__))
+    if minimum is not None and not value >= minimum:
+        raise ConfigError("%s must be >= %s, got %r" % (key, minimum, text))
+    if choices is not None and value not in choices:
+        raise ConfigError("%s must be one of %s, got %r"
+                          % (key, choices, text))
+    return value
 
 
 def _chart_from(raw):
@@ -209,15 +216,10 @@ class RunConfig:
             lam=_typed(raw, "material.lambda", float),
             h=_typed(raw, "material.h", float),
         )
-        model = _typed(raw, "model", int, default=1)
-        if model not in MODELS:
-            raise ConfigError("model must be one of %s, got %r"
-                              % (MODELS, model))
-        constants = raw.get("constants", "oracle")
-        if constants not in CONSTANT_MODES:
-            raise ConfigError("constants must be one of %s, got %r"
-                              % (CONSTANT_MODES, constants))
-        order = _typed(raw, "stencil.order", int, default=4)
+        model = _typed(raw, "model", int, default=1, choices=MODELS)
+        constants = _typed(raw, "constants", str, default="oracle",
+                           choices=CONSTANT_MODES)
+        order = _typed(raw, "stencil.order", int, default=4, choices=ORDERS)
         clamped = _edge_list(raw.get("boundary.clamped", ""),
                              "boundary.clamped")
         load_spec = _loads_from(raw, clamped)
@@ -240,6 +242,10 @@ class RunConfig:
                    constants=constants, order=order, clamped_edges=clamped,
                    load_spec=load_spec, solver=solver, safety=safety,
                    raw=dict(raw))
+
+    def scalar(self, key, kind, default, minimum=None):
+        """A command's own key, read and checked like the keys above."""
+        return _typed(self.raw, key, kind, default, minimum)
 
     def float_list(self, key, default=None):
         if key not in self.raw:

@@ -46,6 +46,7 @@ from .errors import ConfigError, OrientationViolation, ThicknessError
 # shellreduce.energy.deformed_state
 from .geometry import DeformedState, deformed_state, face_factors  # noqa: F401
 from .grids import area_weights
+from .loads import load_covector
 from .reference import contract
 
 MODELS = (1, 2, 3)
@@ -375,9 +376,8 @@ def total_energy(state, ref, mat, model, constants="oracle", loads=None,
 
     load_term = 0.0
     if loads is not None:
-        from .loads import load_potential
-        load_term = float(load_potential(loads, ref, state.positions,
-                                         state.normal))
+        load_term = float(load_covector(loads, ref).potential(
+            state.positions, state.normal))
 
     return EnergyBreakdown(
         shell_term=parts["shell"],

@@ -17,12 +17,12 @@ differencing a stored normal field), so n . dn = 0 and n . d_alpha y = 0 hold
 to round-off and the identity III = II^T I^{-1} II is exact in both analytic
 and finite-difference modes.
 
-The pipeline in :func:`surface_bundle` is written against a scalar-field
-algebra (``+ - * /``, ``sqrt``) satisfied by plain numpy arrays *and* by
-:class:`~shellreduce.adjoint.Var` fields, so the same code path serves
-evaluation and reverse-mode differentiation.  :func:`deformed_state` packs
-the per-node fields of one configuration, reference or deformed, into one
-:class:`DeformedState` record.
+:func:`surface_bundle` works on stacked ``(..., 3)`` vector fields with the
+field algebra of :mod:`~shellreduce.adjoint` (``+ - * /``, ``sqrt``,
+``cross``, ``dot``, ``scale``), which plain arrays *and* Vars satisfy, so
+one code path serves evaluation and reverse-mode differentiation.
+:func:`deformed_state` packs the per-node fields of one configuration,
+reference or deformed, into one :class:`DeformedState` record.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import adjoint
+from .adjoint import cross, dot, scale
 from .errors import (ConfigError, CurvatureInconsistent, DegenerateChart,
                      NonFinitePosition)
 from .grids import Grid
@@ -42,80 +43,47 @@ EPS_RANK = 1e-12
 SLOT_NAMES = ("d1", "d2", "d11", "d12", "d22")
 
 
-# ---------------------------------------------------------------------------
-# scalar-field algebra helpers (numpy arrays or Vars)
-# ---------------------------------------------------------------------------
-
-def components(vec):
-    """Split a vector field into its three scalar components.
-
-    Accepts a stacked ndarray (..., 3) or an already-split sequence of three
-    scalar fields (the reverse-mode path).
-    """
-    if isinstance(vec, np.ndarray):
-        return vec[..., 0], vec[..., 1], vec[..., 2]
-    x, y, z = vec
-    return x, y, z
-
-
-def cross(u, v):
-    ux, uy, uz = u
-    vx, vy, vz = v
-    return (uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
-
-
-def dot3(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
 def surface_bundle(slots):
     """Pointwise surface quantities from the five derivative fields.
 
     Parameters
     ----------
     slots : dict
-        Keys ``d1, d2, d11, d12, d22``; each value a vector field (stacked
-        ``(..., 3)`` array or triple of scalar fields).
+        Keys ``d1, d2, d11, d12, d22``; each value a stacked ``(..., 3)``
+        vector field, a plain array or an :class:`~shellreduce.adjoint.Var`.
 
     Returns
     -------
-    dict of scalar fields with keys
-        ``a, nx, ny, nz, I11, I12, I22, II11, II12, II21, II22,
-        III11, III12, III22, L11, L12, L21, L22, H, K``
-        plus the passthrough tangent/normal-derivative components
-        ``d1, d2, dn1, dn2`` (each a component triple).
+    dict with the vector fields ``n, dn1, dn2`` (unit normal and its two
+    derivatives, stacked like the slots) and the scalar fields
+        ``a, I11, I12, I22, II11, II12, II21, II22,
+        III11, III12, III22, L11, L12, L21, L22, H, K``.
     """
-    d1 = components(slots["d1"])
-    d2 = components(slots["d2"])
-    d11 = components(slots["d11"])
-    d12 = components(slots["d12"])
-    d22 = components(slots["d22"])
+    d1, d2, d11, d12, d22 = (slots[name] for name in SLOT_NAMES)
 
     c = cross(d1, d2)
-    a = adjoint.sqrt(dot3(c, c))
+    a = adjoint.sqrt(dot(c, c))
     inv_a = 1.0 / a
-    n = (c[0] * inv_a, c[1] * inv_a, c[2] * inv_a)
+    n = scale(inv_a, c)
 
     # derivatives of the (unnormalized) cross field, then of the unit normal
-    c1 = tuple(p + q for p, q in zip(cross(d11, d2), cross(d1, d12)))
-    c2 = tuple(p + q for p, q in zip(cross(d12, d2), cross(d1, d22)))
-    nc1 = dot3(n, c1)
-    nc2 = dot3(n, c2)
-    dn1 = tuple((c1[k] - n[k] * nc1) * inv_a for k in range(3))
-    dn2 = tuple((c2[k] - n[k] * nc2) * inv_a for k in range(3))
+    c1 = cross(d11, d2) + cross(d1, d12)
+    c2 = cross(d12, d2) + cross(d1, d22)
+    dn1 = scale(inv_a, c1 - scale(dot(n, c1), n))
+    dn2 = scale(inv_a, c2 - scale(dot(n, c2), n))
 
-    i11 = dot3(d1, d1)
-    i12 = dot3(d1, d2)
-    i22 = dot3(d2, d2)
+    i11 = dot(d1, d1)
+    i12 = dot(d1, d2)
+    i22 = dot(d2, d2)
 
-    ii11 = -dot3(d1, dn1)
-    ii12 = -dot3(d1, dn2)
-    ii21 = -dot3(d2, dn1)
-    ii22 = -dot3(d2, dn2)
+    ii11 = -dot(d1, dn1)
+    ii12 = -dot(d1, dn2)
+    ii21 = -dot(d2, dn1)
+    ii22 = -dot(d2, dn2)
 
-    iii11 = dot3(dn1, dn1)
-    iii12 = dot3(dn1, dn2)
-    iii22 = dot3(dn2, dn2)
+    iii11 = dot(dn1, dn1)
+    iii12 = dot(dn1, dn2)
+    iii22 = dot(dn2, dn2)
 
     det_i = i11 * i22 - i12 * i12
     inv_det = 1.0 / det_i
@@ -129,14 +97,12 @@ def surface_bundle(slots):
     k = l11 * l22 - l12 * l21
 
     return {
-        "a": a,
-        "nx": n[0], "ny": n[1], "nz": n[2],
+        "a": a, "n": n, "dn1": dn1, "dn2": dn2,
         "I11": i11, "I12": i12, "I22": i22,
         "II11": ii11, "II12": ii12, "II21": ii21, "II22": ii22,
         "III11": iii11, "III12": iii12, "III22": iii22,
         "L11": l11, "L12": l12, "L21": l21, "L22": l22,
         "H": h, "K": k,
-        "d1": d1, "d2": d2, "dn1": dn1, "dn2": dn2,
     }
 
 
@@ -479,10 +445,8 @@ def deformed_state(source, grid, h, order=4):
         h=float(h), grid=grid, order=order, positions=positions,
         bundle=bundle,
         grad=np.stack([slots["d1"], slots["d2"]], axis=-1),
-        normal=np.stack([bundle["nx"], bundle["ny"], bundle["nz"]], axis=-1),
-        grad_n=np.stack(
-            [np.stack(bundle["dn1"], axis=-1),
-             np.stack(bundle["dn2"], axis=-1)], axis=-1),
+        normal=bundle["n"],
+        grad_n=np.stack([bundle["dn1"], bundle["dn2"]], axis=-1),
         area=bundle["a"], mean=bundle["H"], gauss=bundle["K"],
         a_plus=a_plus, a_minus=a_minus,
     )

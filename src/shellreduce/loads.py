@@ -38,19 +38,12 @@ BOUNDARY_MEASURES = ("surface", "parameter")
 
 def _vector_profile(profile, name):
     """Normalize {power: 3-vector or (n1,n2,3) field} load profiles."""
-    if profile is None:
-        return {}
     out = {}
-    for key, vec in profile.items():
+    for key, vec in (profile or {}).items():
         power = int(key)
         if power < 0:
             raise ConfigError("%s: negative x3 power %d" % (name, power))
-        arr = np.asarray(vec, dtype=float)
-        if arr.shape[-1] != 3:
-            raise ConfigError(
-                "%s: coefficient for power %d must end in 3 components, got shape %s"
-                % (name, power, arr.shape))
-        out[power] = arr
+        out[power] = _vector_or_none(vec, "%s[%d]" % (name, power))
     return out
 
 
@@ -145,16 +138,11 @@ def reduce_loads(spec, h, rule=("gauss", 8)):
     """Collapse a LoadSpec onto the midsurface for thickness ``h``."""
     require_thickness(h)
     force_area, moment_area = thickness_moments(spec.body, h, rule)
-    if spec.face_plus is not None:
-        force_area = (spec.face_plus if force_area is None
-                      else force_area + spec.face_plus)
-        bump = (0.5 * h) * spec.face_plus
-        moment_area = bump if moment_area is None else moment_area + bump
-    if spec.face_minus is not None:
-        force_area = (spec.face_minus if force_area is None
-                      else force_area + spec.face_minus)
-        bump = (-0.5 * h) * spec.face_minus
-        moment_area = bump if moment_area is None else moment_area + bump
+    for face, side in ((spec.face_plus, 0.5), (spec.face_minus, -0.5)):
+        if face is not None:
+            force_area = face if force_area is None else force_area + face
+            bump = (side * h) * face
+            moment_area = bump if moment_area is None else moment_area + bump
     force_edge = {}
     moment_edge = {}
     for edge, profile in spec.lateral.items():
@@ -184,13 +172,6 @@ def _edge_measure(ref, edge, measure):
     return w
 
 
-def _vec_component(obj, k):
-    """Component k of a vector field given as (n1,n2,3) or a 3-triple."""
-    if isinstance(obj, (list, tuple)):
-        return obj[k]
-    return obj[..., k]
-
-
 @dataclass(frozen=True)
 class LoadCovector:
     """The load potential as two merged nodal fields on the reference grid.
@@ -209,14 +190,14 @@ class LoadCovector:
     ref: object
 
     def potential(self, positions, normals):
-        """L(m, n_m) for (n1, n2, 3) arrays or triples of component fields."""
+        """L(m, n_m) for (n1, n2, 3) positions and normals."""
         acc = 0.0
         for k in range(3):
             if self.force is not None:
-                v_k = _vec_component(positions, k) - self.ref.positions[..., k]
+                v_k = positions[..., k] - self.ref.positions[..., k]
                 acc = acc + np.sum(self.force[..., k] * v_k)
             if self.moment is not None:
-                dn_k = _vec_component(normals, k) - self.ref.normal[..., k]
+                dn_k = normals[..., k] - self.ref.normal[..., k]
                 acc = acc + np.sum(self.moment[..., k] * dn_k)
         return acc
 
@@ -244,16 +225,6 @@ def load_covector(res, ref):
                 moment += w_edge * np.broadcast_to(m_edge, shape)
     return LoadCovector(force=force if np.any(force) else None,
                         moment=moment if np.any(moment) else None, ref=ref)
-
-
-def load_potential(res, ref, positions, normals):
-    """Evaluate L(m, n_m) for deformed positions m and normals n_m.
-
-    ``positions``/``normals`` are either (n1, n2, 3) arrays or triples of
-    per-component grid fields, such as the normal components of a surface
-    bundle.
-    """
-    return load_covector(res, ref).potential(positions, normals)
 
 
 def uniform_transverse(pressure, direction=(0.0, 0.0, 1.0)):

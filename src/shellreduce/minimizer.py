@@ -9,10 +9,9 @@ quadratic penalty because the normal is a nonlinear function of positions
 and cannot be eliminated node-wise.
 
 Gradients are exact to round-off: the density is evaluated once on
-reverse-mode fields whose leaves are the fifteen slot components (five
-derivative slots times three Cartesian components), one adjoint sweep gives
-the per-point sensitivities, and they are pushed back through the
-transposed stencils.  Central finite differences
+reverse-mode fields whose leaves are the five stacked derivative slots,
+one adjoint sweep gives the per-point sensitivities, and they are pushed
+back through the transposed stencils.  Central finite differences
 (``ShellObjective.grad_fd``) stay as the test oracle.
 
 The iteration is limited-memory BFGS with a two-phase backtracking line
@@ -163,8 +162,7 @@ class ShellObjective:
         dens = energy_density_fields(bundle, self.ref, self.mat, self.model,
                                      self.constants)
         density = dens["shell"] + dens["curv_log"] + dens["curv_det2"]
-        normal = (bundle["nx"], bundle["ny"], bundle["nz"])
-        return self._total(density, positions, normal)
+        return self._total(density, positions, bundle["n"])
 
     def _total(self, density, positions, normal):
         """Internal energy plus constant, minus loads, plus clamp penalty."""
@@ -177,7 +175,7 @@ class ShellObjective:
             return 0.0
         acc = 0.0
         for k in range(3):
-            dn = normal[k] - self.ref.normal[..., k]
+            dn = normal[..., k] - self.ref.normal[..., k]
             acc += float(np.sum(self.penalty_weights * dn * dn))
         return self.penalty_beta * acc
 
@@ -188,37 +186,31 @@ class ShellObjective:
         ``self.ops.all_slots(positions)`` when the caller already has it."""
         if slots is None:
             slots = self.ops.all_slots(positions)
-        leaves = [adjoint.Var(slots[name][..., c]) for name in SLOT_NAMES
-                  for c in range(3)]
-        bundle = surface_bundle({name: tuple(leaves[3 * si:3 * si + 3])
-                                 for si, name in enumerate(SLOT_NAMES)})
+        leaves = [adjoint.Var(slots[name]) for name in SLOT_NAMES]
+        bundle = surface_bundle(dict(zip(SLOT_NAMES, leaves)))
         require_orientation(bundle, self.ref, self.mat.h)
 
         dens = energy_density_fields(bundle, self.ref, self.mat, self.model,
                                      self.constants)
         density = dens["shell"] + dens["curv_log"] + dens["curv_det2"]
-        normal = (bundle["nx"], bundle["ny"], bundle["nz"])
-        # adjoints of the objective in the density and in each normal
-        # component (load moment and clamp penalty); one sweep for all
-        seeds = [(density, self.w2d)]
-        for k, n_k in enumerate(normal):
-            seed = np.zeros_like(self.w2d)
-            if self.load.moment is not None:
-                seed -= self.load.moment[..., k]
-            if self.penalty_beta > 0.0:
-                dn = n_k.val - self.ref.normal[..., k]
-                seed += 2.0 * self.penalty_beta * self.penalty_weights * dn
-            seeds.append((n_k, seed))
-        obj_dot = np.stack(adjoint.gradient(seeds, leaves), axis=-1)
+        normal = bundle["n"]
+        # adjoints of the objective in the density and in the normal (load
+        # moment and clamp penalty); one sweep for both
+        seed = np.zeros_like(normal.val)
+        if self.load.moment is not None:
+            seed -= self.load.moment
+        if self.penalty_beta > 0.0:
+            weight = 2.0 * self.penalty_beta * self.penalty_weights
+            seed += weight[..., None] * (normal.val - self.ref.normal)
+        obj_dot = adjoint.gradient([(density, self.w2d), (normal, seed)],
+                                   leaves)
 
         grad = np.zeros_like(positions)
-        for si, name in enumerate(SLOT_NAMES):
-            grad += self.ops.scatter(name,
-                                     obj_dot[..., 3 * si:3 * si + 3])
+        for name, slot_dot in zip(SLOT_NAMES, obj_dot):
+            grad += self.ops.scatter(name, slot_dot)
         if self.load.force is not None:
             grad -= self.load.force
-        return self._total(density.val, positions,
-                           [n_k.val for n_k in normal]), grad
+        return self._total(density.val, positions, normal.val), grad
 
     def metric_diagonal(self):
         """Initial quasi-Newton metric: a membrane/bending model of the

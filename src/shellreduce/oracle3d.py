@@ -269,9 +269,10 @@ def compare_reduced_3d(chart, deformed_chart, grid, mu, lam, h_values,
 
     Returns {"rows": [(h, model, reduced, full3d, abs_err), ...],
              "orders": {model: fitted slope of log|err| vs log h}}.
-    Every thickness is checked before any geometry is built.  The reference,
-    the deformed state and the ansatz coefficients are built once; each
-    thickness only swaps in its face factors
+    Every thickness is checked, and a repeated one (it would skew the
+    fitted orders) rejected, before any geometry is built.  The
+    reference, the deformed state and the ansatz coefficients are built
+    once; each thickness only swaps in its face factors
     (:func:`~shellreduce.geometry.with_thickness`).  The sweep is mapped
     over a thread pool (numpy releases the GIL in the heavy kernels);
     results are collected in submission order so the output is
@@ -282,6 +283,8 @@ def compare_reduced_3d(chart, deformed_chart, grid, mu, lam, h_values,
         raise ConfigError("the thickness sweep is empty")
     for h in h_values:
         require_thickness(h)
+    if len(set(h_values)) < len(h_values):
+        raise ConfigError("the thickness sweep repeats a value: %s" % h_values)
     models = tuple(models)
     shared_ref = build_reference(chart, grid, h_values[0], order)
     shared_state = deformed_state(deformed_chart, grid, h_values[0], order)

@@ -23,6 +23,8 @@ import numpy as np
 
 from .errors import GridTooSmall
 
+ORDERS = (2, 4)     # formal accuracy orders of the stencils
+
 
 def fornberg_weights(z, x, m):
     """Differentiation weights at point ``z`` for nodes ``x``.
@@ -83,8 +85,8 @@ def derivative_matrix(n, spacing, deriv, order=4):
     """
     if deriv not in (1, 2):
         raise ValueError("deriv must be 1 or 2")
-    if order not in (2, 4):
-        raise ValueError("order must be 2 or 4")
+    if order not in ORDERS:
+        raise ValueError("order must be one of %s" % (ORDERS,))
     # interior: centered window with order+1 points (the centered second
     # derivative gains one order from symmetry); boundary: order+deriv points.
     npts_int = order + 1
@@ -146,7 +148,8 @@ class GridDerivatives:
                 g = along0[id(op0)]
             if op1 is not None:
                 g = np.matmul(op1, g)
-            out[slot] = g
+            # C-ordered, so the vector kernels view components without a copy
+            out[slot] = np.ascontiguousarray(g)
         return out
 
     def scatter(self, slot, sigma):

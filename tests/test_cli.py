@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import shellreduce
 from shellreduce.cli import main
@@ -529,6 +530,32 @@ def test_unknown_config_key(tmp_path, capsys):
     rc = main(["check", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_unsupported_stencil_order_is_a_config_error(tmp_path, capsys):
+    # a chart reference builds no stencils, so check must reject it too
+    cfg = _config(tmp_path, PLATE + "stencil.order = 6\n")
+    for command in ("check", "minimize", "energy"):
+        rc = main([command, "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 1, command
+        err = capsys.readouterr().err
+        assert "config error: stencil.order must be one of (2, 4)" in err, \
+            command
+
+
+@pytest.mark.parametrize("command, line", [
+    ("compare3d", "compare3d.amplitude = abc"),
+    ("compare3d", "compare3d.thickness_nodes = 0"),
+    ("compare3d", "compare3d.thickness_nodes = 2.5"),
+    ("minimize", "minimize.snapshot_every = x"),
+    ("minimize", "minimize.snapshot_every = -1"),
+])
+def test_bad_command_key_is_a_config_error(tmp_path, capsys, command, line):
+    cfg = _config(tmp_path, PLATE + line + "\n")
+    rc = main([command, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("shellreduce: config error: " + line.split()[0])
 
 
 def test_threads_must_be_positive(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from shellreduce.errors import ConfigError, DegenerateChart
 from shellreduce.geometry import (SLOT_NAMES, TrigDisplacement, deformed_state,
                                   displace_chart, form22, make_chart,
-                                  principal_curvatures, surface_bundle)
+                                  principal_curvatures)
 from shellreduce.grids import Grid
 from shellreduce.reference import build_reference
 
@@ -83,17 +83,6 @@ def test_shape_operator_consistency():
     recon = np.einsum("...ij,...jk->...ik", form22(state.bundle, "I"),
                       shape_op)
     assert np.abs(recon - form22(state.bundle, "II")).max() < 1e-11
-
-
-def test_bundle_accepts_stacked_arrays_and_component_triples():
-    chart, grid = _chart_grid("sphere-cap", radius=1.0, extent=0.5, n=9)
-    fields = chart.fields(*grid.mesh())
-    slots = {name: fields[name] for name in SLOT_NAMES}
-    b_stacked = surface_bundle(slots)
-    triples = {k: tuple(v[..., c] for c in range(3)) for k, v in slots.items()}
-    b_triple = surface_bundle(triples)
-    for key in ("a", "H", "K", "I11", "II12", "III22", "nx", "nz"):
-        assert np.allclose(b_stacked[key], b_triple[key], atol=1e-14), key
 
 
 def test_nodal_chart_curvatures_converge_at_fourth_order():

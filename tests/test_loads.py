@@ -4,7 +4,7 @@ import pytest
 from shellreduce.errors import ConfigError
 from shellreduce.geometry import make_chart
 from shellreduce.grids import Grid, area_weights, edge_weights
-from shellreduce.loads import (LoadSpec, edge_arclength, load_potential,
+from shellreduce.loads import (LoadSpec, edge_arclength, load_covector,
                                reduce_loads, thickness_moments,
                                uniform_transverse)
 from shellreduce.reference import build_reference
@@ -102,7 +102,7 @@ def test_potential_vanishes_at_the_reference_configuration():
                     lateral={"top": {0: (0.0, 0.0, 1.0)}},
                     gamma_t=("top",))
     res = reduce_loads(spec, ref.h)
-    value = load_potential(res, ref, ref.positions, ref.normal)
+    value = load_covector(res, ref).potential(ref.positions, ref.normal)
     assert value == 0.0
 
 
@@ -113,9 +113,10 @@ def test_potential_is_jointly_linear_in_displacement_and_tilt():
                                 gamma_t=("left",)), ref.h)
     v = RNG.normal(size=ref.positions.shape)
     w = RNG.normal(size=ref.positions.shape)
-    base = load_potential(res, ref, ref.positions, ref.normal)
-    one = load_potential(res, ref, ref.positions + v, ref.normal + w)
-    two = load_potential(res, ref, ref.positions + 2 * v, ref.normal + 2 * w)
+    cov = load_covector(res, ref)
+    base = cov.potential(ref.positions, ref.normal)
+    one = cov.potential(ref.positions + v, ref.normal + w)
+    two = cov.potential(ref.positions + 2 * v, ref.normal + 2 * w)
     assert base == 0.0
     assert abs(two - 2.0 * one) < 1e-12 * max(1.0, abs(one))
 
@@ -128,24 +129,12 @@ def test_potential_matches_a_hand_assembled_quadrature():
                     gamma_t=("right",))
     res = reduce_loads(spec, ref.h)
     v = RNG.normal(size=ref.positions.shape)
-    got = load_potential(res, ref, ref.positions + v, ref.normal)
+    got = load_covector(res, ref).potential(ref.positions + v, ref.normal)
     w_area = area_weights(ref.grid)
     want = np.sum(w_area * np.einsum("ijk,k->ij", v, f))
     w_edge = edge_weights(ref.grid, "right") * edge_arclength(ref, "right")
     want += np.sum(w_edge * np.einsum("ijk,k->ij", v, t))
     assert abs(got - want) < 1e-14
-
-
-def test_component_triples_and_stacked_positions_agree():
-    ref = _plate_ref()
-    res = reduce_loads(uniform_transverse(0.01), ref.h)
-    pos = ref.positions + RNG.normal(size=ref.positions.shape)
-    nrm = ref.normal + RNG.normal(size=ref.normal.shape)
-    stacked = load_potential(res, ref, pos, nrm)
-    triple = load_potential(res, ref,
-                            tuple(pos[..., k] for k in range(3)),
-                            tuple(nrm[..., k] for k in range(3)))
-    assert stacked == triple
 
 
 def test_edge_measures_on_the_cylinder():
@@ -168,6 +157,7 @@ def test_edge_measures_on_the_cylinder():
         res = reduce_loads(spec, ref.h)
         lift = np.zeros_like(ref.positions)
         lift[..., 2] = 1.0   # unit axial displacement everywhere
-        got = load_potential(res, ref, ref.positions + lift, ref.normal)
+        got = load_covector(res, ref).potential(ref.positions + lift,
+                                                ref.normal)
         want = ref.h * 1.0 * factor * 1.2
         assert abs(got - want) < 1e-12, measure

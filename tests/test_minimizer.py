@@ -446,8 +446,7 @@ def test_penalty_weight_pulls_boundary_normals_back():
                           loads=loads)
         objective = ShellObjective(ref, mat, model=1)
         bundle = objective._bundle(result.positions)
-        dn2 = sum((bundle["n" + c] - ref.normal[..., k]) ** 2
-                  for k, c in enumerate("xyz"))
+        dn2 = np.sum((bundle["n"] - ref.normal) ** 2, axis=-1)
         boundary = np.zeros((ref.grid.n1, ref.grid.n2), dtype=bool)
         for name in ("left", "right", "bottom", "top"):
             boundary |= edge_mask(name, ref.grid.n1, ref.grid.n2)

@@ -377,6 +377,7 @@ def test_sweep_shares_one_reference_and_matches_per_h_rebuild(
     ([0.04, -0.01], "h = -0.01$"), ([float("nan"), 0.02], "h = nan$"),
     ([0.04, float("inf")], "h = inf$"), ([0.0, 0.02], "h = 0$"),
     ([], "sweep is empty"),
+    ([0.04, 0.02, 0.04], r"repeats a value: \[0.04, 0.02, 0.04\]$"),
 ])
 def test_sweep_rejects_a_bad_thickness_before_any_geometry(
         h_values, message, monkeypatch):
