@@ -26,6 +26,15 @@ interior ``a_y0`` inside both squared-volume blocks, and the cubic model's
 standalone thickness factor read as ``h + h^3 K / 6``.  The natural-state
 and 3-D-agreement guarantees hold for ``oracle`` only.
 
+The density is differentiated in closed form rather than on the
+reverse-mode graph.  The shell term is linear in the deformed forms with
+coefficients that depend on the reference only
+(:func:`shell_form_weights`); the log and squared-volume terms are scalar
+functions of a_m, H_m and K_m whose partials :func:`density_partials`
+returns as plain fields; the standalone and constant terms do not depend on
+the deformation.  The minimizer seeds its one reverse-mode sweep through
+``surface_bundle`` with these partials.
+
 A deformed configuration enters as the same per-node record the reference
 is built on, :func:`~shellreduce.geometry.deformed_state` (re-exported
 here); :func:`total_energy` reads its bundle and checks that the material
@@ -105,15 +114,15 @@ def require_same_thickness(ref, mat):
 
 
 def orientation_violations(bundle, ref, h, eps=EPS_ORIENT):
-    """(quantity, index, value) for the worst orientation defect, or None.
+    """(quantity, index, value) for the worst orientation defect of a plain
+    bundle, or None.
 
     The discrete admissible set requires a_m > eps * a_y0 and both face
     factors above eps at every node.  argmin returns the first NaN, so a
     NaN factor (a non-finite position upstream) is a violation at its node.
     """
-    a_m = adjoint.value(bundle["a"])
-    plus, minus = face_factors(adjoint.value(bundle["H"]),
-                               adjoint.value(bundle["K"]), h)
+    a_m = bundle["a"]
+    plus, minus = face_factors(bundle["H"], bundle["K"], h)
     checks = (
         ("midsurface area factor a_m", a_m, eps * ref.area),
         ("face factor A_m^+", plus, eps),
@@ -142,21 +151,27 @@ def require_orientation(bundle, ref, h, eps=EPS_ORIENT):
 # density kernels (numpy or Var fields)
 # ---------------------------------------------------------------------------
 
+# The geometry pipeline stores the coupling form as II = -(grad m)^T grad n_m,
+# but the thickness expansion of |F|^2 contracts +(grad m)^T grad n_m: the
+# x3-linear block of (grad m + x3 grad n_m)^T (grad m + x3 grad n_m) is
+# grad m^T grad n_m + its transpose = -2 II.  Feed the negated components so
+# the contraction-slope table reproduces the through-thickness integral
+# (checked by the natural-state and 3-D comparison tests; the cylinder is
+# the sensitive case, the sphere's II-coefficients cancel identically).
+# Per form: its sign and the bundle key of each matrix entry; the symmetric
+# I and III store no 21 entry.
+_FORM_KEYS = {
+    "I": (1.0, {"11": "I11", "12": "I12", "21": "I12", "22": "I22"}),
+    "II": (-1.0, {"11": "II11", "12": "II12", "21": "II21", "22": "II22"}),
+    "III": (1.0, {"11": "III11", "12": "III12", "21": "III12",
+                  "22": "III22"}),
+}
+
+
 def _forms_from_bundle(bundle):
-    # The geometry pipeline stores the coupling form as II = -(grad m)^T grad n_m,
-    # but the thickness expansion of |F|^2 contracts +(grad m)^T grad n_m: the
-    # x3-linear block of (grad m + x3 grad n_m)^T (grad m + x3 grad n_m) is
-    # grad m^T grad n_m + its transpose = -2 II.  Feed the negated components so
-    # the contraction-slope table reproduces the through-thickness integral
-    # (checked by the natural-state and 3-D comparison tests; the cylinder is
-    # the sensitive case, the sphere's II-coefficients cancel identically).
-    q_i = {"11": bundle["I11"], "12": bundle["I12"],
-           "21": bundle["I12"], "22": bundle["I22"]}
-    q_ii = {"11": -bundle["II11"], "12": -bundle["II12"],
-            "21": -bundle["II21"], "22": -bundle["II22"]}
-    q_iii = {"11": bundle["III11"], "12": bundle["III12"],
-             "21": bundle["III12"], "22": bundle["III22"]}
-    return q_i, q_ii, q_iii
+    return {name: {ij: bundle[key] if sign > 0.0 else -bundle[key]
+                   for ij, key in keys.items()}
+            for name, (sign, keys) in _FORM_KEYS.items()}
 
 
 def shell_coefficient_table(mean, gauss, h, full):
@@ -195,10 +210,9 @@ def shell_coefficient_table(mean, gauss, h, full):
 
 
 def _shell_density(bundle, ref, mat, full, standalone):
-    q_i, q_ii, q_iii = _forms_from_bundle(bundle)
+    forms = _forms_from_bundle(bundle)
     table = shell_coefficient_table(ref.mean, ref.gauss, mat.h, full)
-    forms = {"I": q_i, "II": q_ii, "III": q_iii}
-    kernels = {0: ref.kernel0, 1: ref.kernel1, 2: ref.kernel2}
+    kernels = (ref.kernel0, ref.kernel1, ref.kernel2)
     acc = standalone
     for key, coef in table.items():
         if not isinstance(key, tuple):
@@ -224,6 +238,31 @@ def w_shell_2(bundle, ref, mat, constants="oracle"):
     denom = 12.0 if constants == "oracle" else 6.0
     standalone = mat.h + mat.h ** 3 * ref.gauss / denom
     return _shell_density(bundle, ref, mat, full=False, standalone=standalone)
+
+
+def shell_form_weights(ref, mat, model):
+    """The shell density's partials in the bundle's form components.
+
+    The shell density is linear in the deformed forms, so these are plain
+    reference fields keyed like the bundle (I11, I12, I22, II11, II12, II21,
+    II22, III11, III12, III22): mu/2 sum_p coef(p, form) F_p entrywise, with
+    the 12 and 21 kernel entries added for the symmetric I and III and
+    negated for II (see ``_forms_from_bundle``).  The standalone factor does
+    not depend on the deformation in either constant mode.
+    """
+    table = shell_coefficient_table(ref.mean, ref.gauss, mat.h, model != 2)
+    kernels = (ref.kernel0, ref.kernel1, ref.kernel2)
+    weights = {}
+    for key, coef in table.items():
+        if not isinstance(key, tuple):
+            continue
+        p, name = key
+        sign, keys = _FORM_KEYS[name]
+        for ij, field in keys.items():
+            entry = kernels[p][..., int(ij[0]) - 1, int(ij[1]) - 1]
+            term = (0.5 * mat.mu * sign) * coef * entry
+            weights[field] = weights.get(field, 0.0) + term
+    return weights
 
 
 def _log_coefficient(mat, constants):
@@ -298,6 +337,58 @@ def w_curv_det2_taylor(bundle, ref, mat, constants="oracle"):
     if constants == "paper":
         density = density * ref.area
     return density
+
+
+def density_partials(bundle, ref, mat, model, constants="oracle"):
+    """Closed-form partials (d_a, d_H, d_K) of a model's density in the
+    area factor a_m and the curvatures H_m and K_m of a plain bundle.
+
+    The log and squared-volume terms are the density's only dependence on
+    a_m, H_m and K_m; the shell term is linear in the forms with the
+    reference-only partials of :func:`shell_form_weights`, and the
+    standalone and constant terms do not depend on the deformation.
+
+    - log: coef (h/6) [A^-_y0 log(a_m A^-_m) + 4 log a_m
+      + A^+_y0 log(a_m A^+_m)] plus a constant, so its a_m-partial is
+      coef (h/6) (A^-_y0 + 4 + A^+_y0) / a_m and its A^+-_m-partial
+      coef (h/6) A^+-_y0 / A^+-_m;
+    - det^2 (both rules) is quadratic in a_m, so its a_m-partial is
+      2 w / a_m; Simpson's A^+-_m-partial is (lam/2)(h/6)(a_m/a_y0)^2
+      A^+-_m / A^+-_y0, Taylor's H_m- and K_m-partials differentiate its
+      bracket in dH and dK; ``paper`` multiplies both rules by a_y0;
+    - the face factors A^+-_m = 1 -+ h H_m + h^2 K_m / 4 carry the A^+-_m
+      partials into H_m (-+h) and K_m (h^2/4).
+    """
+    a_m, mean, gauss = bundle["a"], bundle["H"], bundle["K"]
+    h = mat.h
+    plus_m, minus_m = face_factors(mean, gauss, h)
+    coef = _log_coefficient(mat, constants) * (h / 6.0)
+    d_a = coef * (ref.a_minus + 4.0 + ref.a_plus) / a_m
+    d_plus = coef * ref.a_plus / plus_m
+    d_minus = coef * ref.a_minus / minus_m
+    ratio2 = (a_m / ref.area) ** 2
+    scale = 0.25 * mat.lam * (ref.area if constants == "paper" else 1.0)
+    if model == 3:
+        det2 = w_curv_det2_taylor(bundle, ref, mat, constants)
+        d_mean = mean - ref.mean
+        d_gauss = gauss - ref.gauss
+        h3 = h ** 3 / 12.0
+        h5 = h ** 5 / 80.0
+        d_h = scale * ratio2 * (
+            8.0 * h3 * d_mean
+            + h5 * (32.0 * ref.mean ** 2 * d_mean - 8.0 * ref.mean * d_gauss
+                    - 8.0 * ref.gauss * d_mean))
+        d_k = scale * ratio2 * (
+            2.0 * h3 + h5 * (2.0 * d_gauss - 8.0 * ref.mean * d_mean))
+    else:
+        det2 = w_curv_det2_simpson(bundle, ref, mat, constants)
+        q = 2.0 * scale * (h / 6.0) * ratio2
+        d_plus = d_plus + q * plus_m / ref.a_plus
+        d_minus = d_minus + q * minus_m / ref.a_minus
+        d_h = d_k = 0.0
+    d_a = d_a + 2.0 * det2 / a_m
+    return (d_a, d_h + h * (d_minus - d_plus),
+            d_k + 0.25 * h * h * (d_plus + d_minus))
 
 
 def constant_density(ref, mat, constants="oracle"):

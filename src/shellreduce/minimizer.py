@@ -8,17 +8,21 @@ the reference values; the normal condition on those edges enters as a
 quadratic penalty because the normal is a nonlinear function of positions
 and cannot be eliminated node-wise.
 
-Gradients are exact to round-off: the density is evaluated once on
-reverse-mode fields whose leaves are the five stacked derivative slots,
-one adjoint sweep gives the per-point sensitivities, and they are pushed
-back through the transposed stencils.  Central finite differences
+Gradients are exact to round-off.  Only ``surface_bundle`` runs on
+reverse-mode fields, whose leaves are the five stacked derivative slots;
+the density is evaluated once on the bundle's plain values, and its
+closed-form partials in a, H, K and the ten form components
+(``energy.density_partials``, ``energy.shell_form_weights``) seed one
+adjoint sweep.  The per-point sensitivities are pushed back through the
+transposed stencils.  Central finite differences
 (``ShellObjective.grad_fd``) stay as the test oracle.
 
 The iteration is limited-memory BFGS with a two-phase backtracking line
 search: first the step is shrunk until every node keeps a_m and both face
 factors above a safety floor (the logarithmic term then guards the
-interior), then an Armijo test enforces decrease, so the energy trace is
-nonincreasing by construction.  The accepted trial's derivative slots are
+interior; the floor implies ``value``'s orientation check, so a trial is
+checked once), then an Armijo test enforces decrease, so the energy trace
+is nonincreasing by construction.  The accepted trial's derivative slots are
 handed on to the gradient, so each iteration applies the stencils once per
 trial and no more.
 
@@ -42,9 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admissibility import admissibility_report
-from .energy import (MODELS, constant_density, energy_density_fields,
-                     internal_sum, orientation_violations, require_orientation,
-                     require_same_thickness)
+from .energy import (MODELS, constant_density, density_partials,
+                     energy_density_fields, internal_sum,
+                     orientation_violations, require_orientation,
+                     require_same_thickness, shell_form_weights)
 from .errors import (ConfigError, InadmissibleInitialState,
                      InadmissibleThickness, NonFinitePosition, StepCollapsed)
 from .geometry import SLOT_NAMES, require_finite_positions, surface_bundle
@@ -135,6 +140,11 @@ class ShellObjective:
                                    ref.order)
         self.w2d = area_weights(grid) * ref.area
         self.constant_density = constant_density(ref, mat, constants)
+        # the shell density's partials in the forms depend on the reference
+        # only (it is linear in the forms)
+        self.form_weights = {
+            key: self.w2d * weight
+            for key, weight in shell_form_weights(ref, mat, model).items()}
 
         # clamp penalty measure: arclength-weighted union of the clamped edges
         pen = np.zeros((grid.n1, grid.n2))
@@ -159,16 +169,17 @@ class ShellObjective:
         if bundle is None:
             bundle = self._bundle(positions)
         require_orientation(bundle, self.ref, self.mat.h)
+        return self.unchecked_value(positions, bundle)
+
+    def unchecked_value(self, positions, bundle):
+        """Internal energy plus constant, minus loads, plus clamp penalty, of
+        a plain bundle whose orientation the caller has already checked."""
         dens = energy_density_fields(bundle, self.ref, self.mat, self.model,
                                      self.constants)
         density = dens["shell"] + dens["curv_log"] + dens["curv_det2"]
-        return self._total(density, positions, bundle["n"])
-
-    def _total(self, density, positions, normal):
-        """Internal energy plus constant, minus loads, plus clamp penalty."""
         total = internal_sum(self.w2d, density, self.constant_density)
-        total -= float(self.load.potential(positions, normal))
-        return total + self._penalty_value(normal)
+        total -= float(self.load.potential(positions, bundle["n"]))
+        return total + self._penalty_value(bundle["n"])
 
     def _penalty_value(self, normal):
         if self.penalty_beta == 0.0:
@@ -183,34 +194,41 @@ class ShellObjective:
 
     def value_and_grad(self, positions, slots=None):
         """Objective value and nodal gradient.  ``slots`` may pass in
-        ``self.ops.all_slots(positions)`` when the caller already has it."""
+        ``self.ops.all_slots(positions)`` when the caller already has it.
+
+        The value is ``value`` on the bundle's plain fields; the one sweep
+        through the reverse-mode bundle starts from the density's partials
+        and the normal's adjoint (load moment and clamp penalty).
+        """
         if slots is None:
             slots = self.ops.all_slots(positions)
         leaves = [adjoint.Var(slots[name]) for name in SLOT_NAMES]
-        bundle = surface_bundle(dict(zip(SLOT_NAMES, leaves)))
-        require_orientation(bundle, self.ref, self.mat.h)
+        graph = surface_bundle(dict(zip(SLOT_NAMES, leaves)))
+        bundle = {key: var.val for key, var in graph.items()}
+        value = self.value(positions, bundle)
 
-        dens = energy_density_fields(bundle, self.ref, self.mat, self.model,
-                                     self.constants)
-        density = dens["shell"] + dens["curv_log"] + dens["curv_det2"]
+        partials = density_partials(bundle, self.ref, self.mat, self.model,
+                                    self.constants)
+        seeds = [(graph[key], self.w2d * part)
+                 for key, part in zip("aHK", partials)]
+        seeds += [(graph[key], weight)
+                  for key, weight in self.form_weights.items()]
         normal = bundle["n"]
-        # adjoints of the objective in the density and in the normal (load
-        # moment and clamp penalty); one sweep for both
-        seed = np.zeros_like(normal.val)
+        seed = np.zeros_like(normal)
         if self.load.moment is not None:
             seed -= self.load.moment
         if self.penalty_beta > 0.0:
             weight = 2.0 * self.penalty_beta * self.penalty_weights
-            seed += weight[..., None] * (normal.val - self.ref.normal)
-        obj_dot = adjoint.gradient([(density, self.w2d), (normal, seed)],
-                                   leaves)
+            seed += weight[..., None] * (normal - self.ref.normal)
+        seeds.append((graph["n"], seed))
+        obj_dot = adjoint.gradient(seeds, leaves)
 
         grad = np.zeros_like(positions)
         for name, slot_dot in zip(SLOT_NAMES, obj_dot):
             grad += self.ops.scatter(name, slot_dot)
         if self.load.force is not None:
             grad -= self.load.force
-        return self._total(density.val, positions, normal.val), grad
+        return value, grad
 
     def metric_diagonal(self):
         """Initial quasi-Newton metric: a membrane/bending model of the
@@ -377,7 +395,8 @@ def line_search(objective, unpack, x, d, energy, slope, iteration):
         feasible = orientation_violations(
             bundle, objective.ref, objective.mat.h, eps=EPS_FEAS) is None
         if feasible:
-            trial_energy = objective.value(trial_pos, bundle=bundle)
+            # the EPS_FEAS floor implies value's EPS_ORIENT one
+            trial_energy = objective.unchecked_value(trial_pos, bundle)
             if trial_energy <= energy + ARMIJO_C1 * step * slope:
                 return step, trial, trial_energy, slots
         step *= BACKTRACK

@@ -3,7 +3,8 @@ import pytest
 
 from shellreduce.energy import (CONSTANT_MODES, MODELS, MaterialParams,
                                 constant_density, deformed_state,
-                                energy_density_fields, shell_coefficient_table,
+                                density_partials, energy_density_fields,
+                                shell_coefficient_table, shell_form_weights,
                                 total_energy, w_curv_log, w_shell_1, w_shell_2)
 from shellreduce.errors import (ConfigError, OrientationViolation,
                                 ThicknessError)
@@ -110,6 +111,66 @@ def test_coefficient_table_truncation_drops_exactly_the_fifth_order_blocks():
     for key, gap in expected_gap.items():
         assert np.abs((full[key] - trunc[key]) - gap).max() < 1e-16, key
     assert np.array_equal(full["standalone"], trunc["standalone"])
+
+
+def _deformed_bundle():
+    # a graph chart: neither umbilic nor developable, so no shell block
+    # cancels
+    chart, grid, ref, mat = _setup("graph", lam=1.7, **CHARTS["graph"])
+    disp = TrigDisplacement.standard(chart.domain, 0.03)
+    state = deformed_state(displace_chart(chart, disp), grid, mat.h)
+    return state.bundle, ref, mat
+
+
+def _central_difference(term, bundle, key, step):
+    up, down = dict(bundle), dict(bundle)
+    up[key] = bundle[key] + step
+    down[key] = bundle[key] - step
+    return (term(up) - term(down)) / (2.0 * step)
+
+
+@pytest.mark.parametrize("constants", CONSTANT_MODES)
+@pytest.mark.parametrize("model", MODELS)
+def test_density_partials_match_central_differences(model, constants):
+    # log plus Simpson det^2 (models 1, 2) or Taylor det^2 (model 3), under
+    # both calibrations; the shell, standalone and constant terms do not
+    # move with a, H or K
+    bundle, ref, mat = _deformed_bundle()
+    partials = density_partials(bundle, ref, mat, model, constants)
+
+    def volumetric(b):
+        fields = energy_density_fields(b, ref, mat, model, constants)
+        return fields["curv_log"] + fields["curv_det2"]
+
+    def rest(b):
+        fields = energy_density_fields(b, ref, mat, model, constants)
+        return fields["shell"] + fields["constant"]
+
+    # the K-partial is ~1e-5 of the density, so K takes a larger step
+    for key, part, step in zip("aHK", partials, (1e-5, 1e-4, 1e-3)):
+        fd = _central_difference(volumetric, bundle, key, step)
+        assert np.abs(part - fd).max() <= 1e-8 * np.abs(fd).max(), key
+        assert np.all(_central_difference(rest, bundle, key, step) == 0.0)
+
+
+@pytest.mark.parametrize("constants", CONSTANT_MODES)
+@pytest.mark.parametrize("model", MODELS)
+def test_shell_form_weights_are_the_shell_density_partials(model,
+                                                           constants):
+    bundle, ref, mat = _deformed_bundle()
+    weights = shell_form_weights(ref, mat, model)
+    assert sorted(weights) == sorted(
+        ["I11", "I12", "I22", "II11", "II12", "II21", "II22",
+         "III11", "III12", "III22"])
+
+    def shell(b):
+        return energy_density_fields(b, ref, mat, model, constants)["shell"]
+
+    scale = max(np.abs(weight).max() for weight in weights.values())
+    for key, weight in weights.items():
+        # the shell density is linear in the forms: only round-off remains
+        fd = _central_difference(shell, bundle, key, 1e-3)
+        assert np.abs(weight - fd).max() <= 1e-10 * scale, key
 
 
 def test_constant_modes_differ_and_validate():

@@ -3,10 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from shellreduce.energy import MaterialParams, deformed_state, total_energy
+from shellreduce import adjoint
+from shellreduce import energy as energy_module
+from shellreduce import minimizer as minimizer_module
+from shellreduce.energy import (MaterialParams, deformed_state,
+                                energy_density_fields, total_energy)
 from shellreduce.errors import (ConfigError, InadmissibleInitialState,
                                 InadmissibleThickness, StepCollapsed)
-from shellreduce.geometry import make_chart
+from shellreduce.geometry import SLOT_NAMES, make_chart, surface_bundle
 from shellreduce.grids import EDGES, Grid, edge_mask, simpson_weights
 from shellreduce.loads import LoadSpec, reduce_loads, uniform_transverse
 from shellreduce.minimizer import (DiscreteDeformation, MinimizeResult,
@@ -239,13 +243,109 @@ def test_gradient_matches_finite_differences_across_models_and_loads(
     assert np.abs(grad - fd).max() < 1e-6 * np.abs(fd).max()
 
 
+def _full_graph_gradient(objective, positions):
+    """The gradient with the whole density on the reverse-mode graph: the
+    density kernels accept Vars, so the sweep starts from the objective's
+    own output adjoints instead of the density's closed-form partials."""
+    slots = objective.ops.all_slots(positions)
+    leaves = [adjoint.Var(slots[name]) for name in SLOT_NAMES]
+    bundle = surface_bundle(dict(zip(SLOT_NAMES, leaves)))
+    fields = energy_density_fields(bundle, objective.ref, objective.mat,
+                                   objective.model, objective.constants)
+    density = fields["shell"] + fields["curv_log"] + fields["curv_det2"]
+    normal = bundle["n"]
+    seed = -objective.load.moment + (
+        2.0 * objective.penalty_beta * objective.penalty_weights[..., None]
+        * (normal.val - objective.ref.normal))
+    slot_dots = adjoint.gradient([(density, objective.w2d), (normal, seed)],
+                                 leaves)
+    grad = -objective.load.force
+    for name, slot_dot in zip(SLOT_NAMES, slot_dots):
+        grad = grad + objective.ops.scatter(name, slot_dot)
+    return grad
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("plate", {}),
+    ("sphere-cap", dict(radius=1.0, extent=0.6)),
+    ("cylinder-patch", dict(radius=1.0, height=1.0, arc=1.0)),
+])
+def test_gradient_matches_the_full_graph_oracle(kind, params):
+    ref, mat = _setup(kind, h=0.05, **params)
+    spec = LoadSpec(face_plus=(0.0, 0.004, 0.003),
+                    face_minus=(0.002, 0.0, -0.001),
+                    lateral={"top": {0: (0.0, 0.003, 0.001)}},
+                    gamma_t=("top",))
+    loads = reduce_loads(spec, mat.h)
+    for model in (1, 2, 3):
+        for constants in ("oracle", "paper"):
+            objective = ShellObjective(ref, mat, model, constants,
+                                       loads=loads, clamped_edges=("left",),
+                                       penalty_beta=0.3)
+            pos = _random_feasible_state(objective, ref, seed=5)
+            value, grad = objective.value_and_grad(pos)
+            assert value == objective.value(pos)
+            want = _full_graph_gradient(objective, pos)
+            assert (np.abs(grad - want).max()
+                    <= 1e-12 * np.abs(want).max()), (model, constants)
+
+
+@pytest.mark.parametrize("model", (1, 2, 3))
+def test_gradient_graph_is_the_surface_bundle_alone(model):
+    # the density enters the sweep as seeds, so one gradient creates the
+    # reverse-mode nodes of one surface_bundle call and no more
+    ref, mat = _setup("sphere-cap", h=0.05, n=17, radius=1.0, extent=0.6)
+    loads = reduce_loads(uniform_transverse(0.001), mat.h)
+    objective = ShellObjective(ref, mat, model, loads=loads,
+                               clamped_edges=("left",), penalty_beta=0.1)
+    pos = _random_feasible_state(objective, ref, seed=3)
+
+    def created(call):
+        start = next(adjoint._ids)
+        call()
+        return next(adjoint._ids) - start - 1
+
+    slots = objective.ops.all_slots(pos)
+    bundle_nodes = created(lambda: surface_bundle(
+        {name: adjoint.Var(slots[name]) for name in SLOT_NAMES}))
+    assert bundle_nodes == 63
+    assert created(lambda: objective.value_and_grad(pos)) == bundle_nodes
+
+
+def test_one_orientation_check_per_surface_bundle(monkeypatch):
+    # line-search trials pass the EPS_FEAS floor, which implies value's
+    # EPS_ORIENT floor, so an accepted trial is not checked twice
+    ref, mat = _setup("plate", h=0.1, n=17)
+    loads = reduce_loads(LoadSpec(face_plus=(0.0, 0.0, 0.001),
+                                  face_minus=(0.0, 0.0, 0.001),
+                                  gamma_t=()), mat.h)
+    counts = {"bundles": 0, "checks": 0}
+
+    def counted(key, func):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(minimizer_module, "surface_bundle",
+                        counted("bundles", minimizer_module.surface_bundle))
+    check = counted("checks", energy_module.orientation_violations)
+    monkeypatch.setattr(minimizer_module, "orientation_violations", check)
+    monkeypatch.setattr(energy_module, "orientation_violations", check)
+    result = minimize(ref, mat, SolverConfig(max_iter=200, gtol_abs=4e-8),
+                      loads=loads, clamped_edges=EDGES)
+    assert result.converged and result.iterations == 18
+    # the start's feasibility check, 19 gradients and 18 accepted trials
+    assert counts == {"bundles": 38, "checks": 38}
+
+
 def test_gradient_mode_dispatch_and_validation():
     # one gradient path; central differences stay as its oracle
     ref, mat = _setup()
     objective = ShellObjective(ref, mat, model=1)
     pos = ref.positions
     value, grad = objective.value_and_grad(pos)
-    assert abs(value - objective.value(pos)) < 1e-14
+    assert value == objective.value(pos)
     assert np.abs(grad - objective.grad_fd(pos, 1e-6)).max() < 1e-6
     with pytest.raises(TypeError):
         objective.value_and_grad(pos, mode="fd")
