@@ -24,6 +24,7 @@ cannot silently change a run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .energy import CONSTANT_MODES, MODELS, MaterialParams
@@ -80,9 +81,12 @@ def _vector(text, key):
         raise ConfigError("%s: expected three comma-separated numbers, "
                           "got %r" % (key, text))
     try:
-        return tuple(float(p) for p in parts)
+        vec = tuple(float(p) for p in parts)
     except ValueError:
         raise ConfigError("%s: bad number in %r" % (key, text))
+    if not all(math.isfinite(v) for v in vec):
+        raise ConfigError("%s must be finite, got %r" % (key, text))
+    return vec
 
 
 def _edge_list(text, key):
@@ -108,6 +112,8 @@ def _typed(raw, key, kind, default=None, minimum=None, choices=None):
     except ValueError:
         raise ConfigError("%s: cannot read %r as %s" % (key, text,
                                                         kind.__name__))
+    if kind is float and not math.isfinite(value):
+        raise ConfigError("%s must be finite, got %r" % (key, text))
     if minimum is not None and not value >= minimum:
         raise ConfigError("%s must be >= %s, got %r" % (key, minimum, text))
     if choices is not None and value not in choices:
@@ -135,6 +141,9 @@ def _chart_from(raw):
                         raise ConfigError(
                             "chart.poly: expected 'p,q:coef;...', got %r"
                             % value)
+                if not all(math.isfinite(c) for c in poly.values()):
+                    raise ConfigError("chart.poly must be finite, got %r"
+                                      % value)
                 params[name] = poly
             elif name == "bump":
                 params[name] = _vector(value, key)
@@ -253,6 +262,10 @@ class RunConfig:
                 raise ConfigError("missing required config key %r" % key)
             return list(default)
         try:
-            return [float(p) for p in self.raw[key].split(",") if p.strip()]
+            values = [float(p) for p in self.raw[key].split(",") if p.strip()]
         except ValueError:
             raise ConfigError("%s: bad number list %r" % (key, self.raw[key]))
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError("%s must be finite, got %r"
+                              % (key, self.raw[key]))
+        return values

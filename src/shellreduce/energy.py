@@ -26,14 +26,13 @@ interior ``a_y0`` inside both squared-volume blocks, and the cubic model's
 standalone thickness factor read as ``h + h^3 K / 6``.  The natural-state
 and 3-D-agreement guarantees hold for ``oracle`` only.
 
-The density is differentiated in closed form rather than on the
-reverse-mode graph.  The shell term is linear in the deformed forms with
-coefficients that depend on the reference only
+The density is differentiated in closed form.  The shell term is linear in
+the deformed forms with coefficients that depend on the reference only
 (:func:`shell_form_weights`); the log and squared-volume terms are scalar
 functions of a_m, H_m and K_m whose partials :func:`density_partials`
 returns as plain fields; the standalone and constant terms do not depend on
-the deformation.  The minimizer seeds its one reverse-mode sweep through
-``surface_bundle`` with these partials.
+the deformation.  The minimizer seeds the adjoint of ``surface_bundle``
+(:func:`~shellreduce.geometry.surface_bundle_vjp`) with these partials.
 
 A deformed configuration enters as the same per-node record the reference
 is built on, :func:`~shellreduce.geometry.deformed_state` (re-exported
@@ -47,7 +46,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import adjoint
 from .errors import ConfigError, OrientationViolation, ThicknessError
 # deformed_state/DeformedState live in geometry so that the reference can
 # build on them without an import cycle; they are re-exported here because
@@ -148,7 +146,7 @@ def require_orientation(bundle, ref, h, eps=EPS_ORIENT):
 
 
 # ---------------------------------------------------------------------------
-# density kernels (numpy or Var fields)
+# density kernels (plain fields of one bundle)
 # ---------------------------------------------------------------------------
 
 # The geometry pipeline stores the coupling form as II = -(grad m)^T grad n_m,
@@ -271,7 +269,15 @@ def _log_coefficient(mat, constants):
     return -(mat.lam + 2.0 * mat.mu) / 4.0
 
 
-def w_curv_log(bundle, ref, mat, constants="oracle"):
+def _deformed_faces(bundle, mat, faces):
+    """The bundle's face factors (A^+_m, A^-_m) at the material thickness,
+    unless the caller passes them in as ``faces``."""
+    if faces is None:
+        return face_factors(bundle["H"], bundle["K"], mat.h)
+    return faces
+
+
+def w_curv_log(bundle, ref, mat, constants="oracle", faces=None):
     """Three-point thickness rule for the logarithmic volume term.
 
     bracket = A^-_y0 [log(a_m A^-_m) - log(a_y0 A^-_y0)]
@@ -281,26 +287,26 @@ def w_curv_log(bundle, ref, mat, constants="oracle"):
     """
     _check_mode(constants)
     a_m = bundle["a"]
-    plus_m, minus_m = face_factors(bundle["H"], bundle["K"], mat.h)
+    plus_m, minus_m = _deformed_faces(bundle, mat, faces)
     log_a0 = np.log(ref.area)
     log_p0 = np.log(ref.area * ref.a_plus)
     log_m0 = np.log(ref.area * ref.a_minus)
     bracket = (
-        ref.a_minus * (adjoint.log(a_m * minus_m) - log_m0)
-        + 4.0 * (adjoint.log(a_m) - log_a0)
-        + ref.a_plus * (adjoint.log(a_m * plus_m) - log_p0)
+        ref.a_minus * (np.log(a_m * minus_m) - log_m0)
+        + 4.0 * (np.log(a_m) - log_a0)
+        + ref.a_plus * (np.log(a_m * plus_m) - log_p0)
     )
     return _log_coefficient(mat, constants) * (mat.h / 6.0) * bracket
 
 
-def w_curv_det2_simpson(bundle, ref, mat, constants="oracle"):
+def w_curv_det2_simpson(bundle, ref, mat, constants="oracle", faces=None):
     """Three-point thickness rule for the squared-volume term (models I, II).
 
     Under ``paper`` the block keeps its as-published interior area factor.
     """
     _check_mode(constants)
     a_m = bundle["a"]
-    plus_m, minus_m = face_factors(bundle["H"], bundle["K"], mat.h)
+    plus_m, minus_m = _deformed_faces(bundle, mat, faces)
     r0 = a_m / ref.area
     r_plus = a_m * plus_m / (ref.area * ref.a_plus)
     r_minus = a_m * minus_m / (ref.area * ref.a_minus)
@@ -339,9 +345,12 @@ def w_curv_det2_taylor(bundle, ref, mat, constants="oracle"):
     return density
 
 
-def density_partials(bundle, ref, mat, model, constants="oracle"):
+def density_partials(bundle, faces, det2, ref, mat, model,
+                     constants="oracle"):
     """Closed-form partials (d_a, d_H, d_K) of a model's density in the
-    area factor a_m and the curvatures H_m and K_m of a plain bundle.
+    area factor a_m and the curvatures H_m and K_m of a plain bundle, given
+    the bundle's face factors (A^+_m, A^-_m) and its squared-volume density
+    ``det2`` as the value path computed them.
 
     The log and squared-volume terms are the density's only dependence on
     a_m, H_m and K_m; the shell term is linear in the forms with the
@@ -361,7 +370,7 @@ def density_partials(bundle, ref, mat, model, constants="oracle"):
     """
     a_m, mean, gauss = bundle["a"], bundle["H"], bundle["K"]
     h = mat.h
-    plus_m, minus_m = face_factors(mean, gauss, h)
+    plus_m, minus_m = faces
     coef = _log_coefficient(mat, constants) * (h / 6.0)
     d_a = coef * (ref.a_minus + 4.0 + ref.a_plus) / a_m
     d_plus = coef * ref.a_plus / plus_m
@@ -369,7 +378,6 @@ def density_partials(bundle, ref, mat, model, constants="oracle"):
     ratio2 = (a_m / ref.area) ** 2
     scale = 0.25 * mat.lam * (ref.area if constants == "paper" else 1.0)
     if model == 3:
-        det2 = w_curv_det2_taylor(bundle, ref, mat, constants)
         d_mean = mean - ref.mean
         d_gauss = gauss - ref.gauss
         h3 = h ** 3 / 12.0
@@ -381,7 +389,6 @@ def density_partials(bundle, ref, mat, model, constants="oracle"):
         d_k = scale * ratio2 * (
             2.0 * h3 + h5 * (2.0 * d_gauss - 8.0 * ref.mean * d_mean))
     else:
-        det2 = w_curv_det2_simpson(bundle, ref, mat, constants)
         q = 2.0 * scale * (h / 6.0) * ratio2
         d_plus = d_plus + q * plus_m / ref.a_plus
         d_minus = d_minus + q * minus_m / ref.a_minus
@@ -406,8 +413,10 @@ def _check_mode(constants):
                           % (CONSTANT_MODES, constants))
 
 
-def energy_density_fields(bundle, ref, mat, model, constants="oracle"):
-    """The four density fields of a model, keyed like EnergyBreakdown."""
+def energy_density_fields(bundle, ref, mat, model, constants="oracle",
+                          faces=None):
+    """The four density fields of a model, keyed like EnergyBreakdown.
+    ``faces`` may pass in the bundle's face factors at ``mat.h``."""
     if model not in MODELS:
         raise ConfigError("model must be one of %s, got %r" % (MODELS, model))
     # b(x3) = 1 - 2 H x3 + K x3^2 stays positive through the slab iff
@@ -422,11 +431,12 @@ def energy_density_fields(bundle, ref, mat, model, constants="oracle"):
         shell = w_shell_2(bundle, ref, mat, constants)
     else:
         shell = w_shell_1(bundle, ref, mat)
-    log_term = w_curv_log(bundle, ref, mat, constants)
+    faces = _deformed_faces(bundle, mat, faces)
+    log_term = w_curv_log(bundle, ref, mat, constants, faces)
     if model == 3:
         det2 = w_curv_det2_taylor(bundle, ref, mat, constants)
     else:
-        det2 = w_curv_det2_simpson(bundle, ref, mat, constants)
+        det2 = w_curv_det2_simpson(bundle, ref, mat, constants, faces)
     return {
         "shell": shell,
         "curv_log": log_term,

@@ -17,12 +17,13 @@ differencing a stored normal field), so n . dn = 0 and n . d_alpha y = 0 hold
 to round-off and the identity III = II^T I^{-1} II is exact in both analytic
 and finite-difference modes.
 
-:func:`surface_bundle` works on stacked ``(..., 3)`` vector fields with the
-field algebra of :mod:`~shellreduce.adjoint` (``+ - * /``, ``sqrt``,
-``cross``, ``dot``, ``scale``), which plain arrays *and* Vars satisfy, so
-one code path serves evaluation and reverse-mode differentiation.
-:func:`deformed_state` packs the per-node fields of one configuration,
-reference or deformed, into one :class:`DeformedState` record.
+:func:`surface_bundle` works on stacked ``(..., 3)`` vector fields;
+:func:`surface_bundle_vjp` is its hand-derived vector-Jacobian product
+(Griewank & Walther, *Evaluating Derivatives*, ch. 3-4), which maps output
+adjoints on a, H, K, the ten form components and n back to the five
+derivative slots.  :func:`deformed_state` packs the per-node fields of one
+configuration, reference or deformed, into one :class:`DeformedState`
+record.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import adjoint
-from .adjoint import cross, dot, scale
 from .errors import (ConfigError, CurvatureInconsistent, DegenerateChart,
                      NonFinitePosition)
 from .grids import Grid
@@ -43,6 +42,46 @@ EPS_RANK = 1e-12
 SLOT_NAMES = ("d1", "d2", "d11", "d12", "d22")
 
 
+# Vector fields are stacked (..., 3) arrays.  The kernels run over their
+# (3, nodes) component views, each component rounded as its scalar formula:
+# a loop over the length-3 last axis innermost is several times slower.
+# The output dtype follows the inputs, so complex fields pass through.
+
+def _planes(x):
+    return x.reshape(-1, 3).T
+
+
+def _cross(u, v):
+    out = np.empty(u.shape, np.result_type(u, v))
+    u_k, v_k, out_k = _planes(u), _planes(v), _planes(out)
+    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        res = out_k[k]
+        np.multiply(u_k[i], v_k[j], out=res)
+        res -= u_k[j] * v_k[i]
+    return out
+
+
+def _dot(u, v):
+    prod = u * v
+    return prod[..., 0] + prod[..., 1] + prod[..., 2]
+
+
+def _scale(s, u):
+    out = np.empty(u.shape, np.result_type(s, u))
+    np.multiply(np.reshape(s, -1), _planes(u), out=_planes(out), order="C")
+    return out
+
+
+def _combine(terms):
+    """sum s u over (scalar field, vector field) pairs, in place."""
+    (s, u), *rest = terms
+    out = _scale(s, u)
+    out_k = _planes(out)
+    for s, u in rest:
+        out_k += np.reshape(s, -1) * _planes(u)
+    return out
+
+
 def surface_bundle(slots):
     """Pointwise surface quantities from the five derivative fields.
 
@@ -50,40 +89,43 @@ def surface_bundle(slots):
     ----------
     slots : dict
         Keys ``d1, d2, d11, d12, d22``; each value a stacked ``(..., 3)``
-        vector field, a plain array or an :class:`~shellreduce.adjoint.Var`.
+        vector field.
 
     Returns
     -------
     dict with the vector fields ``n, dn1, dn2`` (unit normal and its two
     derivatives, stacked like the slots) and the scalar fields
-        ``a, I11, I12, I22, II11, II12, II21, II22,
-        III11, III12, III22, L11, L12, L21, L22, H, K``.
+        ``a, a1, a2, I11, I12, I22, II11, II12, II21, II22,
+        III11, III12, III22, L11, L12, L21, L22, H, K``
+    (``a1, a2`` are the area factor's derivatives n . d_k(d1 x d2)).
     """
     d1, d2, d11, d12, d22 = (slots[name] for name in SLOT_NAMES)
 
-    c = cross(d1, d2)
-    a = adjoint.sqrt(dot(c, c))
+    c = _cross(d1, d2)
+    a = np.sqrt(_dot(c, c))
     inv_a = 1.0 / a
-    n = scale(inv_a, c)
+    n = _scale(inv_a, c)
 
     # derivatives of the (unnormalized) cross field, then of the unit normal
-    c1 = cross(d11, d2) + cross(d1, d12)
-    c2 = cross(d12, d2) + cross(d1, d22)
-    dn1 = scale(inv_a, c1 - scale(dot(n, c1), n))
-    dn2 = scale(inv_a, c2 - scale(dot(n, c2), n))
+    c1 = _cross(d11, d2) + _cross(d1, d12)
+    c2 = _cross(d12, d2) + _cross(d1, d22)
+    a1 = _dot(n, c1)
+    a2 = _dot(n, c2)
+    dn1 = _scale(inv_a, c1 - _scale(a1, n))
+    dn2 = _scale(inv_a, c2 - _scale(a2, n))
 
-    i11 = dot(d1, d1)
-    i12 = dot(d1, d2)
-    i22 = dot(d2, d2)
+    i11 = _dot(d1, d1)
+    i12 = _dot(d1, d2)
+    i22 = _dot(d2, d2)
 
-    ii11 = -dot(d1, dn1)
-    ii12 = -dot(d1, dn2)
-    ii21 = -dot(d2, dn1)
-    ii22 = -dot(d2, dn2)
+    ii11 = -_dot(d1, dn1)
+    ii12 = -_dot(d1, dn2)
+    ii21 = -_dot(d2, dn1)
+    ii22 = -_dot(d2, dn2)
 
-    iii11 = dot(dn1, dn1)
-    iii12 = dot(dn1, dn2)
-    iii22 = dot(dn2, dn2)
+    iii11 = _dot(dn1, dn1)
+    iii12 = _dot(dn1, dn2)
+    iii22 = _dot(dn2, dn2)
 
     det_i = i11 * i22 - i12 * i12
     inv_det = 1.0 / det_i
@@ -97,12 +139,82 @@ def surface_bundle(slots):
     k = l11 * l22 - l12 * l21
 
     return {
-        "a": a, "n": n, "dn1": dn1, "dn2": dn2,
+        "a": a, "a1": a1, "a2": a2, "n": n, "dn1": dn1, "dn2": dn2,
         "I11": i11, "I12": i12, "I22": i22,
         "II11": ii11, "II12": ii12, "II21": ii21, "II22": ii22,
         "III11": iii11, "III12": iii12, "III22": iii22,
         "L11": l11, "L12": l12, "L21": l21, "L22": l22,
         "H": h, "K": k,
+    }
+
+
+def surface_bundle_vjp(slots, bundle, seeds):
+    """Adjoints of the five slots for output adjoints of ``surface_bundle``.
+
+    ``bundle`` is ``surface_bundle(slots)``; ``seeds`` holds an adjoint for
+    each of ``a, H, K``, the ten form components ``I11 .. III22`` (scalar
+    fields) and ``n`` (a vector field).  Returns the gradient of the linear
+    functional sum(seed * output) in each slot, keyed like ``slots``.  The
+    sweep runs the forward chain backwards: H, K -> L -> I, II; the forms
+    -> d1, d2, dn1, dn2; the projection dn_k = (c_k - a_k n) / a; the cross
+    products c = d1 x d2, c_k = d_k c; the normalisation n = c / a.
+    """
+    d1, d2, d11, d12, d22 = (slots[name] for name in SLOT_NAMES)
+    n, dn1, dn2 = bundle["n"], bundle["dn1"], bundle["dn2"]
+    i11, i12, i22 = bundle["I11"], bundle["I12"], bundle["I22"]
+    l11, l12, l21, l22 = (bundle[key] for key in ("L11", "L12", "L21", "L22"))
+    inv_a = 1.0 / bundle["a"]
+
+    # H = tr(L) / 2, K = det(L)
+    half_h, g_k = 0.5 * seeds["H"], seeds["K"]
+    gl11 = half_h + g_k * l22
+    gl22 = half_h + g_k * l11
+    gl12 = -g_k * l21
+    gl21 = -g_k * l12
+    # L = I^{-1} II: II takes P = I^{-1} G_L and I takes -P L^T, whose two
+    # off-diagonal entries both land on the one stored I12
+    inv_det = 1.0 / (i11 * i22 - i12 * i12)
+    p11 = (i22 * gl11 - i12 * gl21) * inv_det
+    p12 = (i22 * gl12 - i12 * gl22) * inv_det
+    p21 = (i11 * gl21 - i12 * gl11) * inv_det
+    p22 = (i11 * gl22 - i12 * gl12) * inv_det
+    g_i11 = 2.0 * (seeds["I11"] - p11 * l11 - p12 * l12)
+    g_i22 = 2.0 * (seeds["I22"] - p21 * l21 - p22 * l22)
+    g_i12 = seeds["I12"] - p11 * l21 - p12 * l22 - p21 * l11 - p22 * l12
+    # II = -(grad y)^T grad n
+    g_ii11 = -(seeds["II11"] + p11)
+    g_ii12 = -(seeds["II12"] + p12)
+    g_ii21 = -(seeds["II21"] + p21)
+    g_ii22 = -(seeds["II22"] + p22)
+    g_iii12 = seeds["III12"]
+
+    g_d1 = _combine(((g_i11, d1), (g_i12, d2), (g_ii11, dn1), (g_ii12, dn2)))
+    g_d2 = _combine(((g_i12, d1), (g_i22, d2), (g_ii21, dn1), (g_ii22, dn2)))
+    g_dn1 = _combine(((g_ii11, d1), (g_ii21, d2),
+                      (2.0 * seeds["III11"], dn1), (g_iii12, dn2)))
+    g_dn2 = _combine(((g_ii12, d1), (g_ii22, d2), (g_iii12, dn1),
+                      (2.0 * seeds["III22"], dn2)))
+
+    # dn_k = (c_k - a_k n) / a with a_k = n . c_k.  The form adjoints of
+    # dn_k combine d1, d2, dn1 and dn2, all tangent, so the projection
+    # passes them unchanged: c_k takes g_dn_k / a, n takes -a_k g_dn_k / a
+    # and a takes -(g_dn_k . dn_k) / a through the 1 / a
+    g_c1 = _scale(inv_a, g_dn1)
+    g_c2 = _scale(inv_a, g_dn2)
+    g_n = seeds["n"] - _combine(((bundle["a1"], g_c1), (bundle["a2"], g_c2)))
+    g_a = seeds["a"] - _dot(g_c1, dn1) - _dot(g_c2, dn2)
+    # n = c / a, a = |c|
+    g_c = _combine(((g_a - inv_a * _dot(g_n, n), n), (inv_a, g_n)))
+
+    # c = d1 x d2, c1 = d11 x d2 + d1 x d12, c2 = d12 x d2 + d1 x d22;
+    # the adjoints of u x v are v x g for u and g x u for v
+    g_d1 += _cross(d2, g_c) + _cross(d12, g_c1) + _cross(d22, g_c2)
+    g_d2 += _cross(g_c, d1) + _cross(g_c1, d11) + _cross(g_c2, d12)
+    return {
+        "d1": g_d1, "d2": g_d2,
+        "d11": _cross(d2, g_c1),
+        "d12": _cross(g_c1, d1) + _cross(d2, g_c2),
+        "d22": _cross(g_c2, d1),
     }
 
 

@@ -8,13 +8,12 @@ the reference values; the normal condition on those edges enters as a
 quadratic penalty because the normal is a nonlinear function of positions
 and cannot be eliminated node-wise.
 
-Gradients are exact to round-off.  Only ``surface_bundle`` runs on
-reverse-mode fields, whose leaves are the five stacked derivative slots;
-the density is evaluated once on the bundle's plain values, and its
-closed-form partials in a, H, K and the ten form components
-(``energy.density_partials``, ``energy.shell_form_weights``) seed one
-adjoint sweep.  The per-point sensitivities are pushed back through the
-transposed stencils.  Central finite differences
+Gradients are exact to round-off.  The density's closed-form partials in
+a, H, K and the ten form components (``energy.density_partials``,
+``energy.shell_form_weights``) and the normal's adjoint (load moment and
+clamp penalty) seed the hand-derived adjoint of ``surface_bundle``
+(``geometry.surface_bundle_vjp``); the per-point sensitivities are pushed
+back through the transposed stencils.  Central finite differences
 (``ShellObjective.grad_fd``) stay as the test oracle.
 
 The iteration is limited-memory BFGS with a two-phase backtracking line
@@ -22,9 +21,10 @@ search: first the step is shrunk until every node keeps a_m and both face
 factors above a safety floor (the logarithmic term then guards the
 interior; the floor implies ``value``'s orientation check, so a trial is
 checked once), then an Armijo test enforces decrease, so the energy trace
-is nonincreasing by construction.  The accepted trial's derivative slots are
-handed on to the gradient, so each iteration applies the stencils once per
-trial and no more.
+is nonincreasing by construction.  The accepted trial is handed on to the
+gradient as an evaluated :class:`Point` (slots, bundle, energy and the
+density fields the partials reuse), so each iteration applies the stencils
+and builds the bundle once per trial and no more.
 
 The initial metric of the two-loop recursion (Nocedal & Wright, section
 7.2) is the inverse of a reference model of the Hessian: membrane
@@ -42,6 +42,7 @@ iterations, and 23 / 45 / 117 at 33^2 / 49^2 / 65^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,12 +53,12 @@ from .energy import (MODELS, constant_density, density_partials,
                      require_same_thickness, shell_form_weights)
 from .errors import (ConfigError, InadmissibleInitialState,
                      InadmissibleThickness, NonFinitePosition, StepCollapsed)
-from .geometry import SLOT_NAMES, require_finite_positions, surface_bundle
+from .geometry import (SLOT_NAMES, face_factors, require_finite_positions,
+                       surface_bundle, surface_bundle_vjp)
 from .grids import (EDGES, area_weights, edge_index, edge_mask,
                     simpson_weights)
 from .loads import _edge_measure, load_covector
 from .stencils import GridDerivatives, _along0, _transposed
-from . import adjoint
 
 EPS_FEAS = 1e-8
 STEP_MIN = 1e-14
@@ -79,12 +80,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError("model must be one of %s" % (MODELS,))
-        if self.gtol_rel <= 0 or self.gtol_abs <= 0:
-            raise ConfigError("gradient tolerances must be positive")
+        # written so that a NaN fails every test
+        if not (0 < self.gtol_rel < np.inf and 0 < self.gtol_abs < np.inf):
+            raise ConfigError("gradient tolerances must be positive and "
+                              "finite")
         if self.max_iter < 0:
             raise ConfigError("max_iter must be >= 0")
-        if self.penalty_beta < 0:
-            raise ConfigError("penalty weight must be >= 0")
+        if not 0 <= self.penalty_beta < np.inf:
+            raise ConfigError("penalty weight must be >= 0 and finite")
 
 
 @dataclass
@@ -122,6 +125,18 @@ class DiscreteDeformation:
                    clamped_edges=tuple(clamped_edges))
 
 
+class Point(NamedTuple):
+    """One evaluated configuration: its derivative slots, plain bundle and
+    energy, plus the face factors and squared-volume density that the
+    gradient's partials reuse."""
+
+    slots: dict
+    bundle: dict
+    energy: float
+    faces: tuple
+    det2: np.ndarray
+
+
 class ShellObjective:
     """Total discrete energy (internal - loads + clamp penalty) and its
     exact nodal gradient."""
@@ -156,30 +171,35 @@ class ShellObjective:
 
     # -- plain evaluation ---------------------------------------------------
 
-    def _bundle(self, positions):
-        return surface_bundle(self.ops.all_slots(positions))
-
-    def feasible(self, positions):
-        """V^h membership with the line-search safety floor."""
-        bundle = self._bundle(positions)
-        return orientation_violations(bundle, self.ref, self.mat.h,
-                                      eps=EPS_FEAS) is None
-
-    def value(self, positions, bundle=None):
-        if bundle is None:
-            bundle = self._bundle(positions)
-        require_orientation(bundle, self.ref, self.mat.h)
-        return self.unchecked_value(positions, bundle)
-
-    def unchecked_value(self, positions, bundle):
-        """Internal energy plus constant, minus loads, plus clamp penalty, of
-        a plain bundle whose orientation the caller has already checked."""
+    def point(self, positions, eps=None):
+        """The evaluated :class:`Point` of ``positions``: one stencil pass
+        and one bundle.  With ``eps`` given, None where an orientation
+        defect reaches that floor; without, the value's orientation check,
+        which raises."""
+        slots = self.ops.all_slots(positions)
+        bundle = surface_bundle(slots)
+        if eps is None:
+            require_orientation(bundle, self.ref, self.mat.h)
+        elif orientation_violations(bundle, self.ref, self.mat.h,
+                                    eps=eps) is not None:
+            return None
+        # internal energy plus constant, minus loads, plus clamp penalty
+        faces = face_factors(bundle["H"], bundle["K"], self.mat.h)
         dens = energy_density_fields(bundle, self.ref, self.mat, self.model,
-                                     self.constants)
+                                     self.constants, faces)
         density = dens["shell"] + dens["curv_log"] + dens["curv_det2"]
         total = internal_sum(self.w2d, density, self.constant_density)
         total -= float(self.load.potential(positions, bundle["n"]))
-        return total + self._penalty_value(bundle["n"])
+        total += self._penalty_value(bundle["n"])
+        return Point(slots, bundle, total, faces, dens["curv_det2"])
+
+    def feasible(self, positions):
+        """V^h membership with the line-search safety floor: the evaluated
+        Point (a true value), or None."""
+        return self.point(positions, EPS_FEAS)
+
+    def value(self, positions):
+        return self.point(positions).energy
 
     def _penalty_value(self, normal):
         if self.penalty_beta == 0.0:
@@ -192,27 +212,24 @@ class ShellObjective:
 
     # -- gradient -----------------------------------------------------------
 
-    def value_and_grad(self, positions, slots=None):
-        """Objective value and nodal gradient.  ``slots`` may pass in
-        ``self.ops.all_slots(positions)`` when the caller already has it.
+    def value_and_grad(self, positions, point=None):
+        """Objective value and nodal gradient.  ``point`` may pass in the
+        evaluated :class:`Point` of ``positions`` (the line search's
+        accepted trial); without it, ``value``'s evaluation runs first.
 
-        The value is ``value`` on the bundle's plain fields; the one sweep
-        through the reverse-mode bundle starts from the density's partials
-        and the normal's adjoint (load moment and clamp penalty).
+        The density's partials and the normal's adjoint (load moment and
+        clamp penalty) seed the adjoint of the bundle; the slot adjoints go
+        back through the transposed stencils.
         """
-        if slots is None:
-            slots = self.ops.all_slots(positions)
-        leaves = [adjoint.Var(slots[name]) for name in SLOT_NAMES]
-        graph = surface_bundle(dict(zip(SLOT_NAMES, leaves)))
-        bundle = {key: var.val for key, var in graph.items()}
-        value = self.value(positions, bundle)
-
-        partials = density_partials(bundle, self.ref, self.mat, self.model,
+        if point is None:
+            point = self.point(positions)
+        bundle = point.bundle
+        partials = density_partials(bundle, point.faces, point.det2,
+                                    self.ref, self.mat, self.model,
                                     self.constants)
-        seeds = [(graph[key], self.w2d * part)
-                 for key, part in zip("aHK", partials)]
-        seeds += [(graph[key], weight)
-                  for key, weight in self.form_weights.items()]
+        seeds = dict(self.form_weights)
+        for key, part in zip("aHK", partials):
+            seeds[key] = self.w2d * part
         normal = bundle["n"]
         seed = np.zeros_like(normal)
         if self.load.moment is not None:
@@ -220,15 +237,15 @@ class ShellObjective:
         if self.penalty_beta > 0.0:
             weight = 2.0 * self.penalty_beta * self.penalty_weights
             seed += weight[..., None] * (normal - self.ref.normal)
-        seeds.append((graph["n"], seed))
-        obj_dot = adjoint.gradient(seeds, leaves)
+        seeds["n"] = seed
+        slot_dots = surface_bundle_vjp(point.slots, bundle, seeds)
 
         grad = np.zeros_like(positions)
-        for name, slot_dot in zip(SLOT_NAMES, obj_dot):
-            grad += self.ops.scatter(name, slot_dot)
+        for name in SLOT_NAMES:
+            grad += self.ops.scatter(name, slot_dots[name])
         if self.load.force is not None:
             grad -= self.load.force
-        return value, grad
+        return point.energy, grad
 
     def metric_diagonal(self):
         """Initial quasi-Newton metric: a membrane/bending model of the
@@ -383,22 +400,17 @@ def line_search(objective, unpack, x, d, energy, slope, iteration):
 
     Each trial ``unpack(x + step * d)`` gets one geometry pass, used both
     for the orientation floor and for the energy.  Returns (step, trial,
-    trial energy, trial slots), the slots for ``value_and_grad`` at the
-    accepted point; raises StepCollapsed naming the phase that failed last.
+    point), the accepted trial's evaluated Point for ``value_and_grad``;
+    raises StepCollapsed naming the phase that failed last.
     """
     step = 1.0
     while True:
         trial = x + step * d
-        trial_pos = unpack(trial)
-        slots = objective.ops.all_slots(trial_pos)
-        bundle = surface_bundle(slots)
-        feasible = orientation_violations(
-            bundle, objective.ref, objective.mat.h, eps=EPS_FEAS) is None
-        if feasible:
-            # the EPS_FEAS floor implies value's EPS_ORIENT one
-            trial_energy = objective.unchecked_value(trial_pos, bundle)
-            if trial_energy <= energy + ARMIJO_C1 * step * slope:
-                return step, trial, trial_energy, slots
+        # the EPS_FEAS floor implies value's EPS_ORIENT one
+        point = objective.point(unpack(trial), EPS_FEAS)
+        feasible = point is not None
+        if feasible and point.energy <= energy + ARMIJO_C1 * step * slope:
+            return step, trial, point
         step *= BACKTRACK
         if step < STEP_MIN:
             raise StepCollapsed("line-search" if feasible else "feasibility",
@@ -458,7 +470,8 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
     objective = ShellObjective(ref, mat, config.model, config.constants,
                                loads=loads, clamped_edges=clamped_edges,
                                penalty_beta=config.penalty_beta)
-    if not objective.feasible(deform.positions):
+    start = objective.feasible(deform.positions)
+    if start is None:
         raise InadmissibleInitialState(
             "initial deformation violates the orientation constraints")
 
@@ -473,11 +486,14 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
         out[free] = vec.reshape(-1, 3)
         return out
 
-    def eval_vg(pos, slots=None):
-        value, grad = objective.value_and_grad(pos, slots)
+    def eval_vg(pos, point):
+        value, grad = objective.value_and_grad(pos, point)
         return value, pack(grad)
 
-    energy, g = eval_vg(positions)
+    energy, g = eval_vg(positions, start)
+    # a Point holds some thirty fields: keep at most one alive between
+    # gradients, or the peak memory of a solve grows by one
+    del start
     gnorm = float(np.max(np.abs(g))) if g.size else 0.0
     tol = max(config.gtol_abs, config.gtol_rel * gnorm)
     trace = [(0, energy, gnorm, 0.0)]
@@ -506,14 +522,15 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
             slope = _dot(g, d)
 
         try:
-            step, trial, trial_energy, slots = line_search(
-                objective, unpack, x, d, energy, slope, it)
+            step, trial, point = line_search(objective, unpack, x, d,
+                                             energy, slope, it)
         except StepCollapsed as exc:
             message = str(exc)
             it -= 1
             break
 
-        _, new_g = eval_vg(unpack(trial), slots)
+        trial_energy, new_g = eval_vg(unpack(trial), point)
+        del point
         s = trial - x
         yv = new_g - g
         sy = _dot(s, yv)

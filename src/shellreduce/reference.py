@@ -61,9 +61,9 @@ class ReferenceField(DeformedState):
 def contract(Q, kernel):
     """<Q, kernel> = sum_ij Q_ij kernel_ij pointwise.
 
-    ``Q`` may be a stacked (n1, n2, 2, 2) array or a dict of numpy or Var
-    components {"11": .., "12": .., "21": .., "22": ..}; the kernel is always
-    a plain stacked array.
+    ``Q`` may be a stacked (n1, n2, 2, 2) array or a dict of its component
+    fields {"11": .., "12": .., "21": .., "22": ..}; the kernel is a stacked
+    array.
     """
     if isinstance(Q, np.ndarray):
         return np.einsum("...ij,...ij->...", Q, kernel)

@@ -250,6 +250,21 @@ def test_infinite_thickness_is_a_config_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["loads.face_plus = nan, 0, 0",
+                                  "solver.gtol_abs = nan",
+                                  "solver.penalty_beta = inf"])
+def test_minimize_rejects_a_non_finite_number_up_front(tmp_path, capsys,
+                                                        line):
+    # without the check: a nan energy with exit 0, a solve run to max_iter,
+    # or a LinAlgError traceback
+    cfg = _config(tmp_path, PLATE + "boundary.clamped = left,right,bottom,"
+                  "top\nloads.face_minus = 0, 0, 0.001\n" + line + "\n")
+    rc = main(["minimize", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert line.split(" =")[0] + " must be finite" in err
+
+
 def test_compare3d_small_sweep(tmp_path, capsys):
     text = SPHERE.replace("material.h = 0.8", "material.h = 0.1")
     text += "compare3d.h_values = 0.04, 0.02\ncompare3d.thickness_nodes = 8\n"
@@ -341,11 +356,14 @@ def test_stencil_commands_are_identical_across_thread_counts(tmp_path):
         (["energy", "--deformation", vtk, "--dump-density"],
          ("energy-breakdown.csv", "energy-density.vtk")),
         (["minimize"], ("minimize-trace.csv", "minimize-final.vtk")),
+        # model 3: the Taylor det^2 density of the cap-shell benchmark
+        (["minimize", "--model", "3"],
+         ("minimize-trace.csv", "minimize-final.vtk")),
     )
-    for args, names in commands:
+    for case, (args, names) in enumerate(commands):
         outputs = []
         for threads in ("1", "2"):
-            out = tmp_path / ("%s-threads-%s" % (args[0], threads))
+            out = tmp_path / ("%s-%d-threads-%s" % (args[0], case, threads))
             out.mkdir()
             proc = _run_fresh(["-m", "shellreduce.cli"] + args
                               + ["--config", cfg, "--threads", threads,

@@ -5,6 +5,7 @@ import pytest
 
 from shellreduce.config import RunConfig, parse_config
 from shellreduce.errors import ConfigError, NonFinitePosition
+from shellreduce.minimizer import SolverConfig
 from shellreduce.vtkio import read_csv, read_vtk, write_csv, write_vtk
 
 BASE = """
@@ -197,6 +198,42 @@ def test_solver_overrides_and_bool_parsing():
             RunConfig.from_text(_cfg(line))
     with pytest.raises(ConfigError, match="solver.max_iter"):
         RunConfig.from_text(_cfg("solver.max_iter = many"))
+
+
+@pytest.mark.parametrize("line,key", [
+    ("loads.face_plus = nan, 0, 0", "loads.face_plus"),
+    ("loads.body.0 = 0, inf, 0", "loads.body.0"),
+    ("solver.gtol_abs = nan", "solver.gtol_abs"),
+    ("solver.gtol_rel = inf", "solver.gtol_rel"),
+    ("solver.penalty_beta = inf", "solver.penalty_beta"),
+    ("chart.length1 = inf", "chart.length1"),
+    ("material.mu = nan", "material.mu"),
+    ("safety = nan", "safety"),
+])
+def test_non_finite_numbers_are_config_errors_naming_the_key(line, key):
+    # a NaN or infinite number would otherwise reach the solver: a nan
+    # energy, a solve that never converges or converges at once, a LinAlg
+    # traceback, or a misleading orientation error
+    extra = line + "\nboundary.clamped = left,right,bottom,top\n"
+    with pytest.raises(ConfigError, match=key + " must be finite"):
+        RunConfig.from_text(_cfg(extra, drop=(key,)))
+
+
+def test_non_finite_poly_coefficients_and_number_lists_are_config_errors():
+    graph = _cfg("chart.poly = 2,0:0.1; 1,1:nan\n", drop=("chart.kind",))
+    with pytest.raises(ConfigError, match="chart.poly must be finite"):
+        RunConfig.from_text("chart.kind = graph\n" + graph)
+    cfg = RunConfig.from_text(_cfg("compare3d.h_values = 0.04, nan\n"))
+    with pytest.raises(ConfigError, match="compare3d.h_values must be finite"):
+        cfg.float_list("compare3d.h_values")
+
+
+def test_solver_config_rejects_non_finite_tolerances_and_penalty():
+    for bad in (dict(gtol_abs=float("nan")), dict(gtol_rel=float("inf")),
+                dict(penalty_beta=float("nan")),
+                dict(penalty_beta=float("inf"))):
+        with pytest.raises(ConfigError):
+            SolverConfig(**bad)
 
 
 def test_safety_must_be_positive():

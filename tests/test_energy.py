@@ -8,7 +8,8 @@ from shellreduce.energy import (CONSTANT_MODES, MODELS, MaterialParams,
                                 total_energy, w_curv_log, w_shell_1, w_shell_2)
 from shellreduce.errors import (ConfigError, OrientationViolation,
                                 ThicknessError)
-from shellreduce.geometry import TrigDisplacement, displace_chart, make_chart
+from shellreduce.geometry import (TrigDisplacement, displace_chart, face_factors,
+                                  make_chart)
 from shellreduce.grids import Grid, area_weights
 from shellreduce.reference import build_reference
 
@@ -136,7 +137,11 @@ def test_density_partials_match_central_differences(model, constants):
     # both calibrations; the shell, standalone and constant terms do not
     # move with a, H or K
     bundle, ref, mat = _deformed_bundle()
-    partials = density_partials(bundle, ref, mat, model, constants)
+    faces = face_factors(bundle["H"], bundle["K"], mat.h)
+    det2 = energy_density_fields(bundle, ref, mat, model,
+                                 constants)["curv_det2"]
+    partials = density_partials(bundle, faces, det2, ref, mat, model,
+                                constants)
 
     def volumetric(b):
         fields = energy_density_fields(b, ref, mat, model, constants)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from shellreduce.errors import ConfigError, DegenerateChart
-from shellreduce.geometry import (SLOT_NAMES, TrigDisplacement, deformed_state,
-                                  displace_chart, form22, make_chart,
-                                  principal_curvatures)
+from shellreduce.geometry import (SLOT_NAMES, TrigDisplacement, _cross, _dot,
+                                  _scale, deformed_state, displace_chart,
+                                  form22, make_chart, principal_curvatures,
+                                  surface_bundle, surface_bundle_vjp)
 from shellreduce.grids import Grid
 from shellreduce.reference import build_reference
 
@@ -191,3 +192,59 @@ def test_graph_chart_matches_direct_polynomial_evaluation():
     pos = chart.positions_on(grid)
     assert np.abs(pos[..., 2] - z).max() < 1e-14
     assert np.abs(pos[..., 0] - X1).max() == 0.0
+
+
+def test_vector_forward_values_are_the_componentwise_formulas():
+    rng = np.random.default_rng(19)
+    u, v = rng.normal(size=(2, 5, 6, 3))
+    s = rng.normal(size=(5, 6))
+    assert np.array_equal(_cross(u, v), np.cross(u, v))
+    assert np.array_equal(_dot(u, v), u[..., 0] * v[..., 0]
+                          + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2])
+    assert np.array_equal(_scale(s, u), s[..., None] * u)
+    # the output dtype follows the inputs, so complex fields pass through
+    w = u + 1j * v
+    assert np.array_equal(_cross(w, v), np.cross(w, v))
+    assert np.array_equal(_scale(s, w), s[..., None] * w)
+
+
+SEEDED_KEYS = ("a", "H", "K", "I11", "I12", "I22", "II11", "II12", "II21",
+               "II22", "III11", "III12", "III22", "n")
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("plate", {}),
+    ("sphere-cap", dict(radius=1.0, extent=0.6)),
+    ("cylinder-patch", dict(radius=1.0, height=1.0, arc=1.0)),
+])
+def test_bundle_vjp_matches_the_complex_step(kind, params):
+    # oracle: <seed, Im(surface_bundle(slots + i t v)) / t> is the exact
+    # directional derivative (no subtraction, so t can be 1e-30) and must
+    # equal <vjp(seed), v>, key by key and for all keys seeded at once
+    chart, grid = _chart_grid(kind, n=9, **params)
+    fields = chart.fields(*grid.mesh())
+    rng = np.random.default_rng(23)
+    # a generic surface: the bare plate would have L = 0, which hides
+    # every term of the K adjoint
+    slots = {name: fields[name] + 0.05 * rng.normal(size=fields[name].shape)
+             for name in SLOT_NAMES}
+    bundle = surface_bundle(slots)
+    t = 1e-30
+    for trial in range(2):
+        v = {name: rng.normal(size=slots[name].shape) for name in SLOT_NAMES}
+        tangent = surface_bundle({name: slots[name] + 1j * t * v[name]
+                                  for name in SLOT_NAMES})
+        for seeded in SEEDED_KEYS + ("all",):
+            seeds = {key: (rng.normal(size=bundle[key].shape)
+                           if seeded in (key, "all")
+                           else np.zeros(bundle[key].shape))
+                     for key in SEEDED_KEYS}
+            terms = [seeds[key] * tangent[key].imag / t
+                     for key in SEEDED_KEYS]
+            want = sum(float(np.sum(term)) for term in terms)
+            back = surface_bundle_vjp(slots, bundle, seeds)
+            got = sum(float(np.sum(back[name] * v[name]))
+                      for name in SLOT_NAMES)
+            # cancellation-free scale: the sum of the terms' magnitudes
+            scale = sum(float(np.sum(np.abs(term))) for term in terms)
+            assert abs(got - want) <= 1e-12 * scale, (seeded, trial)

@@ -1,16 +1,16 @@
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
 
-from shellreduce import adjoint
 from shellreduce import energy as energy_module
 from shellreduce import minimizer as minimizer_module
 from shellreduce.energy import (MaterialParams, deformed_state,
                                 energy_density_fields, total_energy)
 from shellreduce.errors import (ConfigError, InadmissibleInitialState,
                                 InadmissibleThickness, StepCollapsed)
-from shellreduce.geometry import SLOT_NAMES, make_chart, surface_bundle
+from shellreduce.geometry import make_chart, surface_bundle
 from shellreduce.grids import EDGES, Grid, edge_mask, simpson_weights
 from shellreduce.loads import LoadSpec, reduce_loads, uniform_transverse
 from shellreduce.minimizer import (DiscreteDeformation, MinimizeResult,
@@ -243,26 +243,23 @@ def test_gradient_matches_finite_differences_across_models_and_loads(
     assert np.abs(grad - fd).max() < 1e-6 * np.abs(fd).max()
 
 
-def _full_graph_gradient(objective, positions):
-    """The gradient with the whole density on the reverse-mode graph: the
-    density kernels accept Vars, so the sweep starts from the objective's
-    own output adjoints instead of the density's closed-form partials."""
-    slots = objective.ops.all_slots(positions)
-    leaves = [adjoint.Var(slots[name]) for name in SLOT_NAMES]
-    bundle = surface_bundle(dict(zip(SLOT_NAMES, leaves)))
+def _full_graph_slope(objective, positions, direction, t=1e-30):
+    """The objective's slope along ``direction``, differentiated through its
+    whole computation by the complex step Im(E(x + i t d)) / t: the value
+    path on complex positions, exact to round-off and independent of the
+    closed-form partials and the bundle's adjoint (the orientation check
+    compares reals, so it is left out)."""
+    pos = positions + 1j * t * direction
+    bundle = surface_bundle(objective.ops.all_slots(pos))
     fields = energy_density_fields(bundle, objective.ref, objective.mat,
                                    objective.model, objective.constants)
     density = fields["shell"] + fields["curv_log"] + fields["curv_det2"]
-    normal = bundle["n"]
-    seed = -objective.load.moment + (
-        2.0 * objective.penalty_beta * objective.penalty_weights[..., None]
-        * (normal.val - objective.ref.normal))
-    slot_dots = adjoint.gradient([(density, objective.w2d), (normal, seed)],
-                                 leaves)
-    grad = -objective.load.force
-    for name, slot_dot in zip(SLOT_NAMES, slot_dots):
-        grad = grad + objective.ops.scatter(name, slot_dot)
-    return grad
+    total = np.sum(objective.w2d * (density + fields["constant"]))
+    total -= objective.load.potential(pos, bundle["n"])
+    dn = bundle["n"] - objective.ref.normal
+    total += objective.penalty_beta * np.sum(
+        objective.penalty_weights[..., None] * dn * dn)
+    return total.imag / t
 
 
 @pytest.mark.parametrize("kind,params", [
@@ -277,6 +274,7 @@ def test_gradient_matches_the_full_graph_oracle(kind, params):
                     lateral={"top": {0: (0.0, 0.003, 0.001)}},
                     gamma_t=("top",))
     loads = reduce_loads(spec, mat.h)
+    rng = np.random.default_rng(11)
     for model in (1, 2, 3):
         for constants in ("oracle", "paper"):
             objective = ShellObjective(ref, mat, model, constants,
@@ -285,41 +283,48 @@ def test_gradient_matches_the_full_graph_oracle(kind, params):
             pos = _random_feasible_state(objective, ref, seed=5)
             value, grad = objective.value_and_grad(pos)
             assert value == objective.value(pos)
-            want = _full_graph_gradient(objective, pos)
-            assert (np.abs(grad - want).max()
-                    <= 1e-12 * np.abs(want).max()), (model, constants)
+            for _ in range(3):
+                d = rng.normal(size=pos.shape)
+                want = _full_graph_slope(objective, pos, d)
+                got = float(np.sum(grad * d))
+                scale = float(np.sum(np.abs(grad * d)))
+                assert abs(got - want) <= 1e-12 * scale, (model, constants)
 
 
-@pytest.mark.parametrize("model", (1, 2, 3))
-def test_gradient_graph_is_the_surface_bundle_alone(model):
-    # the density enters the sweep as seeds, so one gradient creates the
-    # reverse-mode nodes of one surface_bundle call and no more
-    ref, mat = _setup("sphere-cap", h=0.05, n=17, radius=1.0, extent=0.6)
-    loads = reduce_loads(uniform_transverse(0.001), mat.h)
-    objective = ShellObjective(ref, mat, model, loads=loads,
-                               clamped_edges=("left",), penalty_beta=0.1)
-    pos = _random_feasible_state(objective, ref, seed=3)
-
-    def created(call):
-        start = next(adjoint._ids)
-        call()
-        return next(adjoint._ids) - start - 1
-
-    slots = objective.ops.all_slots(pos)
-    bundle_nodes = created(lambda: surface_bundle(
-        {name: adjoint.Var(slots[name]) for name in SLOT_NAMES}))
-    assert bundle_nodes == 63
-    assert created(lambda: objective.value_and_grad(pos)) == bundle_nodes
+def test_value_and_grad_leaves_no_reference_cycles():
+    # the gradient holds plain arrays only, so each call's temporaries are
+    # freed by reference counting and the cyclic collector finds nothing
+    chart = make_chart("plate")
+    grid = Grid.uniform(chart.domain, 17, 17)
+    ref = build_reference(chart, grid, 0.1)
+    mat = MaterialParams(mu=1.0, lam=1.0, h=0.1)
+    loads = reduce_loads(LoadSpec(face_plus=(0.0, 0.0, 0.002),
+                                  face_minus=(0.0, 0.0, 0.001)), mat.h)
+    objective = ShellObjective(ref, mat, model=1, loads=loads,
+                               clamped_edges=("left", "right"),
+                               penalty_beta=0.1)
+    rng = np.random.default_rng(3)
+    pos = ref.positions + rng.normal(scale=1e-3, size=ref.positions.shape)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            objective.value_and_grad(pos)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def test_one_orientation_check_per_surface_bundle(monkeypatch):
     # line-search trials pass the EPS_FEAS floor, which implies value's
-    # EPS_ORIENT floor, so an accepted trial is not checked twice
+    # EPS_ORIENT floor, so an accepted trial is not checked twice; the
+    # gradient's partials take the det^2 field from the value path
     ref, mat = _setup("plate", h=0.1, n=17)
     loads = reduce_loads(LoadSpec(face_plus=(0.0, 0.0, 0.001),
                                   face_minus=(0.0, 0.0, 0.001),
                                   gamma_t=()), mat.h)
-    counts = {"bundles": 0, "checks": 0}
+    counts = {"bundles": 0, "checks": 0, "det2": 0}
 
     def counted(key, func):
         def wrapper(*args, **kwargs):
@@ -332,11 +337,15 @@ def test_one_orientation_check_per_surface_bundle(monkeypatch):
     check = counted("checks", energy_module.orientation_violations)
     monkeypatch.setattr(minimizer_module, "orientation_violations", check)
     monkeypatch.setattr(energy_module, "orientation_violations", check)
+    for name in ("w_curv_det2_simpson", "w_curv_det2_taylor"):
+        monkeypatch.setattr(energy_module, name,
+                            counted("det2", getattr(energy_module, name)))
     result = minimize(ref, mat, SolverConfig(max_iter=200, gtol_abs=4e-8),
                       loads=loads, clamped_edges=EDGES)
     assert result.converged and result.iterations == 18
-    # the start's feasibility check, 19 gradients and 18 accepted trials
-    assert counts == {"bundles": 38, "checks": 38}
+    # the start's point and 18 accepted trials: each gradient reuses the
+    # bundle its point was checked and valued on
+    assert counts == {"bundles": 19, "checks": 19, "det2": 19}
 
 
 def test_gradient_mode_dispatch_and_validation():
@@ -373,18 +382,20 @@ def test_line_search_backs_off_a_folding_step_and_collapses():
     energy, grad = objective.value_and_grad(ref.positions)
     slope = float(np.dot(grad.ravel(), d))
     assert slope < 0.0
-    step, trial, trial_energy, slots = line_search(objective, unpack, x, d,
-                                                   energy, slope, 1)
+    step, trial, point = line_search(objective, unpack, x, d, energy,
+                                     slope, 1)
     assert step < 1.0
     assert np.array_equal(trial, x + step * d)
     assert objective.feasible(unpack(trial))
-    assert trial_energy <= energy + 1e-4 * step * slope
-    # the accepted trial's slots give the same gradient, bit for bit
+    assert point.energy <= energy + 1e-4 * step * slope
+    # the accepted trial's point gives the same value and gradient, bit for
+    # bit
     want = objective.ops.all_slots(unpack(trial))
-    assert all(np.array_equal(slots[k], want[k]) for k in want)
+    assert all(np.array_equal(point.slots[k], want[k]) for k in want)
     value, grad = objective.value_and_grad(unpack(trial))
-    reused = objective.value_and_grad(unpack(trial), slots)
-    assert value == reused[0] and np.array_equal(grad, reused[1])
+    reused = objective.value_and_grad(unpack(trial), point)
+    assert value == point.energy == reused[0]
+    assert np.array_equal(grad, reused[1])
     # starting from an infeasible point, no step ever helps
     folded = ref.positions.copy()
     folded[4, 4, 2] = 1.0
@@ -545,7 +556,7 @@ def test_penalty_weight_pulls_boundary_normals_back():
                                        penalty_beta=beta),
                           loads=loads)
         objective = ShellObjective(ref, mat, model=1)
-        bundle = objective._bundle(result.positions)
+        bundle = objective.point(result.positions).bundle
         dn2 = np.sum((bundle["n"] - ref.normal) ** 2, axis=-1)
         boundary = np.zeros((ref.grid.n1, ref.grid.n2), dtype=bool)
         for name in ("left", "right", "bottom", "top"):
