@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from shellreduce.errors import ConfigError, DegenerateChart
-from shellreduce.geometry import (SLOT_NAMES, TrigDisplacement, _cross, _dot,
-                                  _scale, deformed_state, displace_chart,
-                                  form22, make_chart, principal_curvatures,
-                                  surface_bundle, surface_bundle_vjp)
+from shellreduce.geometry import (SLOT_NAMES, TrigDisplacement, deformed_state,
+                                  displace_chart, form22, make_chart,
+                                  principal_curvatures, surface_bundle,
+                                  surface_bundle_vjp)
 from shellreduce.grids import Grid
 from shellreduce.reference import build_reference
 
@@ -192,20 +192,6 @@ def test_graph_chart_matches_direct_polynomial_evaluation():
     pos = chart.positions_on(grid)
     assert np.abs(pos[..., 2] - z).max() < 1e-14
     assert np.abs(pos[..., 0] - X1).max() == 0.0
-
-
-def test_vector_forward_values_are_the_componentwise_formulas():
-    rng = np.random.default_rng(19)
-    u, v = rng.normal(size=(2, 5, 6, 3))
-    s = rng.normal(size=(5, 6))
-    assert np.array_equal(_cross(u, v), np.cross(u, v))
-    assert np.array_equal(_dot(u, v), u[..., 0] * v[..., 0]
-                          + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2])
-    assert np.array_equal(_scale(s, u), s[..., None] * u)
-    # the output dtype follows the inputs, so complex fields pass through
-    w = u + 1j * v
-    assert np.array_equal(_cross(w, v), np.cross(w, v))
-    assert np.array_equal(_scale(s, w), s[..., None] * w)
 
 
 SEEDED_KEYS = ("a", "H", "K", "I11", "I12", "I22", "II11", "II12", "II21",

@@ -137,24 +137,6 @@ def test_potential_matches_a_hand_assembled_quadrature():
     assert abs(got - want) < 1e-14
 
 
-def test_load_potential_is_the_covector_contraction():
-    # on a curved reference with a moment: the covector's force and moment
-    # fields contracted with the displacement and the normal change
-    chart = make_chart("sphere-cap", radius=1.0, extent=0.6)
-    ref = build_reference(chart, Grid.uniform(chart.domain, 5, 5), 0.05)
-    spec = LoadSpec(face_plus=(0.0, 0.01, 0.002), face_minus=(0.0, 0.0, 0.001),
-                    lateral={"top": {0: (0.003, 0.0, 0.0)}}, gamma_t=("top",))
-    cov = load_covector(reduce_loads(spec, 0.05), ref)
-    assert cov.force is not None and cov.moment is not None
-    rng = np.random.default_rng(9)
-    pos = ref.positions + rng.normal(scale=0.01, size=ref.positions.shape)
-    normal = ref.normal + rng.normal(scale=0.01, size=ref.normal.shape)
-    expect = (np.sum(cov.force * (pos - ref.positions))
-              + np.sum(cov.moment * (normal - ref.normal)))
-    got = cov.potential(pos, normal)
-    assert abs(got - expect) < 1e-14 * max(1.0, abs(expect))
-
-
 def test_edge_measures_on_the_cylinder():
     # bottom/top edges run along the arc: arclength factor R; left/right
     # edges run along the axis: factor 1

@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 
 import numpy as np
 import pytest
@@ -291,29 +290,36 @@ def test_gradient_matches_the_full_graph_oracle(kind, params):
                 assert abs(got - want) <= 1e-12 * scale, (model, constants)
 
 
-def test_value_and_grad_leaves_no_reference_cycles():
-    # the gradient holds plain arrays only, so each call's temporaries are
-    # freed by reference counting and the cyclic collector finds nothing
-    chart = make_chart("plate")
-    grid = Grid.uniform(chart.domain, 17, 17)
-    ref = build_reference(chart, grid, 0.1)
-    mat = MaterialParams(mu=1.0, lam=1.0, h=0.1)
-    loads = reduce_loads(LoadSpec(face_plus=(0.0, 0.0, 0.002),
-                                  face_minus=(0.0, 0.0, 0.001)), mat.h)
-    objective = ShellObjective(ref, mat, model=1, loads=loads,
-                               clamped_edges=("left", "right"),
-                               penalty_beta=0.1)
-    rng = np.random.default_rng(3)
-    pos = ref.positions + rng.normal(scale=1e-3, size=ref.positions.shape)
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(20):
-            objective.value_and_grad(pos)
-        found = gc.collect()
-    finally:
-        gc.enable()
-    assert found == 0
+@pytest.mark.parametrize("model", (1, 2, 3))
+def test_gradient_graph_is_the_surface_bundle_alone(model, monkeypatch):
+    # the density enters the bundle's adjoint as seeds, so one gradient
+    # differentiates one surface_bundle call and no more: on the accepted
+    # point it builds no bundle of its own and runs one bundle adjoint
+    ref, mat = _setup("sphere-cap", h=0.05, n=17, radius=1.0, extent=0.6)
+    loads = reduce_loads(uniform_transverse(0.001), mat.h)
+    objective = ShellObjective(ref, mat, model, loads=loads,
+                               clamped_edges=("left",), penalty_beta=0.1)
+    pos = _random_feasible_state(objective, ref, seed=3)
+    point = objective.point(pos)
+    counts = {"surface_bundle": 0, "surface_bundle_vjp": 0}
+
+    def counted(name):
+        func = getattr(minimizer_module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(minimizer_module, name, counted(name))
+    value, grad = objective.value_and_grad(pos, point)
+    assert counts == {"surface_bundle": 0, "surface_bundle_vjp": 1}
+    assert value == point.energy
+    # the one-argument form evaluates the point first: one bundle, one adjoint
+    value1, grad1 = objective.value_and_grad(pos)
+    assert counts == {"surface_bundle": 1, "surface_bundle_vjp": 2}
+    assert value1 == value and np.array_equal(grad1, grad)
 
 
 def test_one_orientation_check_per_surface_bundle(monkeypatch):
