@@ -26,15 +26,13 @@ reported separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
-from .energy import shell_coefficient_table
+from .energy import shell_form_weights
 from .errors import ConfigError
-
-PSD_SLACK = 1e-12
 
 _INF = float("inf")
 
@@ -224,41 +222,38 @@ def volume_quadratic_hessian(ref, mat, h=None):
 # quadratic-form Hessians of the trace densities, sampled convexity
 # ---------------------------------------------------------------------------
 
-def shell_quadratic_hessian(ref, mat, full, h=None):
-    """12x12 Hessian of the trace density viewed as a quadratic in (E, G).
+def shell_quadratic_hessian(ref, mat, model, h=None):
+    """12x12 Hessian of a model's trace density as a quadratic in (E, G).
 
-    E plays grad m and G plays grad n_m as independent 3x2 matrices;
-    the density's fundamental-form slots become E^T E, E^T G, G^T G, so the
-    density is an (x'-dependent) quadratic form on R^12 and its Hessian is
-    state-independent.  Assembled by polarization of the coefficient table,
-    returned as an (n1, n2, 12, 12) stack (flattening order: E rows first,
+    E plays grad m and G plays grad n_m as independent 3x2 matrices; the
+    density's form slots become I = E^T E, II = -E^T G, III = G^T G, so
+    its deformation part sum_k w_k form_k, with the weights w of
+    :func:`~shellreduce.energy.shell_form_weights`, is a quadratic form
+    (1/2) x^T H x on R^12 whose Hessian is state-independent:
+
+        E-E  [[2 w_I11, w_I12], [w_I12, 2 w_I22]] (x) Id_3,
+        G-G  the same from the III weights,
+        E-G  -[[w_II11, w_II12], [w_II21, w_II22]] (x) Id_3.
+
+    Returned as an (n1, n2, 12, 12) stack (flattening order: E rows first,
     then G rows, each row-major 3x2).
     """
-    h = mat.h if h is None else float(h)
-    table = shell_coefficient_table(ref.mean, ref.gauss, h, full)
-    kernels = {0: ref.kernel0, 1: ref.kernel1, 2: ref.kernel2}
-    n1, n2 = ref.mean.shape
+    if h is not None:
+        mat = replace(mat, h=float(h))
+    w = shell_form_weights(ref, mat, model)
 
-    # quadratic form Q(E, G) = sum_p [ cI <E^T E, W_p> + cII <E^T G, W_p>
-    #                                  + cIII <G^T G, W_p> ]  (times mu/2)
-    # Hessian blocks: d2/dE2 [i a, j b] = 2 cI W[a, b] delta_ij, etc.
-    hess = np.zeros((n1, n2, 12, 12))
-    eye3 = np.eye(3)
-    for (p, form), coef in ((k, v) for k, v in table.items()
-                            if isinstance(k, tuple)):
-        W = kernels[p]
-        sym = 0.5 * (W + np.swapaxes(W, -1, -2))
-        coef_f = np.broadcast_to(np.asarray(coef, dtype=float), (n1, n2))
-        block = np.einsum("...,ij,...ab->...iajb", coef_f, eye3, sym)
-        block = block.reshape(n1, n2, 6, 6)
-        if form == "I":
-            hess[..., :6, :6] += 2.0 * block
-        elif form == "III":
-            hess[..., 6:, 6:] += 2.0 * block
-        else:
-            hess[..., :6, 6:] += block
-            hess[..., 6:, :6] += np.swapaxes(block, -1, -2)
-    return 0.5 * mat.mu * hess
+    def block(w11, w12, w21, w22):
+        pair = np.stack([np.stack([w11, w12], -1), np.stack([w21, w22], -1)],
+                        -2)
+        return np.einsum("ij,...ab->...iajb", np.eye(3), pair).reshape(
+            pair.shape[:-2] + (6, 6))
+
+    first = block(2.0 * w["I11"], w["I12"], w["I12"], 2.0 * w["I22"])
+    third = block(2.0 * w["III11"], w["III12"], w["III12"], 2.0 * w["III22"])
+    coupling = block(-w["II11"], -w["II12"], -w["II21"], -w["II22"])
+    return np.concatenate(
+        [np.concatenate([first, coupling], -1),
+         np.concatenate([np.swapaxes(coupling, -1, -2), third], -1)], -2)
 
 
 def sample_convexity(ref, mat, which, h=None, n_samples=1000, seed=0):
@@ -270,10 +265,9 @@ def sample_convexity(ref, mat, which, h=None, n_samples=1000, seed=0):
     Hessian magnitude encountered; PSD within slack means
     min_eigenvalue >= -1e-12 * scale.
     """
-    if which == "full":
-        hess = shell_quadratic_hessian(ref, mat, full=True, h=h)
-    elif which == "cubic":
-        hess = shell_quadratic_hessian(ref, mat, full=False, h=h)
+    if which in ("full", "cubic"):
+        hess = shell_quadratic_hessian(ref, mat, 1 if which == "full" else 2,
+                                       h=h)
     elif which == "volume":
         hess = volume_quadratic_hessian(ref, mat, h=h)
     else:

@@ -132,7 +132,7 @@ def cmd_check(cfg, args):
 def cmd_energy(cfg, args):
     import numpy as np
 
-    from .energy import deformed_state, energy_density_fields, total_energy
+    from .energy import deformed_state, total_energy
     from .errors import ConfigError
     from .reference import build_reference
     from .vtkio import read_vtk, write_csv, write_vtk
@@ -160,11 +160,9 @@ def cmd_energy(cfg, args):
     for key, value in rows:
         print("  %-9s % .17e" % (key, value))
     if args.dump_density:
-        fields = energy_density_fields(state.bundle, ref, cfg.material,
-                                       cfg.model, cfg.constants)
         dump = {k: np.broadcast_to(np.asarray(v, dtype=float),
                                    positions.shape[:2]).copy()
-                for k, v in fields.items()}
+                for k, v in breakdown.fields.items()}
         write_vtk(_outpath(args, "energy-density.vtk"), positions,
                   fields=dump, comment="reduced energy densities")
     return 0

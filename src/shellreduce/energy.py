@@ -2,19 +2,20 @@
 
 All densities are *per unit reference area measure* ``a_y0 dx'``: the total
 internal energy is the surface quadrature of ``density * a_y0``.  A density
-is assembled from contractions of the deformed fundamental forms against the
-reference kernels (see :mod:`shellreduce.reference`) with thickness-dependent
-scalar coefficients in the reference curvatures:
+is assembled from the deformed fundamental forms, the reference kernels (see
+:mod:`shellreduce.reference`) and thickness-dependent scalar coefficients in
+the reference curvatures:
 
-- ``w_shell_1``  membrane/bending trace term with all fifth-order blocks
-  (models I and III),
-- ``w_shell_2``  the same truncated after the cubic blocks (model II),
+- ``w_shell``  membrane/bending trace term, linear in the deformed forms
+  with the reference weights of :func:`shell_form_weights` (all
+  fifth-order blocks for models I and III, truncated after the cubic
+  blocks for model II),
 - ``w_curv_log`` three-point through-thickness rule for the logarithmic
   volumetric term,
 - ``w_curv_det2_simpson`` three-point rule for the squared-volume term
   (models I and II),
 - ``w_curv_det2_taylor`` closed-form thickness expansion of the
-  squared-volume term (model III).
+  squared-volume term (model III), :func:`det_square_bracket`.
 
 Two constant calibrations are exposed.  ``oracle`` (default) matches the
 through-thickness integral of the parent 3-D stored energy exactly: the
@@ -27,11 +28,13 @@ standalone thickness factor read as ``h + h^3 K / 6``.  The natural-state
 and 3-D-agreement guarantees hold for ``oracle`` only.
 
 The density is differentiated in closed form.  The shell term is linear in
-the deformed forms with coefficients that depend on the reference only
-(:func:`shell_form_weights`); the log and squared-volume terms are scalar
-functions of a_m, H_m and K_m whose partials :func:`density_partials`
-returns as plain fields; the standalone and constant terms do not depend on
-the deformation.  The minimizer seeds the adjoint of ``surface_bundle``
+the deformed forms with weights that depend on the reference only
+(:func:`shell_form_weights`, the one encoding of the term: its value, its
+gradient and the convexity Hessian of
+:func:`~shellreduce.admissibility.shell_quadratic_hessian` all read them);
+the log and squared-volume terms are scalar functions of a_m, H_m and K_m
+whose partials :func:`density_partials` returns as plain fields; the
+standalone and constant terms do not depend on the deformation.  The minimizer seeds the adjoint of ``surface_bundle``
 (:func:`~shellreduce.geometry.surface_bundle_vjp`) with these partials.
 
 A deformed configuration enters as the same per-node record the reference
@@ -42,7 +45,7 @@ and the reference share one thickness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,7 +57,6 @@ from .errors import ConfigError, OrientationViolation, ThicknessError
 from .geometry import DeformedState, deformed_state, face_factors  # noqa: F401
 from .grids import area_weights
 from .loads import load_covector
-from .reference import contract
 
 MODELS = (1, 2, 3)
 CONSTANT_MODES = ("oracle", "paper")
@@ -85,7 +87,8 @@ class EnergyBreakdown:
 
     ``internal`` is the quadrature of the summed densities (``internal_sum``,
     the minimizer's order), so it can differ from the sum of the four
-    separately integrated terms in the last bits.
+    separately integrated terms in the last bits.  ``fields`` holds the
+    four density fields that were integrated (``energy_density_fields``).
     """
 
     shell_term: float
@@ -96,6 +99,7 @@ class EnergyBreakdown:
     load_term: float
     model: int
     constants: str
+    fields: dict = field(repr=False, compare=False)
 
     @property
     def total(self):
@@ -152,7 +156,7 @@ def require_orientation(bundle, ref, h, eps=EPS_ORIENT):
 # The geometry pipeline stores the coupling form as II = -(grad m)^T grad n_m,
 # but the thickness expansion of |F|^2 contracts +(grad m)^T grad n_m: the
 # x3-linear block of (grad m + x3 grad n_m)^T (grad m + x3 grad n_m) is
-# grad m^T grad n_m + its transpose = -2 II.  Feed the negated components so
+# grad m^T grad n_m + its transpose = -2 II.  The II weights are negated so
 # the contraction-slope table reproduces the through-thickness integral
 # (checked by the natural-state and 3-D comparison tests; the cylinder is
 # the sensitive case, the sphere's II-coefficients cancel identically).
@@ -166,22 +170,13 @@ _FORM_KEYS = {
 }
 
 
-def _forms_from_bundle(bundle):
-    return {name: {ij: bundle[key] if sign > 0.0 else -bundle[key]
-                   for ij, key in keys.items()}
-            for name, (sign, keys) in _FORM_KEYS.items()}
-
-
 def shell_coefficient_table(mean, gauss, h, full):
     """Thickness coefficients of the nine contraction blocks.
 
     Keys (p, form): p in {0, 1, 2} selects the contraction kernel
-    F_p, form in {"I", "II", "III"} the deformed fundamental form; plus the
-    deformation-independent key "standalone".  ``full`` keeps the
-    fifth-order blocks (models I/III); otherwise they are dropped
-    (model II).  The standalone entry here is the shared exact volume factor
-    ``h + h^3 K / 12``; the cubic model's published variant is handled by
-    the caller.
+    F_p, form in {"I", "II", "III"} the deformed fundamental form.  ``full``
+    keeps the fifth-order blocks (models I/III); otherwise they are dropped
+    (model II).
     """
     h3 = h ** 3 / 12.0
     table = {
@@ -193,7 +188,6 @@ def shell_coefficient_table(mean, gauss, h, full):
         (2, "I"): h3,
         (2, "II"): np.zeros_like(mean),
         (2, "III"): np.zeros_like(mean),
-        "standalone": h + h3 * gauss,
     }
     if full:
         h5 = h ** 5 / 80.0
@@ -207,60 +201,44 @@ def shell_coefficient_table(mean, gauss, h, full):
     return table
 
 
-def _shell_density(bundle, ref, mat, full, standalone):
-    forms = _forms_from_bundle(bundle)
-    table = shell_coefficient_table(ref.mean, ref.gauss, mat.h, full)
-    kernels = (ref.kernel0, ref.kernel1, ref.kernel2)
-    acc = standalone
-    for key, coef in table.items():
-        if not isinstance(key, tuple):
-            continue
-        p, name = key
-        acc = acc + coef * contract(forms[name], kernels[p])
-    return 0.5 * mat.mu * acc
-
-
-def w_shell_1(bundle, ref, mat):
-    """Trace density with all fifth-order thickness blocks (models I, III)."""
-    return _shell_density(bundle, ref, mat, full=True,
-                          standalone=mat.h + mat.h ** 3 * ref.gauss / 12.0)
-
-
-def w_shell_2(bundle, ref, mat, constants="oracle"):
-    """Cubic-truncation trace density (model II).
-
-    The standalone factor is (h + h^3 K/12) under the ``oracle``
-    calibration and the as-published (h + h^3 K/6) under ``paper``.
-    """
-    _check_mode(constants)
-    denom = 12.0 if constants == "oracle" else 6.0
-    standalone = mat.h + mat.h ** 3 * ref.gauss / denom
-    return _shell_density(bundle, ref, mat, full=False, standalone=standalone)
-
-
 def shell_form_weights(ref, mat, model):
-    """The shell density's partials in the bundle's form components.
+    """The shell density's weights on the bundle's form components.
 
     The shell density is linear in the deformed forms, so these are plain
     reference fields keyed like the bundle (I11, I12, I22, II11, II12, II21,
     II22, III11, III12, III22): mu/2 sum_p coef(p, form) F_p entrywise, with
     the 12 and 21 kernel entries added for the symmetric I and III and
-    negated for II (see ``_forms_from_bundle``).  The standalone factor does
-    not depend on the deformation in either constant mode.
+    negated for II (see ``_FORM_KEYS``).  They are the density's partials
+    in the forms, since the standalone factor does not depend on the
+    deformation in either constant mode.
     """
     table = shell_coefficient_table(ref.mean, ref.gauss, mat.h, model != 2)
     kernels = (ref.kernel0, ref.kernel1, ref.kernel2)
     weights = {}
-    for key, coef in table.items():
-        if not isinstance(key, tuple):
-            continue
-        p, name = key
+    for (p, name), coef in table.items():
         sign, keys = _FORM_KEYS[name]
-        for ij, field in keys.items():
+        for ij, key in keys.items():
             entry = kernels[p][..., int(ij[0]) - 1, int(ij[1]) - 1]
             term = (0.5 * mat.mu * sign) * coef * entry
-            weights[field] = weights.get(field, 0.0) + term
+            weights[key] = weights.get(key, 0.0) + term
     return weights
+
+
+def w_shell(bundle, ref, mat, model, constants="oracle", weights=None):
+    """Trace density mu/2 (h + h^3 K/12) + sum_k weights[k] bundle[k].
+
+    ``weights`` may pass in :func:`shell_form_weights` of (ref, mat,
+    model).  The model-II standalone factor is read as the as-published
+    h + h^3 K/6 under ``paper``.
+    """
+    _check_mode(constants)
+    if weights is None:
+        weights = shell_form_weights(ref, mat, model)
+    denom = 6.0 if model == 2 and constants == "paper" else 12.0
+    acc = 0.5 * mat.mu * (mat.h + mat.h ** 3 * ref.gauss / denom)
+    for key, weight in weights.items():
+        acc = acc + weight * bundle[key]
+    return acc
 
 
 def _log_coefficient(mat, constants):
@@ -318,26 +296,31 @@ def w_curv_det2_simpson(bundle, ref, mat, constants="oracle", faces=None):
     return density
 
 
-def w_curv_det2_taylor(bundle, ref, mat, constants="oracle"):
-    """Closed-form thickness expansion of the squared-volume term (model III).
+def det_square_bracket(mean, gauss, d_mean, d_gauss, h):
+    """int (b_m/b)^2 b dx3 through fifth order (error O(h^7)).
 
-    (lam/4) (a_m/a_y0)^2 [ h + (h^3/12)(K + 4 dH^2 + 2 dK)
-        + (h^5/80)(16 H^2 dH^2 - 8 H dH dK - 4 K dH^2 + dK^2) ],
+    = h + h^3/12 (K + 4 dH^2 + 2 dK)
+        + h^5/80 (16 H^2 dH^2 - 8 H dH dK - 4 K dH^2 + dK^2),
+    with reference curvatures (mean, gauss) = (H, K) and the deformed
+    state's offsets (d_mean, d_gauss) = (dH, dK); complex offsets pass
+    through.
+    """
+    H, K, dH, dK = mean, gauss, d_mean, d_gauss
+    h3 = h ** 3 / 12.0
+    h5 = h ** 5 / 80.0
+    return (h + h3 * (K + 4.0 * dH * dH + 2.0 * dK)
+            + h5 * (16.0 * H * H * dH * dH - 8.0 * H * dH * dK
+                    - 4.0 * K * dH * dH + dK * dK))
+
+
+def w_curv_det2_taylor(bundle, ref, mat, constants="oracle"):
+    """Closed-form thickness expansion of the squared-volume term (model III):
+    (lam/4) (a_m/a_y0)^2 times :func:`det_square_bracket` of
     dH = H_m - H, dK = K_m - K (reference curvatures unsubscripted).
     """
     _check_mode(constants)
-    d_mean = bundle["H"] - ref.mean
-    d_gauss = bundle["K"] - ref.gauss
-    h3 = mat.h ** 3 / 12.0
-    h5 = mat.h ** 5 / 80.0
-    bracket = (
-        mat.h
-        + h3 * (ref.gauss + 4.0 * d_mean * d_mean + 2.0 * d_gauss)
-        + h5 * (16.0 * ref.mean ** 2 * d_mean * d_mean
-                - 8.0 * ref.mean * d_mean * d_gauss
-                - 4.0 * ref.gauss * d_mean * d_mean
-                + d_gauss * d_gauss)
-    )
+    bracket = det_square_bracket(ref.mean, ref.gauss, bundle["H"] - ref.mean,
+                                 bundle["K"] - ref.gauss, mat.h)
     ratio = bundle["a"] / ref.area
     density = 0.25 * mat.lam * ratio * ratio * bracket
     if constants == "paper":
@@ -414,9 +397,10 @@ def _check_mode(constants):
 
 
 def energy_density_fields(bundle, ref, mat, model, constants="oracle",
-                          faces=None):
+                          faces=None, weights=None):
     """The four density fields of a model, keyed like EnergyBreakdown.
-    ``faces`` may pass in the bundle's face factors at ``mat.h``."""
+    ``faces`` may pass in the bundle's face factors at ``mat.h`` and
+    ``weights`` the model's :func:`shell_form_weights`."""
     if model not in MODELS:
         raise ConfigError("model must be one of %s, got %r" % (MODELS, model))
     # b(x3) = 1 - 2 H x3 + K x3^2 stays positive through the slab iff
@@ -427,10 +411,7 @@ def energy_density_fields(bundle, ref, mat, model, constants="oracle",
             "thickness h = %g exceeds the geometric bound "
             "(h sup|kappa| = %.3f, needs < 2)"
             % (mat.h, mat.h * ref.kappa_sup))
-    if model == 2:
-        shell = w_shell_2(bundle, ref, mat, constants)
-    else:
-        shell = w_shell_1(bundle, ref, mat)
+    shell = w_shell(bundle, ref, mat, model, constants, weights)
     faces = _deformed_faces(bundle, mat, faces)
     log_term = w_curv_log(bundle, ref, mat, constants, faces)
     if model == 3:
@@ -489,4 +470,5 @@ def total_energy(state, ref, mat, model, constants="oracle", loads=None,
         load_term=load_term,
         model=model,
         constants=constants,
+        fields=fields,
     )

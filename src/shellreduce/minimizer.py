@@ -155,11 +155,9 @@ class ShellObjective:
                                    ref.order)
         self.w2d = area_weights(grid) * ref.area
         self.constant_density = constant_density(ref, mat, constants)
-        # the shell density's partials in the forms depend on the reference
-        # only (it is linear in the forms)
-        self.form_weights = {
-            key: self.w2d * weight
-            for key, weight in shell_form_weights(ref, mat, model).items()}
+        # the shell density is linear in the forms: its value and its
+        # partials both read these reference-only weights
+        self.form_weights = shell_form_weights(ref, mat, model)
 
         # clamp penalty measure: arclength-weighted union of the clamped edges
         pen = np.zeros((grid.n1, grid.n2))
@@ -186,7 +184,7 @@ class ShellObjective:
         # internal energy plus constant, minus loads, plus clamp penalty
         faces = face_factors(bundle["H"], bundle["K"], self.mat.h)
         dens = energy_density_fields(bundle, self.ref, self.mat, self.model,
-                                     self.constants, faces)
+                                     self.constants, faces, self.form_weights)
         density = dens["shell"] + dens["curv_log"] + dens["curv_det2"]
         total = internal_sum(self.w2d, density, self.constant_density)
         total -= float(self.load.potential(positions, bundle["n"]))
@@ -227,7 +225,8 @@ class ShellObjective:
         partials = density_partials(bundle, point.faces, point.det2,
                                     self.ref, self.mat, self.model,
                                     self.constants)
-        seeds = dict(self.form_weights)
+        seeds = {key: self.w2d * weight
+                 for key, weight in self.form_weights.items()}
         for key, part in zip("aHK", partials):
             seeds[key] = self.w2d * part
         normal = bundle["n"]

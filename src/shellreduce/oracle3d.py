@@ -31,7 +31,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .energy import MaterialParams, deformed_state, total_energy
+# det_square_bracket is the model-3 density's own bracket, re-exported next
+# to the other closed-form thickness tables
+from .energy import (MaterialParams, det_square_bracket,  # noqa: F401
+                     deformed_state, total_energy)
 from .errors import ConfigError, NonPositiveDeterminant
 from .geometry import form22, lift_flat, require_thickness, with_thickness
 from .grids import area_weights, thickness_rule
@@ -222,21 +225,6 @@ def det_square_series(mean, gauss, d_mean, d_gauss):
           + 16.0 * H * K * dH - 16.0 * H * dH * dK - 8.0 * K * dH * dH
           - 2.0 * K * dK + dK * dK)
     return {1: c1, 2: c2, 3: c3, 4: c4}
-
-
-def det_square_bracket(mean, gauss, d_mean, d_gauss, h):
-    """int (b_m/b)^2 b dx3 through fifth order (error O(h^7)).
-
-    = h + h^3/12 (K + 4 dH^2 + 2 dK)
-        + h^5/80 (16 H^2 dH^2 - 8 H dH dK - 4 K dH^2 + dK^2).
-    """
-    H, K = np.asarray(mean, dtype=float), np.asarray(gauss, dtype=float)
-    dH, dK = np.asarray(d_mean, dtype=float), np.asarray(d_gauss, dtype=float)
-    h3 = h ** 3 / 12.0
-    h5 = h ** 5 / 80.0
-    return (h + h3 * (K + 4.0 * dH * dH + 2.0 * dK)
-            + h5 * (16.0 * H * H * dH * dH - 8.0 * H * dH * dK
-                    - 4.0 * K * dH * dH + dK * dK))
 
 
 def log_det_bracket(mean, gauss, log_area_ratio, d_mean, d_gauss, h):

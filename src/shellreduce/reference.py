@@ -1,14 +1,15 @@
 """Precomputed reference-surface data shared by energies and thresholds.
 
-The reduced densities contract deformed-surface forms against fixed kernels
-built from the reference chart:
+The reduced shell density contracts deformed-surface forms against fixed
+kernels built from the reference chart:
 
     F0(Q) = <Q, I^{-1}>,   F1(Q) = <Q, L I^{-1} + I^{-1} L>,
     F2(Q) = <Q, L^T I^{-1} L>,
 
-with <A, B> = sum_ij A_ij B_ij.  Those kernels and the curvature suprema
-entering the convexity thresholds are fixed once per (chart, grid); only the
-face factors depend on the thickness (see
+with <A, B> = sum_ij A_ij B_ij, folded into one weight per form component
+by :func:`~shellreduce.energy.shell_form_weights`.  Those kernels and the
+curvature suprema entering the convexity thresholds are fixed once per
+(chart, grid); only the face factors depend on the thickness (see
 :func:`~shellreduce.geometry.with_thickness`).  :func:`build_reference`
 builds the reference's per-node record with the same
 :func:`~shellreduce.geometry.deformed_state` as any deformed configuration
@@ -56,19 +57,6 @@ class ReferenceField(DeformedState):
     kernel2: np.ndarray         # L^T I^{-1} L
     curvature_bound: float      # C = 2 sup |I^{1/2} L^T I^{-1/2}|_F
     kappa_sup: float            # sup max(|kappa1|, |kappa2|)
-
-
-def contract(Q, kernel):
-    """<Q, kernel> = sum_ij Q_ij kernel_ij pointwise.
-
-    ``Q`` may be a stacked (n1, n2, 2, 2) array or a dict of its component
-    fields {"11": .., "12": .., "21": .., "22": ..}; the kernel is a stacked
-    array.
-    """
-    if isinstance(Q, np.ndarray):
-        return np.einsum("...ij,...ij->...", Q, kernel)
-    return (Q["11"] * kernel[..., 0, 0] + Q["12"] * kernel[..., 0, 1]
-            + Q["21"] * kernel[..., 1, 0] + Q["22"] * kernel[..., 1, 1])
 
 
 def _product22(*factors):

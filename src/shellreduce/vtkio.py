@@ -102,8 +102,15 @@ def read_vtk(path):
     idx = start + 3 * count
     while idx < len(flat):
         if flat[idx] == "SCALARS":
+            # SCALARS name type [numComp], numComp 1 when absent
             name = flat[idx + 1]
-            idx += 4  # SCALARS name type ncomp
+            idx += 3
+            if idx < len(flat) and flat[idx] != "LOOKUP_TABLE":
+                if flat[idx] != "1":
+                    raise ConfigError("%s: field %r has component count "
+                                      "%s, only 1 is supported"
+                                      % (path, name, flat[idx]))
+                idx += 1
             if idx < len(flat) and flat[idx] == "LOOKUP_TABLE":
                 idx += 2
             vals = _parse_block(path, "field %r" % name, flat[idx:idx + count])

@@ -126,6 +126,33 @@ def test_energy_dump_density_writes_fields(tmp_path):
     assert fields  # at least one per-node density field rode along
 
 
+def test_energy_dump_density_evaluates_the_densities_once(tmp_path,
+                                                         monkeypatch):
+    # the dumped fields are the ones the breakdown integrated
+    import shellreduce.energy as energy_module
+    text = SPHERE.replace("material.h = 0.8", "material.h = 0.1")
+    vtk, cfg_obj = _natural_vtk(tmp_path, text)
+    pos, _ = read_vtk(vtk)
+    pos[3:6, 3:6, 2] += 0.01
+    write_vtk(vtk, pos)
+    evaluated = []
+    original = energy_module.energy_density_fields
+
+    def counted(*args, **kwargs):
+        evaluated.append(original(*args, **kwargs))
+        return evaluated[-1]
+
+    monkeypatch.setattr(energy_module, "energy_density_fields", counted)
+    rc = main(["energy", "--config", _config(tmp_path, text), "--deformation",
+               vtk, "--dump-density", "--out", str(tmp_path)])
+    assert rc == 0
+    assert len(evaluated) == 1
+    _, fields = read_vtk(tmp_path / "energy-density.vtk")
+    assert sorted(fields) == sorted(evaluated[0])
+    for name, values in evaluated[0].items():
+        assert fields[name].tobytes() == values.tobytes(), name
+
+
 def test_energy_paper_and_oracle_constants_differ_on_a_sphere(tmp_path):
     text = SPHERE.replace("material.h = 0.8", "material.h = 0.1")
     vtk, _ = _natural_vtk(tmp_path, text)

@@ -418,6 +418,27 @@ def test_vtk_read_names_the_block_of_a_bad_value(tmp_path):
         read_vtk(path)
 
 
+def test_vtk_read_takes_an_absent_scalars_component_count_as_one(tmp_path):
+    # numComp is optional in "SCALARS name type [numComp]"
+    values = np.linspace(-1.0, 1.0, 35).reshape(5, 7)
+    path = tmp_path / "mesh.vtk"
+    write_vtk(path, np.ones((5, 7, 3)), fields={"rho": values})
+    text = path.read_text()
+    path.write_text(text.replace("SCALARS rho double 1", "SCALARS rho double"))
+    _, fields = read_vtk(path)
+    assert fields["rho"].tobytes() == values.tobytes()
+
+
+def test_vtk_read_rejects_multi_component_scalars(tmp_path):
+    path = tmp_path / "mesh.vtk"
+    write_vtk(path, np.ones((5, 7, 3)),
+              fields={"rho": np.zeros((5, 7)), "phi": np.zeros((5, 7))})
+    text = path.read_text()
+    path.write_text(text.replace("SCALARS phi double 1", "SCALARS phi double 3"))
+    with pytest.raises(ConfigError, match=r"'phi'.*component count 3"):
+        read_vtk(path)
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
 def test_vtk_read_names_the_node_of_a_non_finite_point(tmp_path, token):
     # points are listed with the second index fastest, so line 6 + 7 * 3 + 4

@@ -5,11 +5,11 @@ from shellreduce.energy import (CONSTANT_MODES, MODELS, MaterialParams,
                                 constant_density, deformed_state,
                                 density_partials, energy_density_fields,
                                 shell_coefficient_table, shell_form_weights,
-                                total_energy, w_curv_log, w_shell_1, w_shell_2)
+                                total_energy, w_curv_log, w_shell)
 from shellreduce.errors import (ConfigError, OrientationViolation,
                                 ThicknessError)
 from shellreduce.geometry import (TrigDisplacement, displace_chart, face_factors,
-                                  make_chart)
+                                  form22, make_chart)
 from shellreduce.grids import Grid, area_weights
 from shellreduce.reference import build_reference
 
@@ -83,8 +83,8 @@ def test_truncated_and_full_shell_densities_agree_only_on_umbilic_charts():
         chart, grid, ref, mat = _setup(kind, **params)
         disp = TrigDisplacement.standard(chart.domain, amp)
         state = deformed_state(displace_chart(chart, disp), grid, mat.h)
-        w_full = w_shell_1(state.bundle, ref, mat)
-        w_trunc = w_shell_2(state.bundle, ref, mat, constants="oracle")
+        w_full = w_shell(state.bundle, ref, mat, 1)
+        w_trunc = w_shell(state.bundle, ref, mat, 2, constants="oracle")
         gap = np.abs(w_full - w_trunc).max()
         if same:
             assert gap < 1e-15, kind
@@ -111,7 +111,7 @@ def test_coefficient_table_truncation_drops_exactly_the_fifth_order_blocks():
     }
     for key, gap in expected_gap.items():
         assert np.abs((full[key] - trunc[key]) - gap).max() < 1e-16, key
-    assert np.array_equal(full["standalone"], trunc["standalone"])
+    assert sorted(full) == sorted(trunc) == sorted(expected_gap)
 
 
 def _deformed_bundle():
@@ -176,6 +176,28 @@ def test_shell_form_weights_are_the_shell_density_partials(model,
         # the shell density is linear in the forms: only round-off remains
         fd = _central_difference(shell, bundle, key, 1e-3)
         assert np.abs(weight - fd).max() <= 1e-10 * scale, key
+
+
+@pytest.mark.parametrize("constants", CONSTANT_MODES)
+@pytest.mark.parametrize("model", MODELS)
+def test_shell_density_matches_the_kernel_contractions(model, constants):
+    # an independent evaluation of the thickness expansion: the stacked
+    # forms (II negated, see energy._FORM_KEYS) contracted against each
+    # kernel by einsum, weighted by the coefficient table; the weights are
+    # not used
+    bundle, ref, mat = _deformed_bundle()
+    table = shell_coefficient_table(ref.mean, ref.gauss, mat.h, model != 2)
+    kernels = (ref.kernel0, ref.kernel1, ref.kernel2)
+    forms = {"I": form22(bundle, "I"), "II": -form22(bundle, "II"),
+             "III": form22(bundle, "III")}
+    denom = 6.0 if (model, constants) == (2, "paper") else 12.0
+    acc = mat.h + mat.h ** 3 * ref.gauss / denom
+    for (p, name), coef in table.items():
+        acc = acc + coef * np.einsum("...ij,...ij->...", forms[name],
+                                     kernels[p])
+    want = 0.5 * mat.mu * acc
+    got = w_shell(bundle, ref, mat, model, constants)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_constant_modes_differ_and_validate():

@@ -5,7 +5,7 @@ from shellreduce.admissibility import admissibility_report
 from shellreduce.errors import ConfigError
 from shellreduce.geometry import face_factors, form22, make_chart
 from shellreduce.grids import Grid
-from shellreduce.reference import build_reference, contract, spd_sqrt_2x2
+from shellreduce.reference import build_reference, spd_sqrt_2x2
 
 RNG = np.random.default_rng(20240517)
 
@@ -59,17 +59,6 @@ def test_sphere_kernels_collapse_to_multiples_of_the_first():
     assert np.abs(ref.kernel2 - K * ref.kernel0).max() < 1e-12
 
 
-def test_kernel_contractions_match_einsum_and_dict_paths():
-    ref = _ref("cylinder-patch", radius=1.0, height=1.0, arc=1.0, n=9)
-    Q = RNG.normal(size=ref.kernel0.shape)
-    qdict = {"11": Q[..., 0, 0], "12": Q[..., 0, 1],
-             "21": Q[..., 1, 0], "22": Q[..., 1, 1]}
-    for kernel in (ref.kernel0, ref.kernel1, ref.kernel2):
-        direct = np.einsum("...ij,...ij->...", Q, kernel)
-        assert np.abs(contract(Q, kernel) - direct).max() < 1e-14
-        assert np.abs(contract(qdict, kernel) - direct).max() < 1e-14
-
-
 def test_second_kernel_is_positive_on_gram_arguments():
     # contracting the quadratic kernel with any Gram matrix E^T E gives
     # |I^{-1/2} L E^T|_F^2 >= 0; the factored form is the convexity engine
@@ -77,7 +66,7 @@ def test_second_kernel_is_positive_on_gram_arguments():
     for _ in range(25):
         E = RNG.normal(size=(3, 2))
         gram = E.T @ E
-        vals = contract(np.broadcast_to(gram, ref.kernel2.shape), ref.kernel2)
+        vals = np.einsum("ij,...ij->...", gram, ref.kernel2)
         assert vals.min() > -1e-15
 
 
