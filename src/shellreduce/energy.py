@@ -34,13 +34,15 @@ gradient and the convexity Hessian of
 :func:`~shellreduce.admissibility.shell_quadratic_hessian` all read them);
 the log and squared-volume terms are scalar functions of a_m, H_m and K_m
 whose partials :func:`density_partials` returns as plain fields; the
-standalone and constant terms do not depend on the deformation.  The minimizer seeds the adjoint of ``surface_bundle``
+standalone and constant terms do not depend on the deformation.  The
+minimizer seeds the adjoint of ``surface_bundle``
 (:func:`~shellreduce.geometry.surface_bundle_vjp`) with these partials.
 
-A deformed configuration enters as the same per-node record the reference
-is built on, :func:`~shellreduce.geometry.deformed_state` (re-exported
-here); :func:`total_energy` reads its bundle and checks that the material
-and the reference share one thickness.
+:class:`ReducedEnergy` is the one assembly of the energy: it checks a run
+once and holds its reference-only fields, and :func:`total_energy` and the
+minimizer's ``ShellObjective`` (a subclass) both evaluate through it.  A
+deformed configuration enters as the same per-node record the reference is
+built on, :func:`~shellreduce.geometry.deformed_state` (re-exported here).
 """
 
 from __future__ import annotations
@@ -85,10 +87,11 @@ class MaterialParams:
 class EnergyBreakdown:
     """Per-term energies; total = internal - load_term.
 
-    ``internal`` is the quadrature of the summed densities (``internal_sum``,
-    the minimizer's order), so it can differ from the sum of the four
-    separately integrated terms in the last bits.  ``fields`` holds the
-    four density fields that were integrated (``energy_density_fields``).
+    ``internal`` is the node-by-node quadrature of the summed densities
+    (:meth:`ReducedEnergy.evaluate`, the minimizer's order), so it can
+    differ from the sum of the four separately integrated terms in the last
+    bits.  ``fields`` holds the four density fields that were integrated
+    (``energy_density_fields``).
     """
 
     shell_term: float
@@ -106,25 +109,16 @@ class EnergyBreakdown:
         return self.internal - self.load_term
 
 
-def require_same_thickness(ref, mat):
-    """Raise ConfigError unless ``mat`` has the reference's thickness: the
-    reference face factors and kernels hold for that thickness only."""
-    if abs(mat.h - ref.h) > 1e-15 * max(1.0, ref.h):
-        raise ConfigError(
-            "material thickness %g disagrees with reference thickness %g"
-            % (mat.h, ref.h))
-
-
-def orientation_violations(bundle, ref, h, eps=EPS_ORIENT):
+def orientation_violations(bundle, ref, faces, eps=EPS_ORIENT):
     """(quantity, index, value) for the worst orientation defect of a plain
-    bundle, or None.
+    bundle with face factors ``faces`` = (A^+_m, A^-_m), or None.
 
     The discrete admissible set requires a_m > eps * a_y0 and both face
     factors above eps at every node.  argmin returns the first NaN, so a
     NaN factor (a non-finite position upstream) is a violation at its node.
     """
     a_m = bundle["a"]
-    plus, minus = face_factors(bundle["H"], bundle["K"], h)
+    plus, minus = faces
     checks = (
         ("midsurface area factor a_m", a_m, eps * ref.area),
         ("face factor A_m^+", plus, eps),
@@ -140,13 +134,6 @@ def orientation_violations(bundle, ref, h, eps=EPS_ORIENT):
     if worst is None:
         return None
     return worst[:3]
-
-
-def require_orientation(bundle, ref, h, eps=EPS_ORIENT):
-    bad = orientation_violations(bundle, ref, h, eps)
-    if bad is not None:
-        name, idx, value = bad
-        raise OrientationViolation(idx, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +218,6 @@ def w_shell(bundle, ref, mat, model, constants="oracle", weights=None):
     model).  The model-II standalone factor is read as the as-published
     h + h^3 K/6 under ``paper``.
     """
-    _check_mode(constants)
     if weights is None:
         weights = shell_form_weights(ref, mat, model)
     denom = 6.0 if model == 2 and constants == "paper" else 12.0
@@ -247,25 +233,17 @@ def _log_coefficient(mat, constants):
     return -(mat.lam + 2.0 * mat.mu) / 4.0
 
 
-def _deformed_faces(bundle, mat, faces):
-    """The bundle's face factors (A^+_m, A^-_m) at the material thickness,
-    unless the caller passes them in as ``faces``."""
-    if faces is None:
-        return face_factors(bundle["H"], bundle["K"], mat.h)
-    return faces
-
-
-def w_curv_log(bundle, ref, mat, constants="oracle", faces=None):
-    """Three-point thickness rule for the logarithmic volume term.
+def w_curv_log(bundle, ref, mat, constants, faces):
+    """Three-point thickness rule for the logarithmic volume term, given the
+    bundle's face factors ``faces`` = (A^+_m, A^-_m).
 
     bracket = A^-_y0 [log(a_m A^-_m) - log(a_y0 A^-_y0)]
               + 4 [log a_m - log a_y0]
               + A^+_y0 [log(a_m A^+_m) - log(a_y0 A^+_y0)]
     density = coef * (h/6) * bracket.
     """
-    _check_mode(constants)
     a_m = bundle["a"]
-    plus_m, minus_m = _deformed_faces(bundle, mat, faces)
+    plus_m, minus_m = faces
     log_a0 = np.log(ref.area)
     log_p0 = np.log(ref.area * ref.a_plus)
     log_m0 = np.log(ref.area * ref.a_minus)
@@ -277,14 +255,13 @@ def w_curv_log(bundle, ref, mat, constants="oracle", faces=None):
     return _log_coefficient(mat, constants) * (mat.h / 6.0) * bracket
 
 
-def w_curv_det2_simpson(bundle, ref, mat, constants="oracle", faces=None):
+def w_curv_det2_simpson(bundle, ref, mat, constants, faces):
     """Three-point thickness rule for the squared-volume term (models I, II).
 
     Under ``paper`` the block keeps its as-published interior area factor.
     """
-    _check_mode(constants)
     a_m = bundle["a"]
-    plus_m, minus_m = _deformed_faces(bundle, mat, faces)
+    plus_m, minus_m = faces
     r0 = a_m / ref.area
     r_plus = a_m * plus_m / (ref.area * ref.a_plus)
     r_minus = a_m * minus_m / (ref.area * ref.a_minus)
@@ -318,7 +295,6 @@ def w_curv_det2_taylor(bundle, ref, mat, constants="oracle"):
     (lam/4) (a_m/a_y0)^2 times :func:`det_square_bracket` of
     dH = H_m - H, dK = K_m - K (reference curvatures unsubscripted).
     """
-    _check_mode(constants)
     bracket = det_square_bracket(ref.mean, ref.gauss, bundle["H"] - ref.mean,
                                  bundle["K"] - ref.gauss, mat.h)
     ratio = bundle["a"] / ref.area
@@ -383,90 +359,123 @@ def density_partials(bundle, faces, det2, ref, mat, model,
 
 def constant_density(ref, mat, constants="oracle"):
     """Deformation-independent additive density."""
-    _check_mode(constants)
     base = -(1.5 * mat.mu + 0.25 * mat.lam)
     if constants == "oracle":
         return base * (mat.h + mat.h ** 3 * ref.gauss / 12.0)
     return base * np.ones_like(ref.gauss)
 
 
-def _check_mode(constants):
-    if constants not in CONSTANT_MODES:
-        raise ConfigError("constants mode must be one of %s, got %r"
-                          % (CONSTANT_MODES, constants))
-
-
 def energy_density_fields(bundle, ref, mat, model, constants="oracle",
-                          faces=None, weights=None):
+                          faces=None, weights=None, constant=None):
     """The four density fields of a model, keyed like EnergyBreakdown.
-    ``faces`` may pass in the bundle's face factors at ``mat.h`` and
-    ``weights`` the model's :func:`shell_form_weights`."""
-    if model not in MODELS:
-        raise ConfigError("model must be one of %s, got %r" % (MODELS, model))
-    # b(x3) = 1 - 2 H x3 + K x3^2 stays positive through the slab iff
-    # h sup|kappa| < 2; on a sphere it can vanish inside while both faces
-    # stay positive, so the face factors alone are not the test
-    if mat.h * ref.kappa_sup >= 2.0:
-        raise ThicknessError(
-            "thickness h = %g exceeds the geometric bound "
-            "(h sup|kappa| = %.3f, needs < 2)"
-            % (mat.h, mat.h * ref.kappa_sup))
+    ``faces``, ``weights`` and ``constant`` may pass in the bundle's face
+    factors at ``mat.h``, :func:`shell_form_weights` and
+    :func:`constant_density`.  Like the ``w_*`` terms it checks nothing:
+    :class:`ReducedEnergy` checks the model, mode and thickness per run."""
     shell = w_shell(bundle, ref, mat, model, constants, weights)
-    faces = _deformed_faces(bundle, mat, faces)
+    if faces is None:
+        faces = face_factors(bundle["H"], bundle["K"], mat.h)
     log_term = w_curv_log(bundle, ref, mat, constants, faces)
     if model == 3:
         det2 = w_curv_det2_taylor(bundle, ref, mat, constants)
     else:
         det2 = w_curv_det2_simpson(bundle, ref, mat, constants, faces)
+    if constant is None:
+        constant = constant_density(ref, mat, constants)
     return {
         "shell": shell,
         "curv_log": log_term,
         "curv_det2": det2,
-        "constant": constant_density(ref, mat, constants),
+        "constant": constant,
     }
 
 
 # ---------------------------------------------------------------------------
-# totals
+# the reduced energy of one run
 # ---------------------------------------------------------------------------
 
-def internal_sum(w2d, density, constant):
-    """Quadrature of the internal density plus the constant, node by node.
+class ReducedEnergy:
+    """A model's reduced energy on one reference: the per-run checks and
+    the reference-only fields that every evaluation reads.  ``loads`` is a
+    LoadResultants (or None)."""
 
-    Near the natural state the density sum and the constant sum cancel, and
-    summing them separately leaves a round-off larger than the minimizer's
-    late descents; ``total_energy`` and the minimizer share this order, so
-    both print the same energy for the same surface.
-    """
-    return float(np.sum(w2d * (density + constant)))
+    def __init__(self, ref, mat, model, constants="oracle", loads=None):
+        # the reference face factors and kernels hold for its thickness only
+        if abs(mat.h - ref.h) > 1e-15 * max(1.0, ref.h):
+            raise ConfigError(
+                "material thickness %g disagrees with reference thickness %g"
+                % (mat.h, ref.h))
+        if model not in MODELS:
+            raise ConfigError("model must be one of %s, got %r"
+                              % (MODELS, model))
+        if constants not in CONSTANT_MODES:
+            raise ConfigError("constants mode must be one of %s, got %r"
+                              % (CONSTANT_MODES, constants))
+        # b(x3) = 1 - 2 H x3 + K x3^2 stays positive through the slab iff
+        # h sup|kappa| < 2; on a sphere it can vanish inside while both faces
+        # stay positive, so the face factors alone are not the test
+        if mat.h * ref.kappa_sup >= 2.0:
+            raise ThicknessError(
+                "thickness h = %g exceeds the geometric bound "
+                "(h sup|kappa| = %.3f, needs < 2)"
+                % (mat.h, mat.h * ref.kappa_sup))
+        self.ref = ref
+        self.mat = mat
+        self.model = model
+        self.constants = constants
+        self.w2d = area_weights(ref.grid) * ref.area
+        # the shell density is linear in the forms: its value and its
+        # partials both read these reference-only weights
+        self.form_weights = shell_form_weights(ref, mat, model)
+        self.constant = constant_density(ref, mat, constants)
+        self.load = load_covector(loads, ref)
+
+    def evaluate(self, bundle, positions, eps=None, check=True):
+        """(internal energy, load potential, face factors, density fields)
+        of a plain bundle and its nodal ``positions``.
+
+        The orientation check raises OrientationViolation at EPS_ORIENT;
+        with ``eps`` given it returns None where a defect reaches that floor,
+        and ``check=False`` skips it.  The internal energy sums the density
+        and the constant node by node: their separate sums cancel near the
+        natural state, leaving more round-off than late descents move.
+        """
+        faces = face_factors(bundle["H"], bundle["K"], self.mat.h)
+        if check:
+            bad = orientation_violations(
+                bundle, self.ref, faces, EPS_ORIENT if eps is None else eps)
+            if bad is not None:
+                if eps is not None:
+                    return None
+                name, idx, value = bad
+                raise OrientationViolation(idx, name, value)
+        fields = energy_density_fields(bundle, self.ref, self.mat, self.model,
+                                       self.constants, faces,
+                                       self.form_weights, self.constant)
+        density = fields["shell"] + fields["curv_log"] + fields["curv_det2"]
+        internal = float(np.sum(self.w2d * (density + self.constant)))
+        load = float(self.load.potential(positions, bundle["n"]))
+        return internal, load, faces, fields
 
 
 def total_energy(state, ref, mat, model, constants="oracle", loads=None,
                  check_orientation=True):
-    """Integrate a model's densities over the midsurface.
+    """Integrate a model's densities over the midsurface
+    (:meth:`ReducedEnergy.evaluate`, the minimizer's evaluation).
 
     ``loads`` is a LoadResultants from the loads module (or None); its
     potential enters the total with a minus sign.
     """
-    require_same_thickness(ref, mat)
-    if check_orientation:
-        require_orientation(state.bundle, ref, mat.h)
-    fields = energy_density_fields(state.bundle, ref, mat, model, constants)
-    w2d = area_weights(ref.grid) * ref.area
-    parts = {key: float(np.sum(w2d * fields[key])) for key in fields}
-    density = fields["shell"] + fields["curv_log"] + fields["curv_det2"]
-
-    load_term = 0.0
-    if loads is not None:
-        load_term = float(load_covector(loads, ref).potential(
-            state.positions, state.normal))
-
+    energy = ReducedEnergy(ref, mat, model, constants, loads)
+    internal, load_term, _, fields = energy.evaluate(
+        state.bundle, state.positions, check=check_orientation)
+    parts = {key: float(np.sum(energy.w2d * fields[key])) for key in fields}
     return EnergyBreakdown(
         shell_term=parts["shell"],
         curv_log_term=parts["curv_log"],
         curv_det2_term=parts["curv_det2"],
         constant_term=parts["constant"],
-        internal=internal_sum(w2d, density, fields["constant"]),
+        internal=internal,
         load_term=load_term,
         model=model,
         constants=constants,

@@ -117,13 +117,10 @@ class LoadResultants:
     boundary_measure: str
 
 
-def thickness_moments(profile, h, rule):
-    """(zeroth, first) x3-moments of a polynomial vector profile."""
-    kind, count = rule
-    if kind != "gauss":
-        raise ConfigError("load reduction uses Gauss-Legendre thickness "
-                          "quadrature, got %r" % (kind,))
-    nodes, weights = thickness_rule(kind, count, h)
+def thickness_moments(profile, h):
+    """(zeroth, first) x3-moments of a polynomial vector profile, by the
+    8-node Gauss-Legendre rule (exact through x3 power 14)."""
+    nodes, weights = thickness_rule("gauss", 8, h)
     zeroth = None
     first = None
     for power, coef in profile.items():
@@ -134,10 +131,10 @@ def thickness_moments(profile, h, rule):
     return zeroth, first
 
 
-def reduce_loads(spec, h, rule=("gauss", 8)):
+def reduce_loads(spec, h):
     """Collapse a LoadSpec onto the midsurface for thickness ``h``."""
     require_thickness(h)
-    force_area, moment_area = thickness_moments(spec.body, h, rule)
+    force_area, moment_area = thickness_moments(spec.body, h)
     for face, side in ((spec.face_plus, 0.5), (spec.face_minus, -0.5)):
         if face is not None:
             force_area = face if force_area is None else force_area + face
@@ -146,7 +143,7 @@ def reduce_loads(spec, h, rule=("gauss", 8)):
     force_edge = {}
     moment_edge = {}
     for edge, profile in spec.lateral.items():
-        f, m = thickness_moments(profile, h, rule)
+        f, m = thickness_moments(profile, h)
         if f is not None:
             force_edge[edge] = f
         if m is not None:

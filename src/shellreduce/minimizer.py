@@ -3,10 +3,12 @@
 The unknown is the grid of deformed nodal positions; its five derivative
 fields come from the same finite-difference stencils the geometry pipeline
 uses, so the discrete energy is the exact objective being differentiated
-(discretize-then-optimize).  Positions on the clamped edges are pinned to
-the reference values; the normal condition on those edges enters as a
-quadratic penalty because the normal is a nonlinear function of positions
-and cannot be eliminated node-wise.
+(discretize-then-optimize).  The energy is the ``energy`` command's own:
+``ShellObjective`` extends :class:`~shellreduce.energy.ReducedEnergy`, so
+both print the same bits for one surface.  Positions on the clamped edges
+are pinned to the reference values; the normal condition on those edges
+enters as a quadratic penalty because the normal is a nonlinear function of
+positions and cannot be eliminated node-wise.
 
 Gradients are exact to round-off.  The density's closed-form partials in
 a, H, K and the ten form components (``energy.density_partials``,
@@ -24,7 +26,7 @@ checked once), then an Armijo test enforces decrease, so the energy trace
 is nonincreasing by construction.  The accepted trial is handed on to the
 gradient as an evaluated :class:`Point` (slots, bundle, energy and the
 density fields the partials reuse), so each iteration applies the stencils
-and builds the bundle once per trial and no more.
+and builds the bundle and its face factors once per trial and no more.
 
 The initial metric of the two-loop recursion (Nocedal & Wright, section
 7.2) is the inverse of a reference model of the Hessian: membrane
@@ -47,17 +49,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .admissibility import admissibility_report
-from .energy import (MODELS, constant_density, density_partials,
-                     energy_density_fields, internal_sum,
-                     orientation_violations, require_orientation,
-                     require_same_thickness, shell_form_weights)
+from .energy import MODELS, ReducedEnergy, density_partials
 from .errors import (ConfigError, InadmissibleInitialState,
                      InadmissibleThickness, NonFinitePosition, StepCollapsed)
-from .geometry import (SLOT_NAMES, face_factors, require_finite_positions,
-                       surface_bundle, surface_bundle_vjp)
-from .grids import (EDGES, area_weights, edge_index, edge_mask,
-                    simpson_weights)
-from .loads import _edge_measure, load_covector
+from .geometry import (SLOT_NAMES, require_finite_positions, surface_bundle,
+                       surface_bundle_vjp)
+from .grids import EDGES, edge_index, edge_mask, simpson_weights
+from .loads import _edge_measure
 from .stencils import GridDerivatives, _along0, _transposed
 
 EPS_FEAS = 1e-8
@@ -137,35 +135,25 @@ class Point(NamedTuple):
     det2: np.ndarray
 
 
-class ShellObjective:
+class ShellObjective(ReducedEnergy):
     """Total discrete energy (internal - loads + clamp penalty) and its
-    exact nodal gradient."""
+    exact nodal gradient: the stencils, penalty, gradient and metric on top
+    of the :class:`~shellreduce.energy.ReducedEnergy` it evaluates."""
 
     def __init__(self, ref, mat, model, constants="oracle", loads=None,
                  clamped_edges=(), penalty_beta=0.0):
-        require_same_thickness(ref, mat)
-        self.ref = ref
-        self.mat = mat
-        self.model = model
-        self.constants = constants
+        super().__init__(ref, mat, model, constants, loads)
         self.penalty_beta = float(penalty_beta)
         self.clamped_edges = tuple(clamped_edges)
         grid = ref.grid
         self.ops = GridDerivatives(grid.n1, grid.n2, grid.dx1, grid.dx2,
                                    ref.order)
-        self.w2d = area_weights(grid) * ref.area
-        self.constant_density = constant_density(ref, mat, constants)
-        # the shell density is linear in the forms: its value and its
-        # partials both read these reference-only weights
-        self.form_weights = shell_form_weights(ref, mat, model)
 
         # clamp penalty measure: arclength-weighted union of the clamped edges
         pen = np.zeros((grid.n1, grid.n2))
         for name in clamped_edges:
             pen += _edge_measure(ref, name, "surface")
         self.penalty_weights = pen
-
-        self.load = load_covector(loads, ref)
 
     # -- plain evaluation ---------------------------------------------------
 
@@ -176,20 +164,13 @@ class ShellObjective:
         which raises."""
         slots = self.ops.all_slots(positions)
         bundle = surface_bundle(slots)
-        if eps is None:
-            require_orientation(bundle, self.ref, self.mat.h)
-        elif orientation_violations(bundle, self.ref, self.mat.h,
-                                    eps=eps) is not None:
+        evaluated = self.evaluate(bundle, positions, eps)
+        if evaluated is None:
             return None
+        internal, load, faces, fields = evaluated
         # internal energy plus constant, minus loads, plus clamp penalty
-        faces = face_factors(bundle["H"], bundle["K"], self.mat.h)
-        dens = energy_density_fields(bundle, self.ref, self.mat, self.model,
-                                     self.constants, faces, self.form_weights)
-        density = dens["shell"] + dens["curv_log"] + dens["curv_det2"]
-        total = internal_sum(self.w2d, density, self.constant_density)
-        total -= float(self.load.potential(positions, bundle["n"]))
-        total += self._penalty_value(bundle["n"])
-        return Point(slots, bundle, total, faces, dens["curv_det2"])
+        total = internal - load + self._penalty_value(bundle["n"])
+        return Point(slots, bundle, total, faces, fields["curv_det2"])
 
     def feasible(self, positions):
         """V^h membership with the line-search safety floor: the evaluated

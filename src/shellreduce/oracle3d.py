@@ -260,10 +260,12 @@ def compare_reduced_3d(chart, deformed_chart, grid, mu, lam, h_values,
     Every thickness is checked, and a repeated one (it would skew the
     fitted orders) rejected, before any geometry is built.  The
     reference, the deformed state and the ansatz coefficients are built
-    once; each thickness only swaps in its face factors
-    (:func:`~shellreduce.geometry.with_thickness`).  The sweep is mapped
-    over a thread pool (numpy releases the GIL in the heavy kernels);
-    results are collected in submission order so the output is
+    once; each thickness only swaps in the reference's face factors
+    (:func:`~shellreduce.geometry.with_thickness`).  The deformed state is
+    shared as it is: the reduced energy rebuilds its face factors from the
+    bundle, and the slab integral reads the shared coefficients.  The sweep
+    is mapped over a thread pool (numpy releases the GIL in the heavy
+    kernels); results are collected in submission order so the output is
     deterministic.
     """
     h_values = [float(h) for h in h_values]
@@ -280,12 +282,13 @@ def compare_reduced_3d(chart, deformed_chart, grid, mu, lam, h_values,
 
     def one(h):
         ref = with_thickness(shared_ref, h)
-        state = with_thickness(shared_state, h)
         mat = MaterialParams(mu=mu, lam=lam, h=h)
-        full3d = integrate_3d(state, ref, mat, rule=rule, coeffs=coeffs)
+        full3d = integrate_3d(shared_state, ref, mat, rule=rule,
+                              coeffs=coeffs)
         per_model = {}
         for model in models:
-            reduced = total_energy(state, ref, mat, model, constants).internal
+            reduced = total_energy(shared_state, ref, mat, model,
+                                   constants).internal
             per_model[model] = (reduced, full3d, abs(reduced - full3d))
         return per_model
 

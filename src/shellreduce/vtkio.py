@@ -67,6 +67,9 @@ def read_vtk(path):
     (i, j); finite coordinates of any size read back bit-exactly.
     """
     with open(path) as fh:
+        # skip the version and the title, free text that may hold keywords
+        fh.readline()
+        fh.readline()
         flat = fh.read().split()
 
     def find(keyword):

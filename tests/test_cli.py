@@ -3,6 +3,7 @@
 import glob
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -447,6 +448,50 @@ def test_traced_benchmark_targets_resolve():
             assert hasattr(obj, part), (modname, attr)
             obj = getattr(obj, part)
         assert callable(obj), (modname, attr)
+
+
+TRACED_MINIMIZE = """
+import json, sys
+sys.path.insert(0, %r)
+import tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+# imported after install, so the names below are the wrapped ones
+from shellreduce.energy import MaterialParams
+from shellreduce.geometry import make_chart
+from shellreduce.grids import Grid
+from shellreduce.loads import reduce_loads, uniform_transverse
+from shellreduce.minimizer import SolverConfig, minimize
+from shellreduce.reference import build_reference
+
+chart = make_chart("plate")
+ref = build_reference(chart, Grid.uniform(chart.domain, 9, 9), 0.1)
+mat = MaterialParams(mu=1.0, lam=1.0, h=0.1)
+loads = reduce_loads(uniform_transverse(0.002), mat.h)
+tracer.enabled = True
+minimize(ref, mat, SolverConfig(max_iter=20), loads=loads)
+tracer.enabled = False
+print(json.dumps(tracing.layer_metrics(tracer.spans)))
+"""
+
+
+def test_traced_minimize_fires_the_energy_spans_once_per_trial():
+    # the benchmark's per-layer energy metrics are spans its tracer opens
+    # around energy functions; a refactor that stopped calling them would
+    # zero those metrics without failing any output check.  The tracer
+    # patches the modules in place, so it runs in a fresh process, and it
+    # is imported from the checkout without writing bytecode there.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = _run_fresh(["-c", TRACED_MINIMIZE % os.path.join(root, "perfbench")],
+                      PYTHONDONTWRITEBYTECODE="1")
+    assert proc.returncode == 0, proc.stderr
+    layers = json.loads(proc.stdout.splitlines()[-1])
+    trials = layers["minimizer.line_search_trials"]
+    assert trials >= layers["minimizer.iterations"] > 0
+    # one orientation check and one density evaluation for the start point
+    # and for each line-search trial
+    for name in ("energy.orientation", "energy.density_np"):
+        assert layers[name + ".calls"] == trials + 1, (name, layers)
 
 
 def test_benchmark_oracles_run_on_a_small_cap(tmp_path):

@@ -287,6 +287,17 @@ def test_vtk_round_trip_is_bit_exact(tmp_path):
         assert np.array_equal(fback[name], fields[name])
 
 
+def test_vtk_title_holding_keywords_reads_back(tmp_path):
+    # the title line is free text: keywords in it are not the header's
+    path = tmp_path / "mesh.vtk"
+    pos = np.arange(105, dtype=float).reshape(5, 7, 3)
+    write_vtk(path, pos, fields={"f": np.ones((5, 7))},
+              comment="DIMENSIONS of the POINTS mesh, DATASET SCALARS")
+    back, fields = read_vtk(path)
+    assert back.tobytes() == pos.tobytes()
+    assert list(fields) == ["f"]
+
+
 def test_vtk_header_layout(tmp_path):
     path = tmp_path / "mesh.vtk"
     write_vtk(path, np.zeros((5, 7, 3)), comment="first line\nsecond")

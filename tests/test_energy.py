@@ -206,8 +206,9 @@ def test_constant_modes_differ_and_validate():
     disp = TrigDisplacement.standard(chart.domain, 0.03)
     state = deformed_state(displace_chart(chart, disp), grid, mat.h)
     # published log coefficient -(lam + 2 mu)/4 vs calibrated -(mu + lam/2)
-    w_o = w_curv_log(state.bundle, ref, mat, constants="oracle")
-    w_p = w_curv_log(state.bundle, ref, mat, constants="paper")
+    faces = face_factors(state.mean, state.gauss, mat.h)
+    w_o = w_curv_log(state.bundle, ref, mat, "oracle", faces)
+    w_p = w_curv_log(state.bundle, ref, mat, "paper", faces)
     ratio = (mat.lam + 2.0 * mat.mu) / 4.0 / (mat.mu + 0.5 * mat.lam)
     mask = np.abs(w_o) > 1e-18
     assert np.abs(w_p[mask] / w_o[mask] - ratio).max() < 1e-12
@@ -218,8 +219,8 @@ def test_constant_modes_differ_and_validate():
     assert np.abs(c_p - base).max() == 0.0
     assert np.abs(c_o - base * (mat.h + mat.h ** 3 * ref.gauss / 12.0)).max() \
         == 0.0
-    with pytest.raises(ConfigError):
-        w_curv_log(state.bundle, ref, mat, constants="exact")
+    with pytest.raises(ConfigError, match="constants mode"):
+        total_energy(state, ref, mat, 1, constants="exact")
     # under the published calibration the natural state is NOT stress-free
     natural = deformed_state(chart, grid, mat.h)
     fields = energy_density_fields(natural.bundle, ref, mat, 1,
@@ -301,7 +302,7 @@ def test_overthick_reference_raises_thickness_error():
     mat = MaterialParams(mu=1.0, lam=1.0, h=2.5)
     state = deformed_state(chart, grid, mat.h)
     with pytest.raises(ThicknessError):
-        energy_density_fields(state.bundle, ref, mat, 1)
+        total_energy(state, ref, mat, 1)
 
 
 def test_overthick_sphere_raises_thickness_error_with_positive_faces():
@@ -312,7 +313,7 @@ def test_overthick_sphere_raises_thickness_error_with_positive_faces():
     assert min(ref.a_plus.min(), ref.a_minus.min()) > 0.0
     state = deformed_state(chart, grid, mat.h)
     with pytest.raises(ThicknessError, match="h sup\\|kappa\\| = 2.500"):
-        energy_density_fields(state.bundle, ref, mat, 1)
+        total_energy(state, ref, mat, 1)
 
 
 def test_model_and_mode_lists_are_exposed():
@@ -320,5 +321,5 @@ def test_model_and_mode_lists_are_exposed():
     assert set(CONSTANT_MODES) == {"oracle", "paper"}
     chart, grid, ref, mat = _setup("plate", n=9)
     state = deformed_state(chart, grid, mat.h)
-    with pytest.raises(ConfigError):
-        energy_density_fields(state.bundle, ref, mat, model=4)
+    with pytest.raises(ConfigError, match="model must be one of"):
+        total_energy(state, ref, mat, model=4)

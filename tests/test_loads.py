@@ -63,14 +63,21 @@ def test_lateral_profile_reduces_per_edge():
 
 
 def test_gauss_count_does_not_matter_for_polynomial_profiles():
-    profile = {p: RNG.normal(size=3) for p in range(4)}
+    # the fixed 8-node Gauss-Legendre rule integrates x3^p exactly through
+    # p = 15, so both moments of a degree-7 profile match the closed forms
+    # int_{-h/2}^{h/2} x3^p dx3 = 2 (h/2)^(p+1) / (p+1) (even p), 0 (odd p)
+    profile = {p: RNG.normal(size=3) for p in range(8)}
     h = 0.37
-    lo = thickness_moments(profile, h, ("gauss", 8))
-    hi = thickness_moments(profile, h, ("gauss", 32))
-    for a, b in zip(lo, hi):
-        assert np.abs(a - b).max() < 1e-14
-    with pytest.raises(ConfigError):
-        thickness_moments(profile, h, ("simpson", 9))
+
+    def exact(p):
+        return 2.0 * (0.5 * h) ** (p + 1) / (p + 1) if p % 2 == 0 else 0.0
+
+    zeroth, first = thickness_moments(profile, h)
+    for got, shift in ((zeroth, 0), (first, 1)):
+        want = sum(coef * exact(p + shift) for p, coef in profile.items())
+        scale = sum(np.abs(coef) * abs(exact(p + shift))
+                    for p, coef in profile.items())
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
 
 def test_reduce_loads_validation():

@@ -325,12 +325,19 @@ def test_gradient_graph_is_the_surface_bundle_alone(model, monkeypatch):
 def test_one_orientation_check_per_surface_bundle(monkeypatch):
     # line-search trials pass the EPS_FEAS floor, which implies value's
     # EPS_ORIENT floor, so an accepted trial is not checked twice; the
-    # gradient's partials take the det^2 field from the value path
+    # orientation check and the densities share one face-factor pass, and
+    # the gradient's partials take the det^2 field from the value path.
+    # The minimizer evaluates the energy only through ReducedEnergy, so the
+    # energy module is the one place to count.
+    for name in ("constant_density", "shell_form_weights",
+                 "orientation_violations", "face_factors", "load_covector",
+                 "area_weights"):
+        assert not hasattr(minimizer_module, name), name
     ref, mat = _setup("plate", h=0.1, n=17)
     loads = reduce_loads(LoadSpec(face_plus=(0.0, 0.0, 0.001),
                                   face_minus=(0.0, 0.0, 0.001),
                                   gamma_t=()), mat.h)
-    counts = {"bundles": 0, "checks": 0, "det2": 0}
+    counts = {"bundles": 0, "checks": 0, "faces": 0, "det2": 0}
 
     def counted(key, func):
         def wrapper(*args, **kwargs):
@@ -340,18 +347,18 @@ def test_one_orientation_check_per_surface_bundle(monkeypatch):
 
     monkeypatch.setattr(minimizer_module, "surface_bundle",
                         counted("bundles", minimizer_module.surface_bundle))
-    check = counted("checks", energy_module.orientation_violations)
-    monkeypatch.setattr(minimizer_module, "orientation_violations", check)
-    monkeypatch.setattr(energy_module, "orientation_violations", check)
-    for name in ("w_curv_det2_simpson", "w_curv_det2_taylor"):
+    for key, name in (("checks", "orientation_violations"),
+                      ("faces", "face_factors"),
+                      ("det2", "w_curv_det2_simpson"),
+                      ("det2", "w_curv_det2_taylor")):
         monkeypatch.setattr(energy_module, name,
-                            counted("det2", getattr(energy_module, name)))
+                            counted(key, getattr(energy_module, name)))
     result = minimize(ref, mat, SolverConfig(max_iter=200, gtol_abs=4e-8),
                       loads=loads, clamped_edges=EDGES)
     assert result.converged and result.iterations == 18
     # the start's point and 18 accepted trials: each gradient reuses the
     # bundle its point was checked and valued on
-    assert counts == {"bundles": 19, "checks": 19, "det2": 19}
+    assert counts == {"bundles": 19, "checks": 19, "faces": 19, "det2": 19}
 
 
 def test_gradient_mode_dispatch_and_validation():
@@ -515,17 +522,19 @@ def test_plate_iterations_stay_nearly_flat_under_refinement():
     assert iterations[1] <= 2 * iterations[0], iterations
 
 
-def test_total_energy_replays_the_minimizer_energy_exactly():
-    # the energy command and minimize sum the internal density in the same
-    # node-by-node order, so they print the same bits for the same surface
+@pytest.mark.parametrize("constants", ["oracle", "paper"])
+@pytest.mark.parametrize("model", [1, 2, 3])
+def test_total_energy_replays_the_minimizer_energy_exactly(model, constants):
+    # the energy command and minimize evaluate through one ReducedEnergy,
+    # so they print the same bits for the same surface
     ref, mat = _setup()
     loads = reduce_loads(uniform_transverse(0.002), mat.h)
-    result = minimize(ref, mat, SolverConfig(model=1, max_iter=60,
-                                             penalty_beta=0.0),
+    result = minimize(ref, mat, SolverConfig(model=model, constants=constants,
+                                             max_iter=60, penalty_beta=0.0),
                       loads=loads)
     assert result.iterations > 0
     state = deformed_state(result.positions, ref.grid, mat.h, ref.order)
-    replay = total_energy(state, ref, mat, 1, loads=loads)
+    replay = total_energy(state, ref, mat, model, constants, loads=loads)
     assert replay.total == result.energy
 
 
