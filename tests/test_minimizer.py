@@ -522,9 +522,7 @@ def test_plate_iterations_stay_nearly_flat_under_refinement():
     assert iterations[1] <= 2 * iterations[0], iterations
 
 
-@pytest.mark.parametrize("constants", ["oracle", "paper"])
-@pytest.mark.parametrize("model", [1, 2, 3])
-def test_total_energy_replays_the_minimizer_energy_exactly(model, constants):
+def _replay_matches_minimizer(model, constants):
     # the energy command and minimize evaluate through one ReducedEnergy,
     # so they print the same bits for the same surface
     ref, mat = _setup()
@@ -536,6 +534,17 @@ def test_total_energy_replays_the_minimizer_energy_exactly(model, constants):
     state = deformed_state(result.positions, ref.grid, mat.h, ref.order)
     replay = total_energy(state, ref, mat, model, constants, loads=loads)
     assert replay.total == result.energy
+
+
+def test_total_energy_replays_the_minimizer_energy_exactly():
+    _replay_matches_minimizer(1, "oracle")
+
+
+@pytest.mark.parametrize("model,constants", [
+    (1, "paper"), (2, "oracle"), (2, "paper"), (3, "oracle"), (3, "paper")])
+def test_total_energy_replays_the_minimizer_energy_in_every_model(model,
+                                                                   constants):
+    _replay_matches_minimizer(model, constants)
 
 
 def test_minimizer_final_state_is_mirror_symmetric_and_load_equivariant():
