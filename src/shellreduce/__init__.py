@@ -28,8 +28,8 @@ _EXPORTS = {
     "grids": ("Grid",),
     "loads": ("LoadResultants", "LoadSpec", "reduce_loads",
               "uniform_transverse"),
-    "minimizer": ("DiscreteDeformation", "MinimizeResult", "ShellObjective",
-                  "SolverConfig", "minimize"),
+    "minimizer": ("MinimizeResult", "ShellObjective", "SolverConfig",
+                  "minimize"),
     "oracle3d": ("compare_reduced_3d", "integrate_3d"),
     "reference": ("ReferenceField", "build_reference"),
 }

@@ -32,14 +32,23 @@ def _fmt(x):
     return str(x)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1: its own 2 is taken by
+    the admissibility failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, metavar="PATH",
                         help="run configuration file (key = value lines)")
-    common.add_argument("--model", type=int, choices=(1, 2, 3),
-                        help="override the configured model")
-    common.add_argument("--constants", choices=("paper", "oracle"),
-                        help="override the configured constants mode")
+    common.add_argument("--model", metavar="N",
+                        help="override the config key model")
+    common.add_argument("--constants", metavar="MODE",
+                        help="override the config key constants")
     common.add_argument("--threads", type=int, metavar="N",
                         help="cap numeric worker threads (default: "
                              "hardware count)")
@@ -49,7 +58,7 @@ def build_parser():
     common.add_argument("--out", default=".", metavar="DIR",
                         help="directory for output files (default: .)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shellreduce",
         description="Reduced shell energies, admissibility thresholds, "
                     "and midsurface minimization.")
@@ -85,7 +94,7 @@ def _load_config(args):
         raise ConfigError("cannot read config %s: %s" % (args.config, exc))
     raw = parse_config(text)
     if args.model is not None:
-        raw["model"] = str(args.model)
+        raw["model"] = args.model
     if args.constants is not None:
         raw["constants"] = args.constants
     return RunConfig.from_mapping(raw)
@@ -184,7 +193,7 @@ def cmd_compare3d(cfg, args):
                                 cfg.material.mu, cfg.material.lam,
                                 h_values, models=MODELS,
                                 constants=cfg.constants, order=cfg.order,
-                                rule=("gauss", nodes), threads=args.threads)
+                                rule=("gauss", nodes))
     header = ("h", "model", "E_reduced", "E_3d", "abs_err", "fitted_order")
     rows = [(h, model, reduced, full3d, err, result["orders"][model])
             for h, model, reduced, full3d, err in result["rows"]]

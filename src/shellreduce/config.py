@@ -232,9 +232,6 @@ class RunConfig:
         clamped = _edge_list(raw.get("boundary.clamped", ""),
                              "boundary.clamped")
         load_spec = _loads_from(raw, clamped)
-        if load_spec is not None and not clamped:
-            raise ConfigError("loads need a non-empty boundary.clamped "
-                              "(the clamped part of the boundary)")
         solver = SolverConfig(
             model=model,
             constants=constants,

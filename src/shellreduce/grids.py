@@ -92,17 +92,8 @@ def edge_index(name, n1, n2):
         return 1, 0
     if name == "top":
         return 1, n2 - 1
-    raise ConfigError("unknown edge %r (expected one of %s)" % (name, (EDGES,)))
-
-
-def edge_mask(name, n1, n2):
-    mask = np.zeros((n1, n2), dtype=bool)
-    axis, idx = edge_index(name, n1, n2)
-    if axis == 0:
-        mask[idx, :] = True
-    else:
-        mask[:, idx] = True
-    return mask
+    raise ConfigError("unknown edge %r (expected one of %s)"
+                      % (name, ", ".join(EDGES)))
 
 
 def edge_weights(grid, name):

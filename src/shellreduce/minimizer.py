@@ -8,7 +8,10 @@ uses, so the discrete energy is the exact objective being differentiated
 both print the same bits for one surface.  Positions on the clamped edges
 are pinned to the reference values; the normal condition on those edges
 enters as a quadratic penalty because the normal is a nonlinear function of
-positions and cannot be eliminated node-wise.
+positions and cannot be eliminated node-wise.  Every clamp removes a whole
+edge, so the free nodes are a tensor product: ``ShellObjective`` keeps one
+index set per axis (``free_axes``) and their product (``free``), which
+packing, pinning and the metric all read.
 
 Gradients are exact to round-off.  The density's closed-form partials in
 a, H, K and the ten form components (``energy.density_partials``,
@@ -33,9 +36,9 @@ The initial metric of the two-loop recursion (Nocedal & Wright, section
 stiffness ~ h |grad r|^2 for displacements across the mean normal, bending
 stiffness ~ h^3/12 |grad^2 r|^2 along it.  The bending part is a
 fourth-order operator that no nodal diagonal preconditions (the loaded
-17^2 clamped plate took 402 iterations with one).  Clamps remove whole
-edges, so the model is a tensor product over the free nodes and is
-inverted exactly by fast diagonalization (``ShellObjective.metric_diagonal``,
+17^2 clamped plate took 402 iterations with one).  The model is a tensor
+product over the free nodes and is inverted exactly by fast
+diagonalization (``ShellObjective.metric_diagonal``,
 ``TensorMetric``): a 1-D generalized eigenproblem per axis, solved once,
 then four small products per application.  The same plate now takes 18
 iterations, and 23 / 45 / 117 at 33^2 / 49^2 / 65^2.
@@ -54,7 +57,7 @@ from .errors import (ConfigError, InadmissibleInitialState,
                      InadmissibleThickness, NonFinitePosition, StepCollapsed)
 from .geometry import (SLOT_NAMES, require_finite_positions, surface_bundle,
                        surface_bundle_vjp)
-from .grids import EDGES, edge_index, edge_mask, simpson_weights
+from .grids import EDGES, edge_index, simpson_weights
 from .loads import _edge_measure
 from .stencils import GridDerivatives, _along0, _transposed
 
@@ -88,41 +91,6 @@ class SolverConfig:
             raise ConfigError("penalty weight must be >= 0 and finite")
 
 
-@dataclass
-class DiscreteDeformation:
-    """Nodal positions plus the free/fixed partition of the grid."""
-
-    positions: np.ndarray    # (n1, n2, 3)
-    free: np.ndarray         # (n1, n2) bool, True where the node is a DOF
-    clamped_edges: tuple
-
-    @classmethod
-    def from_reference(cls, ref, clamped_edges, positions=None):
-        for name in clamped_edges:
-            if name not in EDGES:
-                raise ConfigError("unknown clamped edge %r" % (name,))
-        n1, n2 = ref.grid.n1, ref.grid.n2
-        free = np.ones((n1, n2), dtype=bool)
-        for name in clamped_edges:
-            free &= ~edge_mask(name, n1, n2)
-        if positions is None:
-            positions = ref.positions.copy()
-        else:
-            positions = np.array(positions, dtype=float)
-            if positions.shape != (n1, n2, 3):
-                raise ConfigError(
-                    "initial positions must have shape (%d, %d, 3), got %s"
-                    % (n1, n2, positions.shape))
-            try:
-                require_finite_positions(positions)
-            except NonFinitePosition as exc:
-                raise InadmissibleInitialState(
-                    "initial deformation: %s" % exc) from exc
-            positions[~free] = ref.positions[~free]
-        return cls(positions=positions, free=free,
-                   clamped_edges=tuple(clamped_edges))
-
-
 class Point(NamedTuple):
     """One evaluated configuration: its derivative slots, plain bundle and
     energy, plus the face factors and squared-volume density that the
@@ -149,11 +117,17 @@ class ShellObjective(ReducedEnergy):
         self.ops = GridDerivatives(grid.n1, grid.n2, grid.dx1, grid.dx2,
                                    ref.order)
 
-        # clamp penalty measure: arclength-weighted union of the clamped edges
-        pen = np.zeros((grid.n1, grid.n2))
-        for name in clamped_edges:
-            pen += _edge_measure(ref, name, "surface")
-        self.penalty_weights = pen
+        # the free/fixed partition (one index set per axis; see the module
+        # docstring) and the clamp penalty measure, the arclength-weighted
+        # union of the clamped edges
+        self.free_axes = (np.ones(grid.n1, dtype=bool),
+                          np.ones(grid.n2, dtype=bool))
+        self.penalty_weights = np.zeros((grid.n1, grid.n2))
+        for name in self.clamped_edges:
+            axis, idx = edge_index(name, grid.n1, grid.n2)
+            self.free_axes[axis][idx] = False
+            self.penalty_weights += _edge_measure(ref, name, "surface")
+        self.free = np.outer(*self.free_axes)
 
     # -- plain evaluation ---------------------------------------------------
 
@@ -231,12 +205,12 @@ class ShellObjective(ReducedEnergy):
         """Initial quasi-Newton metric: a membrane/bending model of the
         Hessian at the reference, inverted exactly by fast diagonalization.
 
-        Every clamp removes a whole edge, so the free nodes are a tensor
-        product of per-axis index sets.  Per axis, with W = diag(Simpson
-        weights x a separable area factor), the first-derivative matrix D
-        gives the membrane Gram matrix K = D^T W D and the second-derivative
-        matrix the bending Gram matrix B = D2^T W D2 (plus, for each clamped
-        end with a penalty, its rank-one edge term; see ``_axis_modes``).
+        The free nodes are the tensor product of ``free_axes``.  Per axis,
+        on its free nodes, with W = diag(Simpson weights x a separable area
+        factor), the first-derivative matrix D gives the membrane Gram
+        matrix K = D^T W D and the second-derivative matrix the bending
+        Gram matrix B = D2^T W D2 (plus, for each clamped end with a
+        penalty, its rank-one edge term; see ``_axis_modes``).
         The pencil (B, W) is solved once per axis.  In the tensor eigenbasis
         V = V1 (x) V2 the metric is diagonal, with modal stiffnesses
 
@@ -260,18 +234,16 @@ class ShellObjective(ReducedEnergy):
                    * area.mean(axis=0) / area.mean())
         stiff = 2.0 * mat.mu + mat.lam
         bend = stiff * mat.h ** 3 / 12.0
-        free = [np.ones(grid.n1, dtype=bool), np.ones(grid.n2, dtype=bool)]
         edge_rows = ([], [])
-        for name in self.clamped_edges:
-            axis, idx = edge_index(name, grid.n1, grid.n2)
-            free[axis][idx] = False
-            if self.penalty_beta > 0.0:
+        if self.penalty_beta > 0.0:
+            for name in self.clamped_edges:
+                axis, idx = edge_index(name, grid.n1, grid.n2)
                 line = np.take(_edge_measure(ref, name, "surface"), idx,
                                axis=axis)
                 rho = float(np.mean(line / weights[1 - axis]))
                 edge_rows[axis].append(
                     (idx, 2.0 * self.penalty_beta * rho / bend))
-        ops = self.ops
+        ops, free = self.ops, self.free_axes
         v1, k1, b1 = _axis_modes(ops.d1, ops.d11, weights[0], free[0],
                                  edge_rows[0])
         v2, k2, b2 = _axis_modes(ops.d2, ops.d22, weights[1], free[1],
@@ -353,7 +325,8 @@ class TensorMetric:
         self._inv_dn = 1.0 / mu_n - self._inv_t
 
     def apply(self, q):
-        """H0 q for a packed vector: free nodes in grid order, then x, y, z."""
+        """H0 q for a packed vector: free nodes in grid order (the
+        objective's ``free``, an (m1, m2) block), then x, y, z."""
         m1, m2 = len(self.v1), len(self.v2)
         c = _transposed(self.v1, self.v2, q.reshape(m1, m2, 3))
         nb = self.nbar
@@ -430,10 +403,11 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
     """Minimize the selected model's energy over the free nodal positions.
 
     ``clamped_edges`` defaults to the complement of the load's traction
-    edges (all four edges without loads).  ``force=True`` skips the
-    thickness gate.  The gate's admissibility report is computed once and
-    returned on ``MinimizeResult.report`` (``InadmissibleThickness.report``
-    when the gate stops the run).
+    edges (all four edges without loads).  The start is the reference, with
+    its free nodes taken from ``initial`` when given.  ``force=True`` skips
+    the thickness gate.  The gate's admissibility report is computed once
+    and returned on ``MinimizeResult.report``
+    (``InadmissibleThickness.report`` when the gate stops the run).
     """
     if clamped_edges is None:
         if loads is not None:
@@ -446,17 +420,26 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
             "thickness %g at or above the model-%d bound %.12g"
             % (mat.h, config.model, report.h_max[config.model]), report)
 
-    deform = DiscreteDeformation.from_reference(ref, clamped_edges, initial)
     objective = ShellObjective(ref, mat, config.model, config.constants,
                                loads=loads, clamped_edges=clamped_edges,
                                penalty_beta=config.penalty_beta)
-    start = objective.feasible(deform.positions)
+    free = objective.free
+    positions = ref.positions.copy()
+    if initial is not None:
+        initial = np.asarray(initial, dtype=float)
+        if initial.shape != positions.shape:
+            raise ConfigError("initial positions must have shape %s, got %s"
+                              % (positions.shape, initial.shape))
+        try:
+            require_finite_positions(initial)
+        except NonFinitePosition as exc:
+            raise InadmissibleInitialState(
+                "initial deformation: %s" % exc) from exc
+        positions[free] = initial[free]
+    start = objective.feasible(positions)
     if start is None:
         raise InadmissibleInitialState(
             "initial deformation violates the orientation constraints")
-
-    free = deform.free
-    positions = deform.positions
 
     def pack(field3):
         return field3[free].ravel()

@@ -120,7 +120,7 @@ def test_criterion_2_thickness_convergence_orders():
     result = compare_reduced_3d(chart, deformed, grid, 1.0, 1.0,
                                 (0.04, 0.02, 0.01, 0.005),
                                 models=(1, 2, 3), constants="oracle",
-                                rule=("gauss", 16), threads=1)
+                                rule=("gauss", 16))
     failures = []
     for model, floor in ((1, 4.5), (2, 2.5), (3, 4.5)):
         order = result["orders"][model]

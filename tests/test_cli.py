@@ -312,8 +312,7 @@ def test_compare3d_small_sweep(tmp_path, capsys):
 
 
 def test_compare3d_is_identical_across_thread_counts(tmp_path):
-    # one fresh process per run, so --threads sizes both the BLAS pool and
-    # the per-thickness worker pool
+    # one fresh process per run, so --threads sizes the BLAS pool
     text = (SPHERE.replace("material.h = 0.8", "material.h = 0.1")
             .replace("= 9\n", "= 17\n"))
     text += "compare3d.h_values = 0.04, 0.02\ncompare3d.thickness_nodes = 8\n"
@@ -646,6 +645,30 @@ def test_bad_command_key_is_a_config_error(tmp_path, capsys, command, line):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("shellreduce: config error: " + line.split()[0])
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
+    # exit code 2 is the admissibility failure's, so a usage error must not
+    # take it; --model and --constants are checked as their config keys
+    cfg = _config(tmp_path, PLATE)
+    out = ["--out", str(tmp_path)]
+    for argv, needle in ((["check", "--config", cfg, "--model", "4"],
+                          "config error: model must be one of"),
+                         (["check", "--config", cfg, "--constants", "exact"],
+                          "config error: constants must be one of"),
+                         (["check"], "--config"),
+                         (["check", "--config", cfg, "--threads", "x"],
+                          "--threads"),
+                         (["bend", "--config", cfg], "bend")):
+        try:
+            rc = main(argv + out)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 1, argv
+        assert needle in capsys.readouterr().err, argv
+    with pytest.raises(SystemExit) as info:
+        main(["check", "--help"])
+    assert info.value.code == 0
 
 
 def test_threads_must_be_positive(tmp_path, capsys):

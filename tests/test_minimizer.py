@@ -10,11 +10,11 @@ from shellreduce.energy import (MaterialParams, deformed_state,
 from shellreduce.errors import (ConfigError, InadmissibleInitialState,
                                 InadmissibleThickness, StepCollapsed)
 from shellreduce.geometry import make_chart, surface_bundle
-from shellreduce.grids import EDGES, Grid, edge_mask, simpson_weights
-from shellreduce.loads import LoadSpec, reduce_loads, uniform_transverse
-from shellreduce.minimizer import (DiscreteDeformation, MinimizeResult,
-                                   ShellObjective, SolverConfig, line_search,
-                                   minimize)
+from shellreduce.grids import EDGES, Grid, edge_weights, simpson_weights
+from shellreduce.loads import (LoadSpec, edge_arclength, reduce_loads,
+                               uniform_transverse)
+from shellreduce.minimizer import (MinimizeResult, ShellObjective,
+                                   SolverConfig, line_search, minimize)
 from shellreduce.reference import build_reference
 
 RNG = np.random.default_rng(2718)
@@ -69,28 +69,39 @@ def test_internal_energy_is_translation_invariant():
     assert abs(shifted - base) < 1e-10 * max(1.0, abs(base))
 
 
-def _free_axis_operators(objective, edge):
-    """Dense per-axis W, K, B on the free nodes of a grid clamped at one
-    edge of axis 0, with the clamp penalty's rank-one row in B."""
+def _free_axis_operators(objective):
+    """Dense per-axis W, K, B on the free nodes of the objective's clamps,
+    with each clamped edge's penalty rank-one row in B, plus the per-axis
+    free masks."""
     ref, mat, ops = objective.ref, objective.mat, objective.ops
     grid = ref.grid
     area = ref.area
     w = (simpson_weights(grid.n1, grid.dx1) * area.mean(axis=1),
          simpson_weights(grid.n2, grid.dx2) * area.mean(axis=0) / area.mean())
-    keep = (np.arange(grid.n1) != edge, np.ones(grid.n2, dtype=bool))
+    sides = {"left": (0, 0), "right": (0, grid.n1 - 1),
+             "bottom": (1, 0), "top": (1, grid.n2 - 1)}
+    keep = (np.ones(grid.n1, dtype=bool), np.ones(grid.n2, dtype=bool))
+    for name in objective.clamped_edges:
+        axis, edge = sides[name]
+        keep[axis][edge] = False
     bend = (2.0 * mat.mu + mat.lam) * mat.h ** 3 / 12.0
-    rho = np.mean(objective.penalty_weights[edge] / w[1])
     out = []
     for axis, (d, dd) in enumerate(((ops.d1, ops.d11), (ops.d2, ops.d22))):
         df, ddf = d[:, keep[axis]], dd[:, keep[axis]]
         big_w = np.diag(w[axis])
         k = df.T @ big_w @ df
         b = ddf.T @ big_w @ ddf
-        if axis == 0:
+        for name in objective.clamped_edges:
+            if sides[name][0] != axis:
+                continue
+            edge = sides[name][1]
+            line = np.take(edge_weights(grid, name)
+                           * edge_arclength(ref, name), edge, axis=axis)
+            rho = np.mean(line / w[1 - axis])
             b += (2.0 * objective.penalty_beta * rho / bend
                   * np.outer(df[edge], df[edge]))
         out.append((np.diag(w[axis][keep[axis]]), k, b))
-    return out
+    return out, keep
 
 
 def test_metric_diagonal_is_positive():
@@ -112,15 +123,21 @@ def test_metric_diagonal_is_positive():
 def test_metric_diagonal_matches_the_dense_normal_operators():
     # oracle: P assembled densely from Kronecker products of the per-axis
     # Gram matrices (penalty row included) in the metric's eigenbasis, with
-    # the split along the mean normal; the fast H0 q must solve P x = q
+    # the split along the mean normal; the fast H0 q must solve P x = q.
+    # Clamps on both axes leave an 8 x 6 block of free nodes, so the
+    # Kronecker order of P (and of the metric's (m1, m2, 3) layout) must be
+    # the order in which the objective's free mask packs the nodes
     chart = make_chart("sphere-cap", radius=1.0, extent=0.6)
     grid = Grid.uniform(chart.domain, 9, 7)
     ref = build_reference(chart, grid, 0.05)
     mat = MaterialParams(mu=1.3, lam=0.7, h=0.05)
-    objective = ShellObjective(ref, mat, model=1, clamped_edges=("left",),
+    objective = ShellObjective(ref, mat, model=1,
+                               clamped_edges=("left", "bottom"),
                                penalty_beta=0.4)
     metric = objective.metric_diagonal()
-    axes = _free_axis_operators(objective, edge=0)
+    axes, keep = _free_axis_operators(objective)
+    assert np.array_equal(objective.free, np.outer(*keep))
+    assert (len(metric.v1), len(metric.v2)) == (8, 6)
     v = (metric.v1, metric.v2)
     diags = []
     for (w, k, b), vi in zip(axes, v):
@@ -162,7 +179,7 @@ def test_metric_diagonal_preconditions_the_plate_hessian():
     # the nodal diagonal this metric replaced spreads them by ~6e3 here
     ref, mat = _setup("plate", h=0.1, n=9)
     objective = ShellObjective(ref, mat, model=1, clamped_edges=EDGES)
-    free = DiscreteDeformation.from_reference(ref, EDGES).free
+    free = objective.free
     x0 = ref.positions[free].ravel()
     t = 1e-6
 
@@ -420,19 +437,22 @@ def test_line_search_backs_off_a_folding_step_and_collapses():
 
 
 def test_discrete_deformation_pins_clamped_nodes():
-    ref, _ = _setup()
-    perturbed = ref.positions + 0.01 * RNG.normal(size=ref.positions.shape)
-    deform = DiscreteDeformation.from_reference(ref, ("left", "top"),
-                                                positions=perturbed)
-    n1, n2 = ref.grid.n1, ref.grid.n2
-    pinned = edge_mask("left", n1, n2) | edge_mask("top", n1, n2)
-    assert np.array_equal(deform.positions[pinned], ref.positions[pinned])
-    assert np.array_equal(deform.positions[~pinned], perturbed[~pinned])
-    assert not deform.free[pinned].any()
-    with pytest.raises(ConfigError):
-        DiscreteDeformation.from_reference(ref, ("west",))
-    with pytest.raises(ConfigError):
-        DiscreteDeformation.from_reference(ref, (), positions=np.zeros((3, 3)))
+    # the start is the reference on the clamped edges and the initial
+    # positions elsewhere; max_iter = 0 returns it as it is
+    ref, mat = _setup()
+    config = SolverConfig(model=1, max_iter=0)
+    perturbed = ref.positions + 1e-4 * RNG.normal(size=ref.positions.shape)
+    result = minimize(ref, mat, config, clamped_edges=("left", "top"),
+                      initial=perturbed)
+    pinned = np.zeros((ref.grid.n1, ref.grid.n2), dtype=bool)
+    pinned[0, :] = pinned[:, -1] = True
+    assert np.array_equal(result.positions[pinned], ref.positions[pinned])
+    assert np.array_equal(result.positions[~pinned], perturbed[~pinned])
+    with pytest.raises(ConfigError, match="unknown edge 'west'"):
+        minimize(ref, mat, config, clamped_edges=("west",))
+    with pytest.raises(ConfigError, match="shape"):
+        minimize(ref, mat, config, clamped_edges=(),
+                 initial=np.zeros((3, 3)))
 
 
 def test_objective_rejects_a_material_of_another_thickness():
@@ -498,7 +518,8 @@ def test_loaded_plate_descends_monotonically_with_feasible_iterates():
     for pos in seen[:: max(1, len(seen) // 10)]:
         assert objective.feasible(pos)
     # clamped boundary never moves
-    boundary = ~DiscreteDeformation.from_reference(ref, result.clamped_edges).free
+    assert result.clamped_edges == objective.clamped_edges
+    boundary = ~objective.free
     assert np.array_equal(result.positions[boundary], ref.positions[boundary])
     # small load: deflection stays below the thickness
     assert np.abs(result.positions - ref.positions).max() < mat.h
@@ -579,13 +600,10 @@ def test_penalty_weight_pulls_boundary_normals_back():
                           SolverConfig(model=1, max_iter=800, gtol_abs=1e-9,
                                        penalty_beta=beta),
                           loads=loads)
-        objective = ShellObjective(ref, mat, model=1)
+        objective = ShellObjective(ref, mat, model=1, clamped_edges=EDGES)
         bundle = objective.point(result.positions).bundle
         dn2 = np.sum((bundle["n"] - ref.normal) ** 2, axis=-1)
-        boundary = np.zeros((ref.grid.n1, ref.grid.n2), dtype=bool)
-        for name in ("left", "right", "bottom", "top"):
-            boundary |= edge_mask(name, ref.grid.n1, ref.grid.n2)
-        devs.append(float(dn2[boundary].sum()))
+        devs.append(float(dn2[~objective.free].sum()))
     assert devs[1] < devs[0]
     assert devs[2] < devs[1]
 
