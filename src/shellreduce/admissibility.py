@@ -26,7 +26,7 @@ reported separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
@@ -198,13 +198,13 @@ def volume_threshold_taylor(ref):
                             h2=h2, h3=h3, h0=min(h3, h2), argmin=argmin)
 
 
-def volume_quadratic_hessian(ref, mat, h=None):
+def volume_quadratic_hessian(ref, mat):
     """Closed-form Hessian of the squared-volume quadratic, per grid point.
 
     Variables are (r, X, Y) = (a_m/a_y0) (1, dH, dK); returns an
-    (n1, n2, 3, 3) stack (lam a_y0 / 4) M(h; H, K).
+    (n1, n2, 3, 3) stack (lam a_y0 / 4) M(h; H, K) at h = ``mat.h``.
     """
-    h = mat.h if h is None else float(h)
+    h = mat.h
     H = ref.mean
     K = ref.gauss
     a = ref.area
@@ -222,7 +222,7 @@ def volume_quadratic_hessian(ref, mat, h=None):
 # quadratic-form Hessians of the trace densities, sampled convexity
 # ---------------------------------------------------------------------------
 
-def shell_quadratic_hessian(ref, mat, model, h=None):
+def shell_quadratic_hessian(ref, mat, model):
     """12x12 Hessian of a model's trace density as a quadratic in (E, G).
 
     E plays grad m and G plays grad n_m as independent 3x2 matrices; the
@@ -236,10 +236,8 @@ def shell_quadratic_hessian(ref, mat, model, h=None):
         E-G  -[[w_II11, w_II12], [w_II21, w_II22]] (x) Id_3.
 
     Returned as an (n1, n2, 12, 12) stack (flattening order: E rows first,
-    then G rows, each row-major 3x2).
+    then G rows, each row-major 3x2), at h = ``mat.h``.
     """
-    if h is not None:
-        mat = replace(mat, h=float(h))
     w = shell_form_weights(ref, mat, model)
 
     def block(w11, w12, w21, w22):
@@ -256,8 +254,8 @@ def shell_quadratic_hessian(ref, mat, model, h=None):
          np.concatenate([np.swapaxes(coupling, -1, -2), third], -1)], -2)
 
 
-def sample_convexity(ref, mat, which, h=None, n_samples=1000, seed=0):
-    """Minimum Hessian eigenvalue and Rayleigh-quotient sample, with scale.
+def sample_convexity(ref, mat, which, n_samples=1000, seed=0):
+    """Minimum Hessian eigenvalue and Rayleigh-quotient sample at ``mat.h``.
 
     ``which`` picks the density: "full" or "cubic" for the trace quadratics
     (12 variables), "volume" for the squared-volume quadratic (3 variables).
@@ -266,10 +264,9 @@ def sample_convexity(ref, mat, which, h=None, n_samples=1000, seed=0):
     min_eigenvalue >= -1e-12 * scale.
     """
     if which in ("full", "cubic"):
-        hess = shell_quadratic_hessian(ref, mat, 1 if which == "full" else 2,
-                                       h=h)
+        hess = shell_quadratic_hessian(ref, mat, 1 if which == "full" else 2)
     elif which == "volume":
-        hess = volume_quadratic_hessian(ref, mat, h=h)
+        hess = volume_quadratic_hessian(ref, mat)
     else:
         raise ConfigError("unknown convexity form %r" % (which,))
     eigs = np.linalg.eigvalsh(hess)
@@ -398,9 +395,9 @@ class AdmissibilityReport:
         return out
 
 
-def admissibility_report(ref, h=None, safety=1.0):
-    """Assemble every threshold and verdict for the reference surface."""
-    h = ref.h if h is None else float(h)
+def admissibility_report(ref, h, safety=1.0):
+    """Assemble every threshold and verdict for the reference at ``h``."""
+    h = float(h)
     if not (safety > 0.0):
         raise ConfigError("safety factor must be positive, got %g" % safety)
     h_geom = 2.0 / ref.kappa_sup if ref.kappa_sup > 0.0 else _INF

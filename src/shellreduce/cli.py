@@ -105,13 +105,6 @@ def _outpath(args, name):
     return os.path.join(args.out, name)
 
 
-def _reduced_loads(cfg):
-    if cfg.load_spec is None:
-        return None
-    from .loads import reduce_loads
-    return reduce_loads(cfg.load_spec, cfg.material.h)
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -122,7 +115,7 @@ def cmd_check(cfg, args):
     from .vtkio import write_csv
 
     ref = build_reference(cfg.chart, cfg.grid, cfg.material.h, cfg.order)
-    report = admissibility_report(ref, safety=cfg.safety)
+    report = admissibility_report(ref, cfg.material.h, safety=cfg.safety)
     rows = report.rows()
     write_csv(_outpath(args, "check-report.csv"), ("quantity", "value"),
               [(k, _fmt(v)) for k, v in rows])
@@ -154,7 +147,7 @@ def cmd_energy(cfg, args):
     ref = build_reference(cfg.chart, cfg.grid, cfg.material.h, cfg.order)
     state = deformed_state(positions, cfg.grid, cfg.material.h, cfg.order)
     breakdown = total_energy(state, ref, cfg.material, cfg.model,
-                             cfg.constants, loads=_reduced_loads(cfg))
+                             cfg.constants, loads=cfg.load_spec)
     rows = [("shell", breakdown.shell_term),
             ("curv_log", breakdown.curv_log_term),
             ("curv_det2", breakdown.curv_det2_term),
@@ -221,7 +214,7 @@ def cmd_minimize(cfg, args):
 
     try:
         result = minimize(ref, cfg.material, cfg.solver,
-                          loads=_reduced_loads(cfg),
+                          loads=cfg.load_spec,
                           clamped_edges=cfg.clamped_edges or None,
                           force=args.force, safety=cfg.safety,
                           callback=snapshot)
@@ -255,11 +248,12 @@ def cmd_loads_reduce(cfg, args):
     import numpy as np
 
     from .errors import ConfigError
+    from .loads import reduce_loads
     from .vtkio import write_csv
 
     if cfg.load_spec is None:
         raise ConfigError("no loads configured (loads.* keys are empty)")
-    res = _reduced_loads(cfg)
+    res = reduce_loads(cfg.load_spec, cfg.material.h)
     named = [("force_area", res.force_area),
              ("moment_area", res.moment_area)]
     for edge in sorted(res.force_edge):
@@ -326,7 +320,7 @@ def main(argv=None):
     except (InadmissibleThickness, ThicknessError) as exc:
         print("shellreduce: %s" % exc, file=sys.stderr)
         return 2
-    except ShellError as exc:
+    except (ShellError, OSError) as exc:
         print("shellreduce: %s" % exc, file=sys.stderr)
         return 1
 

@@ -136,11 +136,15 @@ def _chart_from(raw):
                     try:
                         pq, coef = term.split(":")
                         p, q = pq.split(",")
-                        poly[(int(p), int(q))] = float(coef)
+                        p, q, coef = int(p), int(q), float(coef)
                     except ValueError:
                         raise ConfigError(
                             "chart.poly: expected 'p,q:coef;...', got %r"
                             % value)
+                    if (p, q) in poly:
+                        raise ConfigError("chart.poly repeats the term %d,%d"
+                                          % (p, q))
+                    poly[(p, q)] = coef
                 if not all(math.isfinite(c) for c in poly.values()):
                     raise ConfigError("chart.poly must be finite, got %r"
                                       % value)

@@ -38,9 +38,10 @@ standalone and constant terms do not depend on the deformation.  The
 minimizer seeds the adjoint of ``surface_bundle``
 (:func:`~shellreduce.geometry.surface_bundle_vjp`) with these partials.
 
-:class:`ReducedEnergy` is the one assembly of the energy: it checks a run
-once and holds its reference-only fields, and :func:`total_energy` and the
-minimizer's ``ShellObjective`` (a subclass) both evaluate through it.  A
+:class:`ReducedEnergy` is the one assembly of the energy and the one place
+a thickness enters it (``mat.h``): it checks a run once and holds its
+reference-only fields, and :func:`total_energy` and the minimizer's
+``ShellObjective`` (a subclass) both evaluate through it.  A
 deformed configuration enters as the same per-node record the reference is
 built on, :func:`~shellreduce.geometry.deformed_state` (re-exported here).
 """
@@ -56,9 +57,10 @@ from .errors import ConfigError, OrientationViolation, ThicknessError
 # build on them without an import cycle; they are re-exported here because
 # the package exports, the CLI and the benchmark (perfbench/) call them as
 # shellreduce.energy.deformed_state
-from .geometry import DeformedState, deformed_state, face_factors  # noqa: F401
+from .geometry import (DeformedState, deformed_state,  # noqa: F401
+                       face_factors, with_thickness)
 from .grids import area_weights
-from .loads import load_covector
+from .loads import load_covector, reduce_loads
 
 MODELS = (1, 2, 3)
 CONSTANT_MODES = ("oracle", "paper")
@@ -396,15 +398,12 @@ def energy_density_fields(bundle, ref, mat, model, constants="oracle",
 
 class ReducedEnergy:
     """A model's reduced energy on one reference: the per-run checks and
-    the reference-only fields that every evaluation reads.  ``loads`` is a
-    LoadResultants (or None)."""
+    the reference-only fields that every evaluation reads, all at the one
+    thickness ``mat.h``.  The reference's face factors are rebuilt for it
+    (:func:`~shellreduce.geometry.with_thickness`) and ``loads``, a 3-D
+    LoadSpec (or None), is reduced at it."""
 
     def __init__(self, ref, mat, model, constants="oracle", loads=None):
-        # the reference face factors and kernels hold for its thickness only
-        if abs(mat.h - ref.h) > 1e-15 * max(1.0, ref.h):
-            raise ConfigError(
-                "material thickness %g disagrees with reference thickness %g"
-                % (mat.h, ref.h))
         if model not in MODELS:
             raise ConfigError("model must be one of %s, got %r"
                               % (MODELS, model))
@@ -419,7 +418,7 @@ class ReducedEnergy:
                 "thickness h = %g exceeds the geometric bound "
                 "(h sup|kappa| = %.3f, needs < 2)"
                 % (mat.h, mat.h * ref.kappa_sup))
-        self.ref = ref
+        self.ref = ref = with_thickness(ref, mat.h)
         self.mat = mat
         self.model = model
         self.constants = constants
@@ -428,27 +427,27 @@ class ReducedEnergy:
         # partials both read these reference-only weights
         self.form_weights = shell_form_weights(ref, mat, model)
         self.constant = constant_density(ref, mat, constants)
-        self.load = load_covector(loads, ref)
+        self.load = load_covector(
+            None if loads is None else reduce_loads(loads, mat.h), ref)
 
-    def evaluate(self, bundle, positions, eps=None, check=True):
+    def evaluate(self, bundle, positions, eps=None):
         """(internal energy, load potential, face factors, density fields)
         of a plain bundle and its nodal ``positions``.
 
         The orientation check raises OrientationViolation at EPS_ORIENT;
-        with ``eps`` given it returns None where a defect reaches that floor,
-        and ``check=False`` skips it.  The internal energy sums the density
-        and the constant node by node: their separate sums cancel near the
-        natural state, leaving more round-off than late descents move.
+        with ``eps`` given it returns None where a defect reaches that floor.
+        The internal energy sums the density and the constant node by node:
+        their separate sums cancel near the natural state, leaving more
+        round-off than late descents move.
         """
         faces = face_factors(bundle["H"], bundle["K"], self.mat.h)
-        if check:
-            bad = orientation_violations(
-                bundle, self.ref, faces, EPS_ORIENT if eps is None else eps)
-            if bad is not None:
-                if eps is not None:
-                    return None
-                name, idx, value = bad
-                raise OrientationViolation(idx, name, value)
+        bad = orientation_violations(
+            bundle, self.ref, faces, EPS_ORIENT if eps is None else eps)
+        if bad is not None:
+            if eps is not None:
+                return None
+            name, idx, value = bad
+            raise OrientationViolation(idx, name, value)
         fields = energy_density_fields(bundle, self.ref, self.mat, self.model,
                                        self.constants, faces,
                                        self.form_weights, self.constant)
@@ -458,17 +457,16 @@ class ReducedEnergy:
         return internal, load, faces, fields
 
 
-def total_energy(state, ref, mat, model, constants="oracle", loads=None,
-                 check_orientation=True):
+def total_energy(state, ref, mat, model, constants="oracle", loads=None):
     """Integrate a model's densities over the midsurface
     (:meth:`ReducedEnergy.evaluate`, the minimizer's evaluation).
 
-    ``loads`` is a LoadResultants from the loads module (or None); its
+    ``loads`` is a 3-D LoadSpec (or None), reduced at ``mat.h``; its
     potential enters the total with a minus sign.
     """
     energy = ReducedEnergy(ref, mat, model, constants, loads)
-    internal, load_term, _, fields = energy.evaluate(
-        state.bundle, state.positions, check=check_orientation)
+    internal, load_term, _, fields = energy.evaluate(state.bundle,
+                                                     state.positions)
     parts = {key: float(np.sum(energy.w2d * fields[key])) for key in fields}
     return EnergyBreakdown(
         shell_term=parts["shell"],

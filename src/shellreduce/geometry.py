@@ -354,7 +354,10 @@ def make_chart(kind, **params):
         _reject_extra(kind, params)
         poly = {(int(p), int(q)): float(c) for (p, q), c in poly.items()}
         if bump is not None:
-            amp, k1, k2 = float(bump[0]), int(bump[1]), int(bump[2])
+            amp, k1, k2 = float(bump[0]), float(bump[1]), float(bump[2])
+            if not (k1.is_integer() and k2.is_integer()):
+                raise ConfigError("chart.bump wave numbers must be integers, "
+                                  "got %r" % (tuple(bump),))
         else:
             amp, k1, k2 = 0.0, 1, 1
         w1 = np.pi * k1 / L1
@@ -462,15 +465,14 @@ class TrigDisplacement:
         return {key: scale[key] * acc[key] for key in acc}
 
 
-def displace_chart(base, displacement, label=None):
+def displace_chart(base, displacement):
     """Analytic chart ``base + displacement`` (both with exact derivatives)."""
 
     def fields(X1, X2):
         own, extra = base.fields(X1, X2), displacement.fields(X1, X2)
         return {key: own[key] + extra[key] for key in own}
 
-    return SurfaceChart(label or (base.name + "+displacement"), base.domain,
-                        fields)
+    return SurfaceChart(base.name + "+displacement", base.domain, fields)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +533,7 @@ class DeformedState:
 def with_thickness(record, h):
     """A DeformedState (or ReferenceField) of the same configuration with the
     face factors of thickness ``h``: nothing else in the record depends on
-    h, so a thickness sweep builds the surface fields once."""
+    h, so an evaluation at the material's h shares all the rest."""
     a_plus, a_minus = face_factors(record.mean, record.gauss, h)
     return replace(record, h=float(h), a_plus=a_plus, a_minus=a_minus)
 

@@ -24,6 +24,10 @@ class Grid:
         (a1, b1), (a2, b2) = domain
         if n1 < 2 or n2 < 2:
             raise ConfigError("grid needs at least 2 nodes per direction")
+        if not (b1 > a1 and b2 > a2):
+            raise ConfigError("chart domain %s is empty or reversed: each "
+                              "upper bound must exceed its lower bound"
+                              % (domain,))
         return cls(np.linspace(a1, b1, n1), np.linspace(a2, b2, n2))
 
     @property

@@ -224,11 +224,11 @@ def load_covector(res, ref):
                         moment=moment if np.any(moment) else None, ref=ref)
 
 
-def uniform_transverse(pressure, direction=(0.0, 0.0, 1.0)):
-    """Face-pressure LoadSpec: net force/area = pressure * direction.
+def uniform_transverse(pressure):
+    """Face-pressure LoadSpec: net force/area = pressure * (0, 0, 1).
 
     Splits the load evenly between the two faces so the first moment
     vanishes (a pure push with no distributed couple).
     """
-    vec = 0.5 * float(pressure) * np.asarray(direction, dtype=float)
+    vec = 0.5 * float(pressure) * np.array((0.0, 0.0, 1.0))
     return LoadSpec(face_plus=vec, face_minus=vec)

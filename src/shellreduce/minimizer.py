@@ -402,19 +402,18 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
              force=False, safety=1.0, callback=None):
     """Minimize the selected model's energy over the free nodal positions.
 
-    ``clamped_edges`` defaults to the complement of the load's traction
-    edges (all four edges without loads).  The start is the reference, with
-    its free nodes taken from ``initial`` when given.  ``force=True`` skips
-    the thickness gate.  The gate's admissibility report is computed once
-    and returned on ``MinimizeResult.report``
+    ``loads`` is a 3-D LoadSpec (or None), reduced at ``mat.h``.
+    ``clamped_edges`` defaults to the complement of its traction edges
+    ``gamma_t`` (all four edges without loads).  The start is the
+    reference, with its free nodes taken from ``initial`` when given.
+    ``force=True`` skips the thickness gate.  The gate's admissibility
+    report is computed once and returned on ``MinimizeResult.report``
     (``InadmissibleThickness.report`` when the gate stops the run).
     """
     if clamped_edges is None:
-        if loads is not None:
-            clamped_edges = tuple(e for e in EDGES if e not in loads.gamma_t)
-        else:
-            clamped_edges = EDGES
-    report = admissibility_report(ref, h=mat.h, safety=safety)
+        traction = loads.gamma_t if loads is not None else ()
+        clamped_edges = tuple(e for e in EDGES if e not in traction)
+    report = admissibility_report(ref, mat.h, safety=safety)
     if not report.ok(config.model) and not force:
         raise InadmissibleThickness(
             "thickness %g at or above the model-%d bound %.12g"

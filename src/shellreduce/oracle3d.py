@@ -15,25 +15,21 @@ evaluated on the normal-extension ansatz
 This module assembles F without any thickness expansion.  The closed-form
 inverse of grad Theta makes b(x3) F(x3) an exact quadratic in x3 whose
 per-node 3x3 coefficients do not depend on x3, so :func:`integrate_3d`
-builds them once per call and evaluates F by Horner at each thickness node;
-:func:`ansatz_point` keeps an optional np.linalg.solve cross-check of the
-same assembly.  W is integrated over the slab with Gauss-Legendre or
-composite-Simpson rules through the thickness and the tensor Simpson rule
-over the surface.  The module also exposes the closed-form
-thickness-moment/coefficient tables the reduced densities are built from,
-so tests can pin them against independent re-derivations.
+builds them once per call and evaluates F by Horner at each thickness node.
+W is integrated over the slab with Gauss-Legendre or composite-Simpson
+rules through the thickness and the tensor Simpson rule over the surface.
+The module also exposes the closed-form thickness-moment/coefficient
+tables the reduced densities are built from, so tests can pin them against
+independent re-derivations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# det_square_bracket is the model-3 density's own bracket, re-exported next
-# to the other closed-form thickness tables
-from .energy import (MaterialParams, det_square_bracket,  # noqa: F401
-                     deformed_state, total_energy)
+from .energy import MaterialParams, deformed_state, total_energy
 from .errors import ConfigError, NonPositiveDeterminant
-from .geometry import form22, lift_flat, require_thickness, with_thickness
+from .geometry import form22, lift_flat, require_thickness
 from .grids import area_weights, thickness_rule
 from .reference import build_reference
 
@@ -104,32 +100,16 @@ def _ansatz_gradient(coeffs, b, x3):
     return (m0 + x3 * (m1 + x3 * m2)) / b[..., None, None]
 
 
-def ansatz_point(ref, state, x3, check=False):
+def ansatz_point(ref, state, x3):
     """Deformation-gradient data of the ansatz at offset x3.
 
     Returns a dict with grad_theta, F, det_F and the reference thickness
-    Jacobian b.  ``check=True`` verifies F against grad Phi (grad Theta)^-1
-    assembled by np.linalg.solve to 1e-10 relative and raises ConfigError
-    on disagreement.
+    Jacobian b.
     """
     x3 = float(x3)
     grad_theta = _frame(ref.grad + x3 * ref.grad_n, ref.normal)
     b = thickness_jacobian(ref.mean, ref.gauss, x3)
     F = _ansatz_gradient(_ansatz_coefficients(ref, state), b, x3)
-
-    if check:
-        grad_phi = _frame(state.grad + x3 * state.grad_n, state.normal)
-        F_solve = np.swapaxes(
-            np.linalg.solve(np.swapaxes(grad_theta, -1, -2),
-                            np.swapaxes(grad_phi, -1, -2)),
-            -1, -2,
-        )
-        scale = max(float(np.abs(F).max()), 1.0)
-        err_f = np.abs(F - F_solve).max() / scale
-        if err_f > 1e-10:
-            raise ConfigError("ansatz cross-check failed at x3=%g: assembly "
-                              "mismatch %.3e" % (x3, err_f))
-
     return {"grad_theta": grad_theta, "F": F, "det_F": det3(F), "b": b}
 
 
@@ -257,14 +237,10 @@ def compare_reduced_3d(chart, deformed_chart, grid, mu, lam, h_values,
     Every thickness is checked, and a repeated one (it would skew the
     fitted orders) rejected, before any geometry is built.  The
     reference, the deformed state and the ansatz coefficients are built
-    once; each thickness only swaps in the reference's face factors
-    (:func:`~shellreduce.geometry.with_thickness`).  The deformed state is
-    shared as it is: the reduced energy rebuilds its face factors from the
-    bundle, and the slab integral reads the shared coefficients.  The sweep
-    runs serially, so the numeric library's threads (which the CLI's
-    ``--threads`` caps) are the only ones: a pool of its own multiplied
-    them, and at 97^2 on two cores it saved about a tenth of the sweep for
-    6.5 MB more peak memory.
+    once and shared by every thickness: the reduced energy takes its
+    thickness from the material, and the slab integral reads the shared
+    coefficients.  The sweep runs serially, so the numeric library's
+    threads (which the CLI's ``--threads`` caps) are the only ones.
     """
     h_values = [float(h) for h in h_values]
     if not h_values:
@@ -280,12 +256,11 @@ def compare_reduced_3d(chart, deformed_chart, grid, mu, lam, h_values,
 
     rows = []
     for h in h_values:
-        ref = with_thickness(shared_ref, h)
         mat = MaterialParams(mu=mu, lam=lam, h=h)
-        full3d = integrate_3d(shared_state, ref, mat, rule=rule,
+        full3d = integrate_3d(shared_state, shared_ref, mat, rule=rule,
                               coeffs=coeffs)
         for model in models:
-            reduced = total_energy(shared_state, ref, mat, model,
+            reduced = total_energy(shared_state, shared_ref, mat, model,
                                    constants).internal
             rows.append((h, model, reduced, full3d, abs(reduced - full3d)))
 

@@ -9,8 +9,8 @@ kernels built from the reference chart:
 with <A, B> = sum_ij A_ij B_ij, folded into one weight per form component
 by :func:`~shellreduce.energy.shell_form_weights`.  Those kernels and the
 curvature suprema entering the convexity thresholds are fixed once per
-(chart, grid); only the face factors depend on the thickness (see
-:func:`~shellreduce.geometry.with_thickness`).  :func:`build_reference`
+(chart, grid); only the face factors depend on the thickness, and the
+energy evaluator rebuilds them at the material's.  :func:`build_reference`
 builds the reference's per-node record with the same
 :func:`~shellreduce.geometry.deformed_state` as any deformed configuration
 (face factors A^{+-} = 1 -+ h H + h^2 K / 4 included), checks its rank and
@@ -49,8 +49,8 @@ def spd_sqrt_2x2(mat):
 
 @dataclass
 class ReferenceField(DeformedState):
-    """The reference configuration's record on a grid for one thickness,
-    plus the fixed contraction kernels and curvature suprema."""
+    """The reference configuration's record on a grid (face factors at the
+    h it was built for), plus the h-free kernels and curvature suprema."""
 
     kernel0: np.ndarray         # I^{-1}               (n1, n2, 2, 2)
     kernel1: np.ndarray         # L I^{-1} + I^{-1} L
@@ -82,8 +82,8 @@ def _product22(*factors):
 
 
 def build_reference(source, grid, h, order=4):
-    """The ReferenceField of an analytic chart or nodal positions on a grid
-    for one thickness.
+    """The ReferenceField of an analytic chart or nodal positions on a grid;
+    ``h`` sets only its face factors (an energy reads ``mat.h``).
 
     Raises DegenerateChart where the surface loses rank and
     CurvatureInconsistent where H^2 < K beyond round-off.  Never raises on

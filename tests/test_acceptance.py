@@ -15,6 +15,7 @@ doubles as a human-readable checklist of what the package promises:
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,14 +25,14 @@ from shellreduce.admissibility import (sample_convexity, scan_stretch_cubic,
                                        stretch_threshold_full,
                                        volume_threshold_taylor)
 from shellreduce.cli import main
-from shellreduce.energy import MaterialParams, deformed_state, total_energy
+from shellreduce.energy import (MaterialParams, deformed_state,
+                                det_square_bracket, total_energy)
 from shellreduce.geometry import TrigDisplacement, displace_chart, make_chart
 from shellreduce.grids import EDGES, Grid, area_weights
-from shellreduce.loads import LoadSpec, reduce_loads, uniform_transverse
+from shellreduce.loads import LoadSpec, uniform_transverse
 from shellreduce.minimizer import ShellObjective, SolverConfig, minimize
-from shellreduce.oracle3d import (compare_reduced_3d, det_square_bracket,
-                                  det_square_series, integrate_3d,
-                                  simpson_point_products,
+from shellreduce.oracle3d import (compare_reduced_3d, det_square_series,
+                                  integrate_3d, simpson_point_products,
                                   trace_moment_coefficients, thickness_rule)
 from shellreduce.reference import build_reference
 from shellreduce.vtkio import read_csv
@@ -180,7 +181,7 @@ def test_criterion_4_thresholds_match_scans_and_hessians_are_psd():
     for which, h0 in (("full", full.h0), ("cubic", cubic.h0),
                       ("volume", vol.h0)):
         min_eig, min_ray, scale = sample_convexity(
-            ref, mat, which, h=0.9 * h0, n_samples=1000, seed=7)
+            ref, replace(mat, h=0.9 * h0), which, n_samples=1000, seed=7)
         slack = -1e-12 * scale
         if min_eig < slack or min_ray < slack:
             failures.append("%s at 0.9 h0: min eig %.3e, min rayleigh %.3e"
@@ -224,7 +225,7 @@ def test_criterion_6_gradient_modes_and_secant_probes_agree():
         grid = Grid.uniform(chart.domain, 9, 9)
         ref = build_reference(chart, grid, 0.05)
         mat = MaterialParams(mu=1.0, lam=1.0, h=0.05)
-        loads = reduce_loads(uniform_transverse(0.001), mat.h)
+        loads = uniform_transverse(0.001)
         objective = ShellObjective(ref, mat, model=1, loads=loads,
                                    clamped_edges=("left",), penalty_beta=0.1)
         for seed in range(20):
@@ -260,9 +261,9 @@ def test_criterion_7_loaded_plate_minimization():
     h = 0.1
     ref = build_reference(chart, grid, h)
     mat = MaterialParams(mu=1.0, lam=1.0, h=h)
-    loads = reduce_loads(LoadSpec(face_plus=(0.0, 0.0, 0.001),
-                                  face_minus=(0.0, 0.0, 0.001),
-                                  gamma_t=()), h)
+    loads = LoadSpec(face_plus=(0.0, 0.0, 0.001),
+                     face_minus=(0.0, 0.0, 0.001),
+                     gamma_t=())
     solver = SolverConfig(model=1, max_iter=7000, gtol_abs=4e-8)
     objective = ShellObjective(ref, mat, model=1, loads=loads,
                                clamped_edges=EDGES)

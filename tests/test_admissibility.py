@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -169,7 +170,8 @@ def test_thresholds_scale_linearly_with_radius():
         (stretch_threshold_full(r1).h0, stretch_threshold_full(r2).h0),
         (stretch_threshold_cubic(r1).h0, stretch_threshold_cubic(r2).h0),
         (volume_threshold_taylor(r1).h3, volume_threshold_taylor(r2).h3),
-        (admissibility_report(r1).h_geom, admissibility_report(r2).h_geom),
+        (admissibility_report(r1, r1.h).h_geom,
+         admissibility_report(r2, r2.h).h_geom),
     )
     for a, b in pairs:
         assert abs(b - 2.0 * a) < 1e-6 * a
@@ -230,12 +232,12 @@ def test_hessians_are_psd_below_the_thresholds():
     mat = MaterialParams(mu=1.0, lam=1.0, h=0.05)
     for ref in (_ref("sphere-cap", radius=1.0, extent=0.6),
                 _ref("graph", **GRAPH)):
-        report = admissibility_report(ref)
+        report = admissibility_report(ref, mat.h)
         for which, h0 in (("full", report.model_h0[1]),
                           ("cubic", report.model_h0[2]),
                           ("volume", volume_threshold_taylor(ref).h0)):
             min_eig, min_ray, scale = sample_convexity(
-                ref, mat, which, h=0.9 * h0, n_samples=200)
+                ref, replace(mat, h=0.9 * h0), which, n_samples=200)
             assert min_eig >= -1e-12 * scale, which
             assert min_ray >= -1e-12 * scale, which
 
@@ -273,7 +275,8 @@ def test_volume_hessian_loses_definiteness_beyond_its_root():
     ref = _ref("sphere-cap", radius=1.0, extent=0.6)
     mat = MaterialParams(mu=1.0, lam=1.0, h=0.05)
     h3 = volume_threshold_taylor(ref).h3
-    min_eig, _, scale = sample_convexity(ref, mat, "volume", h=1.1 * h3)
+    min_eig, _, scale = sample_convexity(ref, replace(mat, h=1.1 * h3),
+                                         "volume")
     assert min_eig < -1e-12 * scale
 
 
@@ -305,7 +308,7 @@ def test_report_verdicts_and_safety_scaling():
     assert abs(tight.h_max[1] - 0.5 * 0.701492117767) < 1e-9
 
     with pytest.raises(ConfigError):
-        admissibility_report(ref, safety=0.0)
+        admissibility_report(ref, 0.5, safety=0.0)
 
     rows = dict(rep.rows())
     assert rows["h"] == 0.5

@@ -459,14 +459,14 @@ tracing.install(tracer)
 from shellreduce.energy import MaterialParams
 from shellreduce.geometry import make_chart
 from shellreduce.grids import Grid
-from shellreduce.loads import reduce_loads, uniform_transverse
+from shellreduce.loads import uniform_transverse
 from shellreduce.minimizer import SolverConfig, minimize
 from shellreduce.reference import build_reference
 
 chart = make_chart("plate")
 ref = build_reference(chart, Grid.uniform(chart.domain, 9, 9), 0.1)
 mat = MaterialParams(mu=1.0, lam=1.0, h=0.1)
-loads = reduce_loads(uniform_transverse(0.002), mat.h)
+loads = uniform_transverse(0.002)
 tracer.enabled = True
 minimize(ref, mat, SolverConfig(max_iter=20), loads=loads)
 tracer.enabled = False
@@ -612,6 +612,45 @@ def test_missing_config_file(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 1
     assert "cannot read config" in capsys.readouterr().err
+
+
+def test_missing_deformation_file_exits_1_naming_it(tmp_path, capsys):
+    absent = str(tmp_path / "absent.vtk")
+    for flags, extra in ((["--deformation", absent], ""),
+                         ([], "energy.deformation = %s\n" % absent)):
+        cfg = _config(tmp_path, PLATE + extra)
+        rc = main(["energy", "--config", cfg, "--out", str(tmp_path)] + flags)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("shellreduce: ") and absent in err
+
+
+def test_out_naming_a_file_exits_1_naming_it(tmp_path, capsys):
+    cfg = _config(tmp_path, PLATE)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    rc = main(["check", "--config", cfg, "--out", str(blocker)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("shellreduce: ") and str(blocker) in err
+
+
+@pytest.mark.parametrize("command", ["check", "energy", "minimize"])
+@pytest.mark.parametrize("text", [
+    PLATE.replace("chart.length1 = 1.0", "chart.length1 = -1.0"),
+    SPHERE.replace("chart.radius = 1.0", "chart.radius = -1.0"),
+    PLATE.replace("chart.kind = plate\nchart.length1 = 1.0\n"
+                  "chart.length2 = 1.0", "chart.kind = cylinder-patch\n"
+                  "chart.height = 0")],
+    ids=["plate", "sphere-cap", "cylinder-patch"])
+def test_reversed_or_empty_chart_domain_is_a_config_error(tmp_path, capsys,
+                                                          command, text):
+    # a domain whose upper bound is not above its lower one would run with
+    # negative or zero quadrature weights
+    cfg = _config(tmp_path, text + "energy.deformation = absent.vtk\n")
+    rc = main([command, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "empty or reversed" in capsys.readouterr().err
 
 
 def test_unknown_config_key(tmp_path, capsys):

@@ -136,6 +136,18 @@ material.h = 0.01
         RunConfig.from_text(bad)
 
 
+def test_chart_poly_repeats_and_fractional_bump_waves_are_config_errors():
+    # neither is rewritten: a repeated term would keep its last coefficient,
+    # a fractional wave number would be truncated
+    text = _cfg("chart.kind = graph\n", drop=("chart.kind",))
+    with pytest.raises(ConfigError, match="chart.poly repeats the term 2,0"):
+        RunConfig.from_text(text + "chart.poly = 2,0:1; 2,0:3\n")
+    with pytest.raises(ConfigError, match="chart.bump"):
+        RunConfig.from_text(text + "chart.bump = 0.1, 1.5, 1\n")
+    cfg = RunConfig.from_text(text + "chart.bump = 0.1, 2.0, 1\n")
+    assert cfg.chart.name == "graph"
+
+
 def test_loads_require_clamped_boundary():
     # with nothing clamped the traction boundary covers all four edges and
     # the load spec itself objects

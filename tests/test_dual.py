@@ -57,8 +57,8 @@ def test_value_and_grad_leaves_no_reference_cycles():
     grid = Grid.uniform(chart.domain, 17, 17)
     ref = build_reference(chart, grid, 0.1)
     mat = MaterialParams(mu=1.0, lam=1.0, h=0.1)
-    loads = reduce_loads(LoadSpec(face_plus=(0.0, 0.0, 0.002),
-                                  face_minus=(0.0, 0.0, 0.001)), mat.h)
+    loads = LoadSpec(face_plus=(0.0, 0.0, 0.002),
+                     face_minus=(0.0, 0.0, 0.001))
     objective = ShellObjective(ref, mat, model=1, loads=loads,
                                clamped_edges=("left", "right"),
                                penalty_beta=0.1)

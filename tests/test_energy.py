@@ -11,6 +11,7 @@ from shellreduce.errors import (ConfigError, OrientationViolation,
 from shellreduce.geometry import (TrigDisplacement, displace_chart, face_factors,
                                   form22, make_chart)
 from shellreduce.grids import Grid, area_weights
+from shellreduce.loads import LoadSpec
 from shellreduce.reference import build_reference
 
 RNG = np.random.default_rng(41)
@@ -266,12 +267,24 @@ def test_material_params_validation():
             MaterialParams(mu=mu, lam=lam, h=h)
 
 
-def test_thickness_mismatch_between_material_and_reference_is_rejected():
-    chart, grid, ref, _ = _setup("plate", h=0.05, n=9)
-    state = deformed_state(chart, grid, 0.07)
-    with pytest.raises(ConfigError):
-        total_energy(state, ref, MaterialParams(mu=1.0, lam=1.0, h=0.07),
-                     model=1)
+def test_reference_of_another_thickness_gives_identical_energies():
+    # the material carries the only thickness: a reference built at another
+    # h enters with the face factors of mat.h, so every term is bit-identical
+    chart, grid, own, mat = _setup("sphere-cap", h=0.07,
+                                   **CHARTS["sphere-cap"])
+    other = build_reference(chart, grid, 0.05)
+    pos = chart.positions_on(grid) + 1e-3 * RNG.normal(size=(11, 11, 3))
+    state = deformed_state(pos, grid, mat.h)
+    loads = LoadSpec(face_plus=(0.0, 0.002, 0.001), gamma_t=("top",))
+    for model in MODELS:
+        for constants in CONSTANT_MODES:
+            want = total_energy(state, own, mat, model, constants, loads)
+            got = total_energy(state, other, mat, model, constants, loads)
+            for key in ("shell_term", "curv_log_term", "curv_det2_term",
+                        "constant_term", "internal", "load_term"):
+                assert getattr(got, key) == getattr(want, key), key
+        natural = deformed_state(chart, grid, mat.h)
+        assert abs(total_energy(natural, other, mat, model).internal) < 1e-10
 
 
 def test_folded_state_raises_orientation_violation_with_node_index():
@@ -284,13 +297,6 @@ def test_folded_state_raises_orientation_violation_with_node_index():
         total_energy(state, ref, mat, model=1)
     msg = str(err.value)
     assert "grid node" in msg and "(" in msg
-    # the guard can be disabled for diagnostics; the fold's negative volume
-    # factor then feeds the log term, so the total may come out nan, but the
-    # call must not raise
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = total_energy(state, ref, mat, model=1, check_orientation=False)
-    assert out.model == 1
-    assert np.isfinite(out.shell_term)
 
 
 def test_overthick_reference_raises_thickness_error():

@@ -11,8 +11,8 @@ from shellreduce.errors import (ConfigError, InadmissibleInitialState,
                                 InadmissibleThickness, StepCollapsed)
 from shellreduce.geometry import make_chart, surface_bundle
 from shellreduce.grids import EDGES, Grid, edge_weights, simpson_weights
-from shellreduce.loads import (LoadSpec, edge_arclength, reduce_loads,
-                               uniform_transverse)
+from shellreduce.loads import (LoadSpec, edge_arclength, load_covector,
+                               reduce_loads, uniform_transverse)
 from shellreduce.minimizer import (MinimizeResult, ShellObjective,
                                    SolverConfig, line_search, minimize)
 from shellreduce.reference import build_reference
@@ -210,7 +210,7 @@ def test_metric_diagonal_preconditions_the_plate_hessian():
 ])
 def test_seeded_gradient_matches_finite_differences(kind, params):
     ref, mat = _setup(kind, h=0.05, **params)
-    loads = reduce_loads(uniform_transverse(0.001), mat.h)
+    loads = uniform_transverse(0.001)
     objective = ShellObjective(ref, mat, model=1, loads=loads,
                                clamped_edges=("left",), penalty_beta=0.1)
     for seed in (1, 2):
@@ -249,7 +249,7 @@ def test_gradient_matches_finite_differences_across_models_and_loads(
                     lateral={"top": {0: (0.0, 0.003, 0.001)}},
                     gamma_t=("top",))
     objective = ShellObjective(ref, mat, model=model, constants=constants,
-                               loads=reduce_loads(spec, mat.h),
+                               loads=spec,
                                clamped_edges=("left",), penalty_beta=0.3)
     assert objective.load.moment is not None
     pos = _random_feasible_state(objective, ref, seed=7)
@@ -285,11 +285,10 @@ def _full_graph_slope(objective, positions, direction, t=1e-30):
 ])
 def test_gradient_matches_the_full_graph_oracle(kind, params):
     ref, mat = _setup(kind, h=0.05, **params)
-    spec = LoadSpec(face_plus=(0.0, 0.004, 0.003),
-                    face_minus=(0.002, 0.0, -0.001),
-                    lateral={"top": {0: (0.0, 0.003, 0.001)}},
-                    gamma_t=("top",))
-    loads = reduce_loads(spec, mat.h)
+    loads = LoadSpec(face_plus=(0.0, 0.004, 0.003),
+                     face_minus=(0.002, 0.0, -0.001),
+                     lateral={"top": {0: (0.0, 0.003, 0.001)}},
+                     gamma_t=("top",))
     rng = np.random.default_rng(11)
     for model in (1, 2, 3):
         for constants in ("oracle", "paper"):
@@ -313,7 +312,7 @@ def test_gradient_graph_is_the_surface_bundle_alone(model, monkeypatch):
     # differentiates one surface_bundle call and no more: on the accepted
     # point it builds no bundle of its own and runs one bundle adjoint
     ref, mat = _setup("sphere-cap", h=0.05, n=17, radius=1.0, extent=0.6)
-    loads = reduce_loads(uniform_transverse(0.001), mat.h)
+    loads = uniform_transverse(0.001)
     objective = ShellObjective(ref, mat, model, loads=loads,
                                clamped_edges=("left",), penalty_beta=0.1)
     pos = _random_feasible_state(objective, ref, seed=3)
@@ -351,9 +350,9 @@ def test_one_orientation_check_per_surface_bundle(monkeypatch):
                  "area_weights"):
         assert not hasattr(minimizer_module, name), name
     ref, mat = _setup("plate", h=0.1, n=17)
-    loads = reduce_loads(LoadSpec(face_plus=(0.0, 0.0, 0.001),
-                                  face_minus=(0.0, 0.0, 0.001),
-                                  gamma_t=()), mat.h)
+    loads = LoadSpec(face_plus=(0.0, 0.0, 0.001),
+                     face_minus=(0.0, 0.0, 0.001),
+                     gamma_t=())
     counts = {"bundles": 0, "checks": 0, "faces": 0, "det2": 0}
 
     def counted(key, func):
@@ -396,7 +395,7 @@ def test_gradient_mode_dispatch_and_validation():
 
 def test_line_search_backs_off_a_folding_step_and_collapses():
     ref, mat = _setup()
-    loads = reduce_loads(uniform_transverse(0.002), mat.h)
+    loads = uniform_transverse(0.002)
     objective = ShellObjective(ref, mat, model=1, loads=loads)
     shape = ref.positions.shape
 
@@ -455,22 +454,47 @@ def test_discrete_deformation_pins_clamped_nodes():
                  initial=np.zeros((3, 3)))
 
 
-def test_objective_rejects_a_material_of_another_thickness():
-    # the reference face factors and kernels hold for h = 0.05 only; with
-    # h = 0.1 the deformed face factors would come from another thickness
-    # and the natural state would no longer read zero
+def test_objective_takes_its_thickness_from_the_material():
+    # a reference built at h = 0.05 and one built at the material's h = 0.1
+    # give the same objective and the same solve, bit for bit
     chart = make_chart("sphere-cap", radius=1.0, extent=0.6)
-    ref = build_reference(chart, Grid.uniform(chart.domain, 17, 17), 0.05)
-    wrong = MaterialParams(mu=1.0, lam=1.0, h=0.1)
-    state = deformed_state(chart, ref.grid, wrong.h)
-    with pytest.raises(ConfigError, match="thickness"):
-        total_energy(state, ref, wrong, 1)
-    with pytest.raises(ConfigError, match="thickness"):
-        ShellObjective(ref, wrong, model=1)
-    with pytest.raises(ConfigError, match="thickness"):
-        minimize(ref, wrong, SolverConfig(model=1, max_iter=5))
-    right = MaterialParams(mu=1.0, lam=1.0, h=0.05)
-    assert abs(ShellObjective(ref, right, model=1).value(ref.positions)) < 1e-10
+    grid = Grid.uniform(chart.domain, 17, 17)
+    other = build_reference(chart, grid, 0.05)
+    own = build_reference(chart, grid, 0.1)
+    mat = MaterialParams(mu=1.0, lam=1.0, h=0.1)
+    loads = uniform_transverse(0.002)
+    pos = own.positions + 1e-3 * _smooth_field(grid, seed=4)
+    for model in (1, 2, 3):
+        want = ShellObjective(own, mat, model, loads=loads)
+        got = ShellObjective(other, mat, model, loads=loads)
+        assert got.value(pos) == want.value(pos)
+        assert abs(got.value(other.positions)) < 1e-10
+    config = SolverConfig(model=1, max_iter=5)
+    want = minimize(own, mat, config, loads=loads)
+    got = minimize(other, mat, config, loads=loads)
+    assert got.trace == want.trace
+    assert np.array_equal(got.positions, want.positions)
+
+
+def test_load_spec_is_reduced_at_the_material_thickness():
+    # a LoadSpec is reduced at mat.h: the same bits as the resultants of
+    # reduce_loads(spec, mat.h) assembled on the reference by hand
+    ref, mat = _setup("sphere-cap", h=0.05, n=11, radius=1.0, extent=0.6)
+    spec = LoadSpec(face_plus=(0.0, 0.004, 0.003),
+                    face_minus=(0.002, 0.0, -0.001),
+                    lateral={"top": {0: (0.0, 0.003, 0.001)}},
+                    gamma_t=("top",))
+    cov = load_covector(reduce_loads(spec, mat.h), ref)
+    objective = ShellObjective(ref, mat, 1, loads=spec)
+    assert np.array_equal(objective.load.force, cov.force)
+    assert np.array_equal(objective.load.moment, cov.moment)
+    result = minimize(ref, mat, SolverConfig(model=1, max_iter=5), loads=spec)
+    assert result.clamped_edges == ("left", "right", "bottom")
+    state = deformed_state(result.positions, ref.grid, mat.h, ref.order)
+    load = float(cov.potential(state.positions, state.normal))
+    breakdown = total_energy(state, ref, mat, 1, loads=spec)
+    assert breakdown.load_term == load
+    assert result.energy == breakdown.internal - load
 
 
 def test_solver_config_validation():
@@ -501,7 +525,7 @@ def test_unloaded_natural_state_is_stationary_at_start():
 
 def test_loaded_plate_descends_monotonically_with_feasible_iterates():
     ref, mat = _setup()
-    loads = reduce_loads(uniform_transverse(0.002), mat.h)
+    loads = uniform_transverse(0.002)
     seen = []
     objective = ShellObjective(ref, mat, model=1, loads=loads,
                                clamped_edges=("left", "right", "bottom",
@@ -532,9 +556,9 @@ def test_plate_iterations_stay_nearly_flat_under_refinement():
     iterations = []
     for n in (17, 33):
         ref, mat = _setup("plate", h=0.1, n=n)
-        loads = reduce_loads(LoadSpec(face_plus=(0.0, 0.0, 0.001),
-                                      face_minus=(0.0, 0.0, 0.001),
-                                      gamma_t=()), mat.h)
+        loads = LoadSpec(face_plus=(0.0, 0.0, 0.001),
+                         face_minus=(0.0, 0.0, 0.001),
+                         gamma_t=())
         result = minimize(ref, mat, SolverConfig(model=1, max_iter=7000,
                                                  gtol_abs=4e-8),
                           loads=loads, clamped_edges=EDGES)
@@ -547,7 +571,7 @@ def _replay_matches_minimizer(model, constants):
     # the energy command and minimize evaluate through one ReducedEnergy,
     # so they print the same bits for the same surface
     ref, mat = _setup()
-    loads = reduce_loads(uniform_transverse(0.002), mat.h)
+    loads = uniform_transverse(0.002)
     result = minimize(ref, mat, SolverConfig(model=model, constants=constants,
                                              max_iter=60, penalty_beta=0.0),
                       loads=loads)
@@ -577,9 +601,9 @@ def test_minimizer_final_state_is_mirror_symmetric_and_load_equivariant():
     ref, mat = _setup()
     config = SolverConfig(model=1, max_iter=3000, gtol_abs=1e-9)
     plus = minimize(ref, mat, config,
-                    loads=reduce_loads(uniform_transverse(0.002), mat.h))
+                    loads=uniform_transverse(0.002))
     minus = minimize(ref, mat, config,
-                     loads=reduce_loads(uniform_transverse(-0.002), mat.h))
+                     loads=uniform_transverse(-0.002))
     p = plus.positions
     assert np.abs(p[::-1, :, 0] - (1.0 - p[:, :, 0])).max() < 1e-6
     assert np.abs(p[::-1, :, 1] - p[:, :, 1]).max() < 1e-6
@@ -593,7 +617,7 @@ def test_penalty_weight_pulls_boundary_normals_back():
     # all edges clamped in position; increasing the normal-deviation penalty
     # must monotonically reduce the boundary tilt integral
     ref, mat = _setup()
-    loads = reduce_loads(uniform_transverse(0.004), mat.h)
+    loads = uniform_transverse(0.004)
     devs = []
     for beta in (0.0, 1e1, 1e3):
         result = minimize(ref, mat,

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from shellreduce import oracle3d
-from shellreduce.energy import MaterialParams, deformed_state, total_energy
+from shellreduce.energy import (MaterialParams, deformed_state,
+                                det_square_bracket, total_energy)
 from shellreduce.errors import ConfigError, NonPositiveDeterminant
 from shellreduce.geometry import TrigDisplacement, displace_chart, make_chart
 from shellreduce.grids import Grid, area_weights
 from shellreduce.oracle3d import (ansatz_point, compare_reduced_3d,
-                                  det_square_bracket, det_square_series,
-                                  integrate_3d, log_det_bracket,
-                                  simpson_point_products, stored_energy,
-                                  thickness_rule, trace_moment_coefficients)
+                                  det_square_series, integrate_3d,
+                                  log_det_bracket, simpson_point_products,
+                                  stored_energy, thickness_rule,
+                                  trace_moment_coefficients)
 from shellreduce.reference import build_reference
 
 RNG = np.random.default_rng(1203)
@@ -77,7 +78,15 @@ def test_thickness_rules_integrate_polynomials():
 def test_ansatz_closed_form_inverse_cross_checks():
     _, _, ref, mat, state = _sphere_setup()
     for x3 in (-0.5 * mat.h, -0.17 * mat.h, 0.0, 0.5 * mat.h):
-        point = ansatz_point(ref, state, x3, check=True)  # raises on mismatch
+        point = ansatz_point(ref, state, x3)
+        # F against grad Phi (grad Theta)^-1 assembled by np.linalg.solve
+        grad_phi = np.concatenate([state.grad + x3 * state.grad_n,
+                                   state.normal[..., None]], axis=-1)
+        F_solve = np.swapaxes(np.linalg.solve(
+            np.swapaxes(point["grad_theta"], -1, -2),
+            np.swapaxes(grad_phi, -1, -2)), -1, -2)
+        scale = max(float(np.abs(point["F"]).max()), 1.0)
+        assert np.abs(point["F"] - F_solve).max() / scale <= 1e-10
         assert point["det_F"].min() > 0.0
         # reference jacobian b matches det(grad_theta) / det(frame at 0)
         det_theta = np.linalg.det(point["grad_theta"])

@@ -85,10 +85,10 @@ def test_check_thickness_verdicts():
     # the thickness gate is h < h_geom = 2 / sup|kappa|
     thin = _ref("sphere-cap", radius=1.0, extent=0.6, h=0.05)
     assert abs(thin.h * thin.kappa_sup - 0.05) < 1e-8
-    assert abs(admissibility_report(thin).h_geom - 2.0) < 1e-6
+    assert abs(admissibility_report(thin, thin.h).h_geom - 2.0) < 1e-6
     thick = _ref("sphere-cap", radius=1.0, extent=0.6, h=2.5)
     assert thick.h * thick.kappa_sup > 2.0
-    assert thick.h > admissibility_report(thick).h_geom
+    assert thick.h > admissibility_report(thick, thick.h).h_geom
     # a passing margin guarantees positive face factors ...
     assert thin.a_plus.min() > 0.0 and thin.a_minus.min() > 0.0
     # ... a failing one means b(x3) = 1 - 2 H x3 + K x3^2 dips to zero
