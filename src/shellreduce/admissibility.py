@@ -44,42 +44,115 @@ _INF = float("inf")
 def smallest_positive_roots(coeffs):
     """Smallest positive real root of each row sum_k coeffs[:, k] t^k, or +inf.
 
-    ``coeffs`` is an (N, d+1) stack of ascending coefficients.  Leading
-    coefficients at or below 1e-14 of the row's largest |c| are trimmed
-    (plate and cylinder charts zero out entire blocks).  Roots are the
-    eigenvalues of the companion matrices np.roots builds, one ``eigvals``
-    call per degree; degree 1 is the closed form.  From degree 2 on, Newton
-    steps polish a root whose sign change survives on [0.9999 t, 1.0001 t];
-    a double root keeps its eigenvalue estimate.
+    ``coeffs`` is an (N, d+1) stack of ascending coefficients, d <= 3.
+    Leading coefficients at or below 1e-14 of the row's largest |c| are
+    trimmed (plate and cylinder charts zero out entire blocks).  Roots come
+    in closed form per degree: -c0 / c1, the stable quadratic formula, and
+    for a cubic the trigonometric form when it has three real roots,
+    Cardano's otherwise (see ``_cubic_roots``).  A complex pair counts as a
+    (double) real root at its real part when |imag| <= 1e-9 max(|re|, 1).
+    From degree 2 on, Newton steps polish a root whose sign change survives
+    on [0.9999 t, 1.0001 t]; a double root keeps its closed-form estimate.
     """
-    c = np.array(coeffs, dtype=float)
-    rows, width = c.shape
-    scale = np.abs(c).max(axis=1)
+    # one row per power, so that every step below is elementwise
+    c = np.array(coeffs, dtype=float).T.copy()
+    width, rows = c.shape
+    if not 1 <= width <= 4:
+        raise ValueError("smallest_positive_roots takes degree 0 to 3, "
+                         "got %d coefficients" % width)
+    scale = np.abs(c).max(axis=0)
     deg = np.full(rows, width - 1)
     for k in range(width - 1, 0, -1):
-        deg[(deg == k) & (np.abs(c[:, k]) <= 1e-14 * scale)] = k - 1
-    c[np.arange(width) > deg[:, None]] = 0.0
+        deg[(deg == k) & (np.abs(c[k]) <= 1e-14 * scale)] = k - 1
+    c[np.arange(width)[:, None] > deg] = 0.0
     out = np.full(rows, _INF)
-    for d in range(1, width):       # at d = 1 the eigenvalue is -c0 / c1
-        sel = deg == d
-        comp = np.zeros((sel.sum(), d, d))
-        comp[:, 0] = -c[sel, d - 1::-1] / c[sel, d, None]
-        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-        roots = np.linalg.eigvals(comp)
-        real = np.abs(roots.imag) <= 1e-9 * np.maximum(np.abs(roots.real), 1.0)
-        pos = real & (roots.real > 0.0)
-        out[sel] = np.where(pos, roots.real, _INF).min(axis=1)
-    found = (deg >= 2) & np.isfinite(out)
-    c, dc, t = c[found].T, polyder(c[found].T), out[found]
-    lo, hi = 0.9999 * t, 1.0001 * t
-    bracketed = polyval(lo, c, tensor=False) * polyval(hi, c, tensor=False) < 0
     with np.errstate(divide="ignore", invalid="ignore"):
+        for d in range(1, width):
+            sel = deg == d
+            # NaN (no real root) fails the comparison like a negative root
+            out[sel] = np.fmin.reduce(
+                [np.where(r > 0.0, r, _INF)
+                 for r in _ROOTS_BY_DEGREE[d](*c[d::-1, sel])])
+        found = (deg >= 2) & np.isfinite(out)
+        c, dc, t = c[:, found], polyder(c[:, found]), out[found]
+        lo, hi = 0.9999 * t, 1.0001 * t
+        bracketed = (polyval(lo, c, tensor=False)
+                     * polyval(hi, c, tensor=False) < 0)
         for _ in range(2):      # one step already reaches round-off
             g, dg = polyval(t, c, tensor=False), polyval(t, dc, tensor=False)
             step = t - g / dg
             t = np.where(bracketed & (step >= lo) & (step <= hi), step, t)
     out[found] = t
     return out
+
+
+def _linear_roots(a, b):
+    """The root of a t + b (a != 0)."""
+    return (-b / a,)
+
+
+def _quadratic_roots(a, b, c):
+    """The two roots of a t^2 + b t + c (a != 0), real values or NaN:
+    q = -(b + sign(b) sqrt(disc)) / 2, roots q / a and c / q, in which
+    nothing cancels.  A complex pair re +- i im counts as a double root at
+    re when |im| <= 1e-9 max(|re|, 1)."""
+    disc = b * b - 4.0 * a * c
+    real = disc >= 0.0
+    q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
+    re = -0.5 * b / a
+    im = 0.5 * np.sqrt(np.maximum(-disc, 0.0)) / np.abs(a)
+    pair = np.where(im <= 1e-9 * np.maximum(np.abs(re), 1.0), re, np.nan)
+    return np.where(real, q / a, pair), np.where(real, c / q, pair)
+
+
+def _cubic_roots(a, b, c, d):
+    """The three roots of a t^3 + b t^2 + c t + d (a != 0), real values or
+    NaN.
+
+    One real root r comes in closed form from the depressed cubic
+    y^3 + p y + q, t = y - b / 3a: the largest in magnitude of the
+    trigonometric form's three when the cubic has three real roots
+    (q^2/4 + p^3/27 < 0), Cardano's one real root otherwise.  Newton steps
+    that lower |g| polish it.  The other two are the roots of the quadratic
+    left after dividing r out, from the end where the division is stable
+    (Kahan): the constant end when r is the largest root, |r|^3 > |d / a|,
+    the leading end otherwise.  Taken directly from the closed forms, a
+    root many orders of magnitude below the others would be lost to
+    cancellation against the shift b / 3a.
+    """
+    e1, e2, e3 = b / a, c / a, d / a
+    shift = -e1 / 3.0
+    p = e2 - e1 * e1 / 3.0
+    q = (2.0 * e1 * e1 - 9.0 * e2) * e1 / 27.0 + e3
+    disc = 0.25 * q * q + p * p * p / 27.0
+    # trigonometric form, p < 0 wherever disc < 0: y = m cos(theta - 2 pi
+    # k / 3) with theta in [0, pi / 3], largest at k = 0, smallest at k = 2
+    m = 2.0 * np.sqrt(np.maximum(-p / 3.0, 0.0))
+    theta = np.arccos(np.clip(3.0 * q / (p * m), -1.0, 1.0)) / 3.0
+    top = shift + m * np.cos(theta)
+    bottom = shift + m * np.cos(theta - 4.0 * np.pi / 3.0)
+    # Cardano's form: y = u + v with u v = -p / 3, u from the branch in
+    # which nothing cancels
+    u = -np.copysign(np.cbrt(0.5 * np.abs(q)
+                             + np.sqrt(np.maximum(disc, 0.0))), q)
+    v = np.where(u != 0.0, -p / (3.0 * u), 0.0)
+    r = np.where(disc >= 0.0, u + v + shift,
+                 np.where(np.abs(top) >= np.abs(bottom), top, bottom))
+    g = ((a * r + b) * r + c) * r + d
+    for _ in range(3):
+        step = r - g / ((3.0 * a * r + 2.0 * b) * r + c)
+        g_step = ((a * step + b) * step + c) * step + d
+        better = np.abs(g_step) < np.abs(g)
+        r, g = np.where(better, step, r), np.where(better, g_step, g)
+    lead_b = a * r + b
+    const_c = -d / r
+    big = np.abs(r) ** 3 > np.abs(e3)
+    return (r,) + _quadratic_roots(
+        a, np.where(big, (const_c - c) / r, lead_b),
+        np.where(big, const_c, lead_b * r + c))
+
+
+_ROOTS_BY_DEGREE = {1: _linear_roots, 2: _quadratic_roots, 3: _cubic_roots}
 
 
 def _root_field(*fields):

@@ -10,8 +10,10 @@ are pinned to the reference values; the normal condition on those edges
 enters as a quadratic penalty because the normal is a nonlinear function of
 positions and cannot be eliminated node-wise.  Every clamp removes a whole
 edge, so the free nodes are a tensor product: ``ShellObjective`` keeps one
-index set per axis (``free_axes``) and their product (``free``), which
-packing, pinning and the metric all read.
+index set per axis (``free_axes``), their product (``free``) and the same
+block as a pair of slices (``free_box``), through which packing and pinning
+read and write views instead of gathering through the mask; the metric
+reads the per-axis sets.
 
 Gradients are exact to round-off.  The density's closed-form partials in
 a, H, K and the ten form components (``energy.density_partials``,
@@ -128,6 +130,11 @@ class ShellObjective(ReducedEnergy):
             self.free_axes[axis][idx] = False
             self.penalty_weights += _edge_measure(ref, name, "surface")
         self.free = np.outer(*self.free_axes)
+        self.free_box = tuple(slice(idx[0], idx[-1] + 1) for idx in
+                              map(np.flatnonzero, self.free_axes))
+        # the shell term's slot adjoints do not depend on the state
+        self.form_seeds = {key: self.w2d * weight
+                           for key, weight in self.form_weights.items()}
 
     # -- plain evaluation ---------------------------------------------------
 
@@ -153,6 +160,18 @@ class ShellObjective(ReducedEnergy):
 
     def value(self, positions):
         return self.point(positions).energy
+
+    def pack(self, field3):
+        """The free nodes of an (n1, n2, 3) field as one vector: nodes in
+        grid order, then x, y, z."""
+        return field3[self.free_box].ravel()
+
+    def unpack(self, vec, fixed):
+        """A copy of ``fixed`` with its free nodes read from ``vec``."""
+        out = fixed.copy()
+        free = out[self.free_box]
+        free[...] = vec.reshape(free.shape)
+        return out
 
     def _penalty_value(self, normal):
         if self.penalty_beta == 0.0:
@@ -180,8 +199,7 @@ class ShellObjective(ReducedEnergy):
         partials = density_partials(bundle, point.faces, point.det2,
                                     self.ref, self.mat, self.model,
                                     self.constants)
-        seeds = {key: self.w2d * weight
-                 for key, weight in self.form_weights.items()}
+        seeds = dict(self.form_seeds)
         for key, part in zip("aHK", partials):
             seeds[key] = self.w2d * part
         normal = bundle["n"]
@@ -422,7 +440,6 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
     objective = ShellObjective(ref, mat, config.model, config.constants,
                                loads=loads, clamped_edges=clamped_edges,
                                penalty_beta=config.penalty_beta)
-    free = objective.free
     positions = ref.positions.copy()
     if initial is not None:
         initial = np.asarray(initial, dtype=float)
@@ -434,23 +451,18 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
         except NonFinitePosition as exc:
             raise InadmissibleInitialState(
                 "initial deformation: %s" % exc) from exc
-        positions[free] = initial[free]
+        positions = objective.unpack(objective.pack(initial), positions)
     start = objective.feasible(positions)
     if start is None:
         raise InadmissibleInitialState(
             "initial deformation violates the orientation constraints")
 
-    def pack(field3):
-        return field3[free].ravel()
-
     def unpack(vec):
-        out = positions.copy()
-        out[free] = vec.reshape(-1, 3)
-        return out
+        return objective.unpack(vec, positions)
 
     def eval_vg(pos, point):
         value, grad = objective.value_and_grad(pos, point)
-        return value, pack(grad)
+        return value, objective.pack(grad)
 
     energy, g = eval_vg(positions, start)
     # a Point holds some thirty fields: keep at most one alive between
@@ -469,7 +481,7 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
                               clamped_edges=tuple(clamped_edges),
                               report=report)
 
-    x = pack(positions)
+    x = objective.pack(positions)
     metric = objective.metric_diagonal().apply
     pairs = []
     converged = False

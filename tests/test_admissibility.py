@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from numpy.polynomial.polynomial import polyfromroots
+from numpy.polynomial.polynomial import polyder, polyfromroots, polyval
 
 from shellreduce.admissibility import (admissibility_report, sample_convexity,
                                        scan_stretch_cubic, scan_stretch_full,
@@ -103,6 +103,118 @@ def test_smallest_positive_roots_match_planted_roots(seed):
     # rows are independent: the batch equals the row-by-row loop
     loop = np.array([smallest_positive_roots(row[None])[0] for row in coeffs])
     assert np.array_equal(roots, loop)
+
+
+def _companion_roots(coeffs):
+    """The slow oracle of ``smallest_positive_roots``: the eigenvalues of
+    each degree's stack of companion matrices (one ``np.linalg.eigvals``
+    call per degree), with the same lead trimming, real filter and bracketed
+    Newton polish."""
+    c = np.array(coeffs, dtype=float)
+    rows, width = c.shape
+    scale = np.abs(c).max(axis=1)
+    deg = np.full(rows, width - 1)
+    for k in range(width - 1, 0, -1):
+        deg[(deg == k) & (np.abs(c[:, k]) <= 1e-14 * scale)] = k - 1
+    c[np.arange(width) > deg[:, None]] = 0.0
+    out = np.full(rows, INF)
+    for d in range(1, width):
+        sel = deg == d
+        comp = np.zeros((sel.sum(), d, d))
+        comp[:, 0] = -c[sel, d - 1::-1] / c[sel, d, None]
+        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        roots = np.linalg.eigvals(comp)
+        real = np.abs(roots.imag) <= 1e-9 * np.maximum(np.abs(roots.real), 1.0)
+        pos = real & (roots.real > 0.0)
+        out[sel] = np.where(pos, roots.real, INF).min(axis=1)
+    found = (deg >= 2) & np.isfinite(out)
+    c, dc, t = c[found].T, polyder(c[found].T), out[found]
+    lo, hi = 0.9999 * t, 1.0001 * t
+    bracketed = polyval(lo, c, tensor=False) * polyval(hi, c, tensor=False) < 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):
+            g, dg = polyval(t, c, tensor=False), polyval(t, dc, tensor=False)
+            step = t - g / dg
+            t = np.where(bracketed & (step >= lo) & (step <= hi), step, t)
+    out[found] = t
+    return out
+
+
+def _oracle_batch(rng, n):
+    """(coeffs, smallest positive root) rows of quadratics and cubics,
+    cycling through five kinds: well-separated real roots, a near-double
+    pair 0.3-1% apart, a complex pair outside the real filter, a complex
+    pair inside it (|im| <= 1e-9 at |re| < 1e-3, which the filter counts
+    as a double root at re), and a quadratic with a trimmed 1e-16 lead."""
+    coeffs = np.zeros((n, 4))
+    expected = np.full(n, INF)
+    for i in range(n):
+        kind = i % 5
+        degree = 2 + rng.integers(2)
+        signs = rng.choice([-1.0, 1.0], 3)
+        # magnitudes at least a factor 10**0.4 apart, in [0.01, 100]
+        mags = rng.permutation(np.linspace(-2.0, 2.0, 9))[:3]
+        roots = signs * 10.0 ** (mags + rng.uniform(-0.05, 0.05, 3))
+        real = roots[:degree]
+        if kind == 1:
+            roots[1] = roots[0] * (1.0 + 10.0 ** rng.uniform(-2.5, -2.0))
+            real = roots[:degree]
+        elif kind in (2, 3):
+            if kind == 2:
+                re = roots[0]
+                im = abs(re) * 10.0 ** rng.uniform(-6.0, 0.0)
+                real = roots[2:degree]
+            else:
+                re = signs[0] * 10.0 ** rng.uniform(-4.0, -3.5)
+                im = 10.0 ** rng.uniform(-9.7, -9.1)
+                real = np.concatenate([[re], roots[2:degree]])
+            roots = np.array([re + 1j * im, re - 1j * im, roots[2]])
+        if np.any(real > 0.0):
+            expected[i] = real[real > 0.0].min()
+        row = polyfromroots(roots[:degree]).real * 10.0 ** rng.uniform(-6, 6)
+        coeffs[i, :degree + 1] = row
+        if kind == 4 and degree == 2:
+            coeffs[i, 3] = 1e-16 * np.abs(row).max() * signs[1]
+    return coeffs, expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_closed_form_roots_match_the_companion_eigenvalues(seed):
+    rng = np.random.default_rng(100 + seed)
+    coeffs, expected = _oracle_batch(rng, 1000)
+    roots = smallest_positive_roots(coeffs)
+    oracle = _companion_roots(coeffs)
+    finite = np.isfinite(oracle)
+    assert np.array_equal(np.isfinite(roots), finite)
+    rel = np.abs(roots[finite] - oracle[finite]) / oracle[finite]
+    assert rel.max() <= 1e-12
+    # every kind yields positive roots, and both agree with the planted ones
+    assert np.array_equal(np.isfinite(expected), finite)
+    assert all(finite[kind::5].sum() > 20 for kind in range(5))
+    rel = np.abs(roots[finite] - expected[finite]) / expected[finite]
+    assert rel.max() <= 1e-9
+
+
+def test_closed_form_roots_keep_small_roots_beside_large_ones():
+    # roots twelve to fifteen orders of magnitude apart: a closed form
+    # taken directly loses the small one to cancellation against b / 3a,
+    # and beside a large complex pair Cardano's small root needs the
+    # Newton steps before it is divided out
+    for roots in ([2e-6, -3.0, 5e6], [-1e-6, 4e-3, 7e6],
+                  [3e-6, 1e6 + 2e6j, 1e6 - 2e6j],
+                  [3e-9, 1e6 + 2e6j, 1e6 - 2e6j],
+                  [2e-10, -1e5 + 3e5j, -1e5 - 3e5j]):
+        coeffs = polyfromroots(roots).real
+        small = min(r.real for r in roots if r.imag == 0 and r.real > 0)
+        (root,) = smallest_positive_roots([coeffs])
+        assert abs(root - small) <= 1e-12 * small, roots
+
+
+def test_smallest_positive_roots_takes_widths_one_to_four():
+    assert smallest_positive_roots(np.ones((3, 1))).tolist() == [INF] * 3
+    assert smallest_positive_roots([[-2.0, 4.0]])[0] == 0.5
+    with pytest.raises(ValueError):
+        smallest_positive_roots(np.ones((2, 5)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line driver, in process."""
 
+import ctypes
 import glob
 import importlib
 import importlib.util
@@ -414,6 +415,45 @@ def test_check_loads_no_scipy(tmp_path):
     proc = _run_fresh(["-c", code, cfg, str(tmp_path)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_minimize_keeps_its_freed_heap_pages(tmp_path):
+    # Without main()'s mallopt call glibc hands the freed top of the heap
+    # back after every L-BFGS iteration, and a second minimize of this cap
+    # faults ~6,400 pages back in; with it, almost none
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        pytest.skip("the C library has no mallopt")
+    text = SPHERE.replace("grid.n1 = 9", "grid.n1 = 49").replace(
+        "grid.n2 = 9", "grid.n2 = 49").replace(
+        "material.h = 0.8", "material.h = 0.05") + (
+        "model = 3\n"
+        "boundary.clamped = left,right\n"
+        "loads.face_plus = 0, 0, -0.002\n"
+        "loads.face_minus = 0, 0, -0.002\n"
+        "loads.edge.top.0 = 0, 0.005, 0\n"
+        "solver.max_iter = 10\n"
+        "solver.gtol_abs = 1e-14\n")
+    cfg = _config(tmp_path, text)
+    code = ("import json, resource, sys\n"
+            "from shellreduce import cli\n"
+            "argv = ['minimize', '--config', sys.argv[1],"
+            " '--out', sys.argv[2]]\n"
+            "faults = []\n"
+            "for _ in range(2):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    assert cli.main(argv) == 0\n"
+            "    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    faults.append(after - before)\n"
+            "print(json.dumps(faults))\n")
+    proc = _run_fresh(["-c", code, cfg, str(tmp_path)],
+                      OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                      MKL_NUM_THREADS="1")
+    assert proc.returncode == 0, proc.stderr
+    first, second = json.loads(proc.stdout.splitlines()[-1])
+    assert "10 iterations" in proc.stdout
+    assert second < 1000, (first, second)
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -454,6 +454,50 @@ def test_discrete_deformation_pins_clamped_nodes():
                  initial=np.zeros((3, 3)))
 
 
+def _mask_pack(objective, field3):
+    return field3[objective.free].ravel()
+
+
+def _mask_unpack(objective, vec, fixed):
+    out = fixed.copy()
+    out[objective.free] = vec.reshape(-1, 3)
+    return out
+
+
+@pytest.mark.parametrize("mask", range(16))
+def test_slice_packing_matches_the_mask_gather(mask, monkeypatch):
+    # every subset of clamped edges, on a non-square grid: pack / unpack
+    # through the free box give the boolean mask's gather and scatter, and
+    # a short solve from a perturbed start writes the same trace and surface
+    # as one that packs through the mask
+    clamped = tuple(e for k, e in enumerate(EDGES) if mask >> k & 1)
+    chart = make_chart("sphere-cap", radius=1.0, extent=0.6)
+    grid = Grid.uniform(chart.domain, 11, 9)
+    ref = build_reference(chart, grid, 0.05)
+    mat = MaterialParams(mu=1.0, lam=1.0, h=0.05)
+    loads = uniform_transverse(0.002)
+    objective = ShellObjective(ref, mat, 1, loads=loads,
+                               clamped_edges=clamped)
+    field = RNG.normal(size=ref.positions.shape)
+    packed = objective.pack(field)
+    assert np.array_equal(packed, _mask_pack(objective, field))
+    vec = RNG.normal(size=packed.shape)
+    assert np.array_equal(objective.unpack(vec, ref.positions),
+                          _mask_unpack(objective, vec, ref.positions))
+
+    initial = ref.positions + 1e-4 * _smooth_field(grid, seed=mask)
+    config = SolverConfig(model=1, max_iter=3)
+    got = minimize(ref, mat, config, loads=loads, clamped_edges=clamped,
+                   initial=initial)
+    monkeypatch.setattr(ShellObjective, "pack", _mask_pack)
+    monkeypatch.setattr(ShellObjective, "unpack", _mask_unpack)
+    want = minimize(ref, mat, config, loads=loads, clamped_edges=clamped,
+                    initial=initial)
+    assert got.iterations == want.iterations == 3
+    assert got.trace == want.trace
+    assert np.array_equal(got.positions, want.positions)
+
+
 def test_objective_takes_its_thickness_from_the_material():
     # a reference built at h = 0.05 and one built at the material's h = 0.1
     # give the same objective and the same solve, bit for bit
