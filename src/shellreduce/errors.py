@@ -53,15 +53,15 @@ class OrientationViolation(ShellError):
 
 
 class NonFinitePosition(ShellError):
-    """A nodal position given as input has a NaN, infinite or overflowing
-    coordinate."""
+    """A nodal position given as input, or a chart's value or derivative
+    field (``name``), has a NaN, infinite or overflowing coordinate."""
 
-    def __init__(self, index, position):
+    def __init__(self, index, position, name="position"):
         self.index = tuple(int(k) for k in index)
         self.position = tuple(float(x) for x in position)
         super().__init__(
-            "non-finite or overflowing position at grid node %s: (%s)"
-            % (self.index, ", ".join("%g" % x for x in self.position))
+            "non-finite or overflowing %s at grid node %s: (%s)"
+            % (name, self.index, ", ".join("%g" % x for x in self.position))
         )
 
 

@@ -486,14 +486,16 @@ def displace_chart(base, displacement):
 MAX_COORDINATE = 1e60
 
 
-def require_finite_positions(positions, bound=MAX_COORDINATE):
+def require_finite_positions(positions, bound=MAX_COORDINATE,
+                             name="position"):
     """Raise NonFinitePosition at the first grid node of an (n1, n2, 3)
-    position array that has a NaN, infinite or overflowing coordinate
-    (magnitude at or above ``bound``; ``np.inf`` admits every finite one)."""
+    field (``name``, positions by default) that has a NaN, infinite or
+    overflowing coordinate (magnitude at or above ``bound``; ``np.inf``
+    admits every finite one)."""
     bad = ~(np.abs(positions) < bound).all(axis=-1)
     if bad.any():
         idx = np.unravel_index(np.argmax(bad), bad.shape)
-        raise NonFinitePosition(idx, positions[idx])
+        raise NonFinitePosition(idx, positions[idx], name)
 
 
 def require_thickness(h):
@@ -540,9 +542,12 @@ def with_thickness(record, h):
 
 def deformed_state(source, grid, h, order=4):
     """The DeformedState of an analytic chart, or of an (n1, n2, 3) array
-    of nodal positions differentiated by the order-``order`` stencils."""
+    of nodal positions differentiated by the order-``order`` stencils; a
+    non-finite chart field or input position raises NonFinitePosition."""
     if isinstance(source, SurfaceChart):
         fields = source.fields(*grid.mesh())
+        for name in ("value",) + SLOT_NAMES:
+            require_finite_positions(fields[name], np.inf, "chart " + name)
         positions = fields["value"]
         slots = {name: fields[name] for name in SLOT_NAMES}
     else:
@@ -566,16 +571,17 @@ def deformed_state(source, grid, h, order=4):
     )
 
 
+def pack22(m11, m12, m21, m22):
+    """Four (n1, n2) component planes as one (n1, n2, 2, 2) stack."""
+    return np.stack((m11, m12, m21, m22), axis=-1).reshape(m11.shape + (2, 2))
+
+
 def form22(bundle, form):
     """A bundle form ("I", "II", "III" or the shape operator "L") packed as
     (n1, n2, 2, 2); the symmetric forms store no 21 entry."""
     lower = form + "21" if form + "21" in bundle else form + "12"
-    out = np.empty(bundle[form + "11"].shape + (2, 2))
-    out[..., 0, 0] = bundle[form + "11"]
-    out[..., 0, 1] = bundle[form + "12"]
-    out[..., 1, 0] = bundle[lower]
-    out[..., 1, 1] = bundle[form + "22"]
-    return out
+    return pack22(bundle[form + "11"], bundle[form + "12"], bundle[lower],
+                  bundle[form + "22"])
 
 
 def check_rank(state):

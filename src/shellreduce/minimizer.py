@@ -9,11 +9,9 @@ both print the same bits for one surface.  Positions on the clamped edges
 are pinned to the reference values; the normal condition on those edges
 enters as a quadratic penalty because the normal is a nonlinear function of
 positions and cannot be eliminated node-wise.  Every clamp removes a whole
-edge, so the free nodes are a tensor product: ``ShellObjective`` keeps one
-index set per axis (``free_axes``), their product (``free``) and the same
-block as a pair of slices (``free_box``), through which packing and pinning
-read and write views instead of gathering through the mask; the metric
-reads the per-axis sets.
+edge, so the free nodes are one block of the grid: ``ShellObjective`` keeps
+it as a pair of slices (``free_box``), through which packing and pinning
+read and write views, and the metric reads one slice per axis.
 
 Gradients are exact to round-off.  The density's closed-form partials in
 a, H, K and the ten form components (``energy.density_partials``,
@@ -119,19 +117,18 @@ class ShellObjective(ReducedEnergy):
         self.ops = GridDerivatives(grid.n1, grid.n2, grid.dx1, grid.dx2,
                                    ref.order)
 
-        # the free/fixed partition (one index set per axis; see the module
-        # docstring) and the clamp penalty measure, the arclength-weighted
-        # union of the clamped edges
-        self.free_axes = (np.ones(grid.n1, dtype=bool),
-                          np.ones(grid.n2, dtype=bool))
+        # the free block (one slice per axis; see the module docstring),
+        # each clamp trimming one end of its axis, and the clamp penalty
+        # measure, the arclength-weighted union of the clamped edges
+        box = [slice(0, grid.n1), slice(0, grid.n2)]
         self.penalty_weights = np.zeros((grid.n1, grid.n2))
         for name in self.clamped_edges:
             axis, idx = edge_index(name, grid.n1, grid.n2)
-            self.free_axes[axis][idx] = False
+            line = box[axis]
+            box[axis] = (slice(1, line.stop) if idx == 0
+                         else slice(line.start, idx))
             self.penalty_weights += _edge_measure(ref, name, "surface")
-        self.free = np.outer(*self.free_axes)
-        self.free_box = tuple(slice(idx[0], idx[-1] + 1) for idx in
-                              map(np.flatnonzero, self.free_axes))
+        self.free_box = tuple(box)
         # the shell term's slot adjoints do not depend on the state
         self.form_seeds = {key: self.w2d * weight
                            for key, weight in self.form_weights.items()}
@@ -223,9 +220,9 @@ class ShellObjective(ReducedEnergy):
         """Initial quasi-Newton metric: a membrane/bending model of the
         Hessian at the reference, inverted exactly by fast diagonalization.
 
-        The free nodes are the tensor product of ``free_axes``.  Per axis,
-        on its free nodes, with W = diag(Simpson weights x a separable area
-        factor), the first-derivative matrix D gives the membrane Gram
+        The free nodes are the block ``free_box``.  Per axis, on its free
+        nodes, with W = diag(Simpson weights x a separable area factor),
+        the first-derivative matrix D gives the membrane Gram
         matrix K = D^T W D and the second-derivative matrix the bending
         Gram matrix B = D2^T W D2 (plus, for each clamped end with a
         penalty, its rank-one edge term; see ``_axis_modes``).
@@ -261,7 +258,7 @@ class ShellObjective(ReducedEnergy):
                 rho = float(np.mean(line / weights[1 - axis]))
                 edge_rows[axis].append(
                     (idx, 2.0 * self.penalty_beta * rho / bend))
-        ops, free = self.ops, self.free_axes
+        ops, free = self.ops, self.free_box
         v1, k1, b1 = _axis_modes(ops.d1, ops.d11, weights[0], free[0],
                                  edge_rows[0])
         v2, k2, b2 = _axis_modes(ops.d2, ops.d22, weights[1], free[1],
@@ -298,7 +295,7 @@ class ShellObjective(ReducedEnergy):
 
 
 def _axis_modes(d, dd, w, free, edge_rows):
-    """One axis of the tensor metric: (V, k, b) on its free nodes.
+    """One axis of the tensor metric: (V, k, b) on its free slice ``free``.
 
     With Df = d[:, free] and DDf = dd[:, free], K = Df^T W Df and
     B = DDf^T W DDf + sum coef * Df[row]^T Df[row] over ``edge_rows``; V

@@ -67,6 +67,18 @@ def _frame(grad, normal):
     return np.concatenate([grad, normal[..., None]], axis=-1)
 
 
+def _inverse_frame(ref):
+    """T0^{-1} of the reference frame T0 = [d1 | d2 | n]: the unit normal
+    is orthogonal to d1 and d2, so T0^{-1} stacks I^{-1} (grad y)^T (with
+    I^{-1} = ``kernel0``) over n^T."""
+    k0, grad = ref.kernel0, ref.grad
+    out = np.empty(grad.shape[:-2] + (3, 3))
+    out[..., :2, :] = (k0[..., :, :1] * grad[..., None, :, 0]
+                       + k0[..., :, 1:] * grad[..., None, :, 1])
+    out[..., 2, :] = ref.normal
+    return out
+
+
 def thickness_jacobian(mean, gauss, x3):
     """b(x3) = 1 - 2 H x3 + K x3^2 (pointwise det ratio through thickness)."""
     return 1.0 - 2.0 * mean * x3 + gauss * x3 * x3
@@ -82,7 +94,7 @@ def _ansatz_coefficients(ref, state):
     has no normal column, so the cubic term x3^3 K P1 e3 e3^T R vanishes:
         M0 = P0 R,  M1 = (P1 + P0 C1) R,  M2 = (P1 C1 + K P0 e3 e3^T) R.
     """
-    inv_frame0 = np.linalg.inv(_frame(ref.grad, ref.normal))
+    inv_frame0 = _inverse_frame(ref)
     c1 = (lift_flat(form22(ref.bundle, "L"))
           - 2.0 * ref.mean[..., None, None] * EYE3)
     p0 = _frame(state.grad, state.normal)

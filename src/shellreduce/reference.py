@@ -7,78 +7,45 @@ kernels built from the reference chart:
     F2(Q) = <Q, L^T I^{-1} L>,
 
 with <A, B> = sum_ij A_ij B_ij, folded into one weight per form component
-by :func:`~shellreduce.energy.shell_form_weights`.  Those kernels and the
-curvature suprema entering the convexity thresholds are fixed once per
-(chart, grid); only the face factors depend on the thickness, and the
+by :func:`~shellreduce.energy.shell_form_weights`.  The coupling constant
+C = 2 sup |I^{1/2} L^T I^{-1/2}|_F of the convexity thresholds needs no
+matrix square root: by the cyclic trace,
+
+    |I^{1/2} L^T I^{-1/2}|_F^2 = tr(L^T I^{-1} L I) = <I, L^T I^{-1} L>,
+
+the Frobenius product of I with the third kernel.  The kernels and the
+curvature suprema are fixed once per (chart, grid); only the face factors depend on the thickness, and the
 energy evaluator rebuilds them at the material's.  :func:`build_reference`
 builds the reference's per-node record with the same
 :func:`~shellreduce.geometry.deformed_state` as any deformed configuration
 (face factors A^{+-} = 1 -+ h H + h^2 K / 4 included), checks its rank and
-curvatures, and adds the kernels to make a :class:`ReferenceField`.
+curvatures, and adds the kernels, products of the bundle's component
+planes, to make a :class:`ReferenceField`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .geometry import (DeformedState, check_rank, deformed_state, form22,
+from .geometry import (DeformedState, check_rank, deformed_state, pack22,
                        principal_curvatures, require_thickness)
-
-
-def spd_sqrt_2x2(mat):
-    """Symmetric square root and inverse square root of SPD 2x2 fields.
-
-    Uses the closed form sqrt(M) = (M + sqrt(det M) Id) / t with
-    t = sqrt(tr M + 2 sqrt(det M)).
-    """
-    m = np.asarray(mat, dtype=float)
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    tr = m[..., 0, 0] + m[..., 1, 1]
-    if np.any(det <= 0.0) or np.any(tr <= 0.0):
-        raise ConfigError("spd_sqrt_2x2 needs symmetric positive definite input")
-    s = np.sqrt(det)
-    t = np.sqrt(tr + 2.0 * s)
-    root = (m + s[..., None, None] * np.eye(2)) / t[..., None, None]
-    inv_root = np.linalg.inv(root)
-    return root, inv_root
 
 
 @dataclass
 class ReferenceField(DeformedState):
     """The reference configuration's record on a grid (face factors at the
-    h it was built for), plus the h-free kernels and curvature suprema."""
+    h it was built for), plus the h-free kernels and curvature suprema.
+
+    ``curvature_bound`` is C = 2 sup |I^{1/2} L^T I^{-1/2}|_F, computed as
+    2 sup sqrt(<I, kernel2>) by tr(L^T I^{-1} L I) = <I, L^T I^{-1} L>."""
 
     kernel0: np.ndarray         # I^{-1}               (n1, n2, 2, 2)
     kernel1: np.ndarray         # L I^{-1} + I^{-1} L
     kernel2: np.ndarray         # L^T I^{-1} L
     curvature_bound: float      # C = 2 sup |I^{1/2} L^T I^{-1/2}|_F
     kappa_sup: float            # sup max(|kappa1|, |kappa2|)
-
-
-def _product22(*factors):
-    """Pointwise product of two or three stacked (..., 2, 2) fields.
-
-    Each entry is a sum over the inner index path, with every term
-    multiplied left to right and the terms added in lexicographic path order
-    (np.einsum's order, so the result matches the einsum bit for bit).
-    Working on whole component planes avoids the per-node overhead that
-    einsum and batched matmul pay on 2x2 blocks.
-    """
-    out = np.empty(factors[0].shape)
-    for i, last in itertools.product(range(2), repeat=2):
-        total = 0.0
-        for inner in itertools.product(range(2), repeat=len(factors) - 1):
-            path = (i,) + inner + (last,)
-            term = factors[0][..., path[0], path[1]]
-            for factor, a, b in zip(factors[1:], path[1:], path[2:]):
-                term = term * factor[..., a, b]
-            total = total + term
-        out[..., i, last] = total
-    return out
 
 
 def build_reference(source, grid, h, order=4):
@@ -96,27 +63,33 @@ def build_reference(source, grid, h, order=4):
     state = deformed_state(source, grid, h, order)
     check_rank(state)
     kappa1, kappa2 = principal_curvatures(state.mean, state.gauss)
-    first = form22(state.bundle, "I")
-    inv_first = np.linalg.inv(first)
-    sqrt_first, inv_sqrt_first = spd_sqrt_2x2(first)
+    b = state.bundle
+    i11, i12, i22 = b["I11"], b["I12"], b["I22"]
+    l11, l12, l21, l22 = b["L11"], b["L12"], b["L21"], b["L22"]
 
-    L = form22(state.bundle, "L")
-    Lt = np.swapaxes(L, -1, -2)
-    kernel1 = _product22(L, inv_first) + _product22(inv_first, L)
-    kernel2 = _product22(Lt, inv_first, L)
+    # I^{-1} = adj(I) / det I, with the det that L = I^{-1} II divides by
+    # in surface_bundle; det I = a^2 > 0 once check_rank has passed
+    inv_det = 1.0 / (i11 * i22 - i12 * i12)
+    j11, j12, j22 = i22 * inv_det, -i12 * inv_det, i11 * inv_det
+    # M = I^{-1} L, shared by kernel1 = L I^{-1} + M and kernel2 = L^T M
+    m11, m12 = j11 * l11 + j12 * l21, j11 * l12 + j12 * l22
+    m21, m22 = j12 * l11 + j22 * l21, j12 * l12 + j22 * l22
+    k11, k12 = l11 * m11 + l21 * m21, l11 * m12 + l21 * m22
+    k21, k22 = l12 * m11 + l22 * m21, l12 * m12 + l22 * m22
 
-    bend = _product22(sqrt_first, Lt, inv_sqrt_first)
-    # squared Frobenius norm as the sum of the two squared column norms
-    bend_norm = np.sqrt((bend[..., 0, 0] ** 2 + bend[..., 1, 0] ** 2)
-                        + (bend[..., 0, 1] ** 2 + bend[..., 1, 1] ** 2))
-    curvature_bound = 2.0 * float(bend_norm.max())
+    # |I^{1/2} L^T I^{-1/2}|_F^2 = <I, kernel2> (see the module docstring)
+    frob2 = i11 * k11 + i12 * (k12 + k21) + i22 * k22
+    curvature_bound = 2.0 * float(np.sqrt(max(frob2.max(), 0.0)))
     kappa_sup = float(np.maximum(np.abs(kappa1), np.abs(kappa2)).max())
 
     return ReferenceField(
         **vars(state),
-        kernel0=inv_first,
-        kernel1=kernel1,
-        kernel2=kernel2,
+        kernel0=pack22(j11, j12, j12, j22),
+        kernel1=pack22(l11 * j11 + l12 * j12 + m11,
+                       l11 * j12 + l12 * j22 + m12,
+                       l21 * j11 + l22 * j12 + m21,
+                       l21 * j12 + l22 * j22 + m22),
+        kernel2=pack22(k11, k12, k21, k22),
         curvature_bound=curvature_bound,
         kappa_sup=kappa_sup,
     )

@@ -726,6 +726,38 @@ def test_bad_command_key_is_a_config_error(tmp_path, capsys, command, line):
     assert err.startswith("shellreduce: config error: " + line.split()[0])
 
 
+def test_negative_chart_poly_power_is_a_config_error(tmp_path, capsys):
+    # x2^-1 is infinite on the x2 = 0 edge of the graph's domain
+    graph = PLATE.replace("chart.kind = plate", "chart.kind = graph")
+    cfg = _config(tmp_path, graph + "chart.poly = 2,-1:1\n")
+    rc = main(["check", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "shellreduce: config error: chart.poly powers must be >= 0")
+
+
+def test_chart_with_a_nan_node_exits_with_orientation_code(tmp_path, capsys,
+                                                          monkeypatch):
+    # no config key yields a NaN chart, so the config's chart factory is
+    # swapped for the unit cap with a NaN d12 at node (4, 3)
+    from shellreduce.geometry import SurfaceChart, make_chart
+
+    base = make_chart("sphere-cap", radius=1.0, extent=0.6)
+
+    def fields(X1, X2):
+        out = base.fields(X1, X2)
+        out["d12"][4, 3] = np.nan
+        return out
+
+    monkeypatch.setattr("shellreduce.config.make_chart",
+                        lambda kind, **params: SurfaceChart(
+                            "nan-node", base.domain, fields))
+    rc = main(["check", "--config", _config(tmp_path, SPHERE),
+               "--out", str(tmp_path)])
+    assert rc == 3
+    assert "chart d12 at grid node (4, 3)" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     # exit code 2 is the admissibility failure's, so a usage error must not
     # take it; --model and --constants are checked as their config keys

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from shellreduce.errors import ConfigError, DegenerateChart
-from shellreduce.geometry import (SLOT_NAMES, TrigDisplacement, deformed_state,
-                                  displace_chart, form22, make_chart,
-                                  principal_curvatures, surface_bundle,
-                                  surface_bundle_vjp)
+from shellreduce.errors import ConfigError, DegenerateChart, NonFinitePosition
+from shellreduce.geometry import (SLOT_NAMES, SurfaceChart, TrigDisplacement,
+                                  deformed_state, displace_chart, form22,
+                                  make_chart, principal_curvatures,
+                                  surface_bundle, surface_bundle_vjp)
 from shellreduce.grids import Grid
 from shellreduce.reference import build_reference
 
@@ -121,6 +121,24 @@ def test_degenerate_chart_is_reported():
         assert info.value.index == (0, 0)
         state = deformed_state(pos, grid, 0.05)
     assert np.all(state.area == 0.0)
+
+
+@pytest.mark.parametrize("field", ("value",) + SLOT_NAMES)
+def test_chart_with_a_nan_node_is_reported(field):
+    # the chart's value and slot fields are checked before the bundle
+    # spreads a NaN, so the error names the node on both paths
+    base, grid = _chart_grid("sphere-cap", radius=1.0, extent=0.6, n=9)
+
+    def fields(X1, X2):
+        out = base.fields(X1, X2)
+        out[field][4, 3] = np.nan
+        return out
+
+    chart = SurfaceChart("nan-node", base.domain, fields)
+    for build in (build_reference, deformed_state):
+        with pytest.raises(NonFinitePosition,
+                           match=r"chart %s at grid node \(4, 3\)" % field):
+            build(chart, grid, 0.05)
 
 
 def test_make_chart_validates_kind_and_parameters():

@@ -5,7 +5,8 @@ from shellreduce.admissibility import admissibility_report
 from shellreduce.errors import ConfigError
 from shellreduce.geometry import face_factors, form22, make_chart
 from shellreduce.grids import Grid
-from shellreduce.reference import build_reference, spd_sqrt_2x2
+from shellreduce.oracle3d import _frame, _inverse_frame
+from shellreduce.reference import build_reference
 
 RNG = np.random.default_rng(20240517)
 
@@ -14,25 +15,6 @@ def _ref(kind, h=0.05, n=11, **params):
     chart = make_chart(kind, **params)
     grid = Grid.uniform(chart.domain, n, n)
     return build_reference(chart, grid, h)
-
-
-def test_spd_sqrt_round_trips_random_spd_fields():
-    for _ in range(30):
-        g = RNG.normal(size=(4, 5, 2, 2))
-        spd = np.einsum("...ij,...kj->...ik", g, g) + 0.3 * np.eye(2)
-        root, inv_root = spd_sqrt_2x2(spd)
-        assert np.abs(np.einsum("...ij,...jk->...ik", root, root)
-                      - spd).max() < 1e-12
-        assert np.abs(np.einsum("...ij,...jk->...ik", root, inv_root)
-                      - np.eye(2)).max() < 1e-12
-        # symmetric branch of the square root
-        assert np.abs(root - np.swapaxes(root, -1, -2)).max() < 1e-13
-
-
-def test_spd_sqrt_rejects_indefinite_input():
-    bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # det < 0
-    with pytest.raises(ConfigError):
-        spd_sqrt_2x2(bad)
 
 
 def test_face_factors_are_thickness_jacobian_at_faces():
@@ -110,10 +92,15 @@ def test_build_reference_rejects_nonpositive_thickness():
 
 
 def _einsum_kernels(ref):
-    """kernel1, kernel2 and the curvature bound by the einsum contractions."""
+    """kernel0, kernel1, kernel2 and the curvature bound by their
+    definitions: LAPACK inverses, the symmetric square root of I from a
+    per-node eigendecomposition, and einsum contractions."""
     first = form22(ref.bundle, "I")
     inv_first = np.linalg.inv(first)
-    sqrt_first, inv_sqrt_first = spd_sqrt_2x2(first)
+    vals, vecs = np.linalg.eigh(first)
+    sqrt_first = np.einsum("...ik,...k,...jk->...ij", vecs, np.sqrt(vals),
+                           vecs)
+    inv_sqrt_first = np.linalg.inv(sqrt_first)
     L = form22(ref.bundle, "L")
     Lt = np.swapaxes(L, -1, -2)
     kernel1 = (np.einsum("...ij,...jk->...ik", L, inv_first)
@@ -123,7 +110,15 @@ def _einsum_kernels(ref):
                      inv_sqrt_first)
     bound = 2.0 * float(np.sqrt(np.einsum("...ij,...ij->...", bend,
                                           bend)).max())
-    return kernel1, kernel2, bound
+    return inv_first, kernel1, kernel2, bound
+
+
+def _nodal_graph_ref(n=13):
+    # a reference built from nodal positions, differentiated by stencils
+    chart = make_chart("graph", poly={(2, 0): 0.3, (1, 1): -0.2},
+                       bump=(0.05, 2, 1))
+    grid = Grid.uniform(chart.domain, n, n)
+    return build_reference(chart.positions_on(grid), grid, 0.05)
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -131,14 +126,34 @@ def _einsum_kernels(ref):
     ("cylinder-patch", {"radius": 0.8, "arc": 1.2}),
     ("graph", {"poly": {(2, 0): 0.3, (1, 1): -0.2, (0, 3): 0.1},
                "bump": (0.05, 1, 2)}),
+    ("nodal", {}),
 ])
 def test_kernels_match_the_einsum_contractions(kind, params):
-    ref = _ref(kind, n=13, **params)
-    kernel1, kernel2, bound = _einsum_kernels(ref)
-    for fast, slow in ((ref.kernel1, kernel1), (ref.kernel2, kernel2)):
-        assert np.abs(fast - slow).max() <= 1e-14 * np.abs(slow).max()
+    # the closed forms (adjugate inverse, component-plane products and
+    # C from <I, kernel2>) against the slow oracle
+    ref = _nodal_graph_ref() if kind == "nodal" else _ref(kind, n=13,
+                                                           **params)
+    *kernels, bound = _einsum_kernels(ref)
+    fast = (ref.kernel0, ref.kernel1, ref.kernel2)
+    for got, slow in zip(fast, kernels):
+        assert np.abs(got - slow).max() <= 1e-14 * np.abs(slow).max()
     assert abs(ref.curvature_bound - bound) <= 1e-14 * bound
     assert bound > 0.0
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("sphere-cap", {"radius": 1.3, "extent": 0.7}),
+    ("graph", {"poly": {(2, 0): 0.3, (1, 1): -0.2, (0, 3): 0.1},
+               "bump": (0.05, 1, 2)}),
+    ("nodal", {}),
+])
+def test_closed_form_frame_inverse_is_the_inverse(kind, params):
+    ref = _nodal_graph_ref() if kind == "nodal" else _ref(kind, n=13,
+                                                           **params)
+    frame = _frame(ref.grad, ref.normal)
+    for product in (np.matmul(_inverse_frame(ref), frame),
+                    np.matmul(frame, _inverse_frame(ref))):
+        assert np.abs(product - np.eye(3)).max() <= 1e-14
 
 
 def test_plate_kernels_vanish():
