@@ -144,9 +144,6 @@ def _chart_from(raw):
                     if (p, q) in poly:
                         raise ConfigError("chart.poly repeats the term %d,%d"
                                           % (p, q))
-                    if p < 0 or q < 0:
-                        raise ConfigError("chart.poly powers must be >= 0, "
-                                          "got the term %d,%d" % (p, q))
                     poly[(p, q)] = coef
                 if not all(math.isfinite(c) for c in poly.values()):
                     raise ConfigError("chart.poly must be finite, got %r"

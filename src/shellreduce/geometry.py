@@ -353,6 +353,10 @@ def make_chart(kind, **params):
         bump = params.pop("bump", None)
         _reject_extra(kind, params)
         poly = {(int(p), int(q)): float(c) for (p, q), c in poly.items()}
+        for p, q in poly:
+            if p < 0 or q < 0:
+                raise ConfigError("chart.poly powers must be >= 0, got the "
+                                  "term %d,%d" % (p, q))
         if bump is not None:
             amp, k1, k2 = float(bump[0]), float(bump[1]), float(bump[2])
             if not (k1.is_integer() and k2.is_integer()):

@@ -14,13 +14,13 @@ matrix square root: by the cyclic trace,
     |I^{1/2} L^T I^{-1/2}|_F^2 = tr(L^T I^{-1} L I) = <I, L^T I^{-1} L>,
 
 the Frobenius product of I with the third kernel.  The kernels and the
-curvature suprema are fixed once per (chart, grid); only the face factors depend on the thickness, and the
-energy evaluator rebuilds them at the material's.  :func:`build_reference`
-builds the reference's per-node record with the same
-:func:`~shellreduce.geometry.deformed_state` as any deformed configuration
-(face factors A^{+-} = 1 -+ h H + h^2 K / 4 included), checks its rank and
-curvatures, and adds the kernels, products of the bundle's component
-planes, to make a :class:`ReferenceField`.
+curvature suprema are fixed once per (chart, grid); only the face factors
+depend on the thickness, and the energy evaluator rebuilds them at the
+material's.  :func:`build_reference` builds the reference's per-node record
+with the same :func:`~shellreduce.geometry.deformed_state` as any deformed
+configuration (face factors A^{+-} = 1 -+ h H + h^2 K / 4 included), checks
+its rank and curvatures, and adds the kernels, products of the bundle's
+component planes, to make a :class:`ReferenceField`.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def build_reference(source, grid, h, order=4):
 
     # |I^{1/2} L^T I^{-1/2}|_F^2 = <I, kernel2> (see the module docstring)
     frob2 = i11 * k11 + i12 * (k12 + k21) + i22 * k22
-    curvature_bound = 2.0 * float(np.sqrt(max(frob2.max(), 0.0)))
+    curvature_bound = 2.0 * float(np.sqrt(frob2.max()))
     kappa_sup = float(np.maximum(np.abs(kappa1), np.abs(kappa2)).max())
 
     return ReferenceField(

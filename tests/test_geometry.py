@@ -148,6 +148,9 @@ def test_make_chart_validates_kind_and_parameters():
         make_chart("plate", radius=1.0)
     with pytest.raises(ConfigError):
         make_chart("sphere-cap", extent=2.0)
+    with pytest.raises(ConfigError, match="powers must be >= 0, got the "
+                                          "term 2,-1"):
+        make_chart("graph", poly={(2, -1): 1.0})
 
 
 def test_displaced_chart_derivatives_are_consistent():
