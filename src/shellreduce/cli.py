@@ -2,7 +2,8 @@
 
 Commands: check, energy, compare3d, minimize, loads-reduce.  Every command
 takes --config PATH (flat key=value file, see the config module docstring)
-plus the shared flags --model, --constants, --threads, --force, --out.
+plus the shared flags --model, --constants, --threads, --out; minimize also
+takes --force.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 admissibility
 failure (a threshold test failed, or the requested thickness is at or above
@@ -86,9 +87,6 @@ def build_parser():
     common.add_argument("--threads", type=int, metavar="N",
                         help="cap numeric worker threads (default: "
                              "hardware count)")
-    common.add_argument("--force", action="store_true",
-                        help="run minimize even when the thickness check "
-                             "fails (a warning is printed)")
     common.add_argument("--out", default=".", metavar="DIR",
                         help="directory for output files (default: .)")
 
@@ -109,8 +107,12 @@ def build_parser():
     sub.add_parser("compare3d", parents=[common],
                    help="reduced energies vs. the 3-D slab integral over "
                         "a thickness sweep")
-    sub.add_parser("minimize", parents=[common],
-                   help="minimize the shell energy; writes VTK + trace CSV")
+    p_minimize = sub.add_parser(
+        "minimize", parents=[common],
+        help="minimize the shell energy; writes VTK + trace CSV")
+    p_minimize.add_argument("--force", action="store_true",
+                            help="run even when the thickness check fails "
+                                 "(a warning is printed)")
     sub.add_parser("loads-reduce", parents=[common],
                    help="reduce a 3-D load specification to midsurface "
                         "resultants")

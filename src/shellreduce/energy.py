@@ -38,12 +38,13 @@ standalone and constant terms do not depend on the deformation.  The
 minimizer seeds the adjoint of ``surface_bundle``
 (:func:`~shellreduce.geometry.surface_bundle_vjp`) with these partials.
 
-:class:`ReducedEnergy` is the one assembly of the energy and the one place
-a thickness enters it (``mat.h``): it checks a run once and holds its
-reference-only fields, and :func:`total_energy` and the minimizer's
-``ShellObjective`` (a subclass) both evaluate through it.  A
-deformed configuration enters as the same per-node record the reference is
-built on, :func:`~shellreduce.geometry.deformed_state` (re-exported here).
+:class:`ReducedEnergy` is the record of one run and the one place a
+thickness (``mat.h``) or a calibration enters the energy; the terms,
+:func:`energy_density_fields` and :func:`density_partials` read it as
+``(bundle, energy, faces)``.  :func:`total_energy` and the minimizer's
+``ShellObjective`` (a subclass) both evaluate through it.  A deformed
+configuration enters as the per-node record the reference is built on,
+:func:`~shellreduce.geometry.deformed_state` (re-exported here).
 """
 
 from __future__ import annotations
@@ -213,29 +214,17 @@ def shell_form_weights(ref, mat, model):
     return weights
 
 
-def w_shell(bundle, ref, mat, model, constants="oracle", weights=None):
-    """Trace density mu/2 (h + h^3 K/12) + sum_k weights[k] bundle[k].
-
-    ``weights`` may pass in :func:`shell_form_weights` of (ref, mat,
-    model).  The model-II standalone factor is read as the as-published
-    h + h^3 K/6 under ``paper``.
-    """
-    if weights is None:
-        weights = shell_form_weights(ref, mat, model)
-    denom = 6.0 if model == 2 and constants == "paper" else 12.0
-    acc = 0.5 * mat.mu * (mat.h + mat.h ** 3 * ref.gauss / denom)
-    for key, weight in weights.items():
+def w_shell(bundle, energy):
+    """Trace density: the run's standalone term mu/2 (h + h^3 K/12), read as
+    h + h^3 K/6 for model II under ``paper``, plus sum_k weights[k]
+    bundle[k] over the run's :func:`shell_form_weights`."""
+    acc = energy.standalone
+    for key, weight in energy.form_weights.items():
         acc = acc + weight * bundle[key]
     return acc
 
 
-def _log_coefficient(mat, constants):
-    if constants == "oracle":
-        return -(mat.mu + 0.5 * mat.lam)
-    return -(mat.lam + 2.0 * mat.mu) / 4.0
-
-
-def w_curv_log(bundle, ref, mat, constants, faces):
+def w_curv_log(bundle, energy, faces):
     """Three-point thickness rule for the logarithmic volume term, given the
     bundle's face factors ``faces`` = (A^+_m, A^-_m).
 
@@ -246,33 +235,27 @@ def w_curv_log(bundle, ref, mat, constants, faces):
     """
     a_m = bundle["a"]
     plus_m, minus_m = faces
-    log_a0 = np.log(ref.area)
-    log_p0 = np.log(ref.area * ref.a_plus)
-    log_m0 = np.log(ref.area * ref.a_minus)
+    ref = energy.ref
     bracket = (
-        ref.a_minus * (np.log(a_m * minus_m) - log_m0)
-        + 4.0 * (np.log(a_m) - log_a0)
-        + ref.a_plus * (np.log(a_m * plus_m) - log_p0)
+        ref.a_minus * (np.log(a_m * minus_m) - energy.log_minus0)
+        + 4.0 * (np.log(a_m) - energy.log_area0)
+        + ref.a_plus * (np.log(a_m * plus_m) - energy.log_plus0)
     )
-    return _log_coefficient(mat, constants) * (mat.h / 6.0) * bracket
+    return energy.log_coef * bracket
 
 
-def w_curv_det2_simpson(bundle, ref, mat, constants, faces):
-    """Three-point thickness rule for the squared-volume term (models I, II).
-
-    Under ``paper`` the block keeps its as-published interior area factor.
-    """
+def w_curv_det2_simpson(bundle, energy, faces):
+    """Three-point thickness rule for the squared-volume term (models I, II);
+    under ``paper`` the block keeps its as-published interior area factor."""
     a_m = bundle["a"]
     plus_m, minus_m = faces
+    ref = energy.ref
     r0 = a_m / ref.area
-    r_plus = a_m * plus_m / (ref.area * ref.a_plus)
-    r_minus = a_m * minus_m / (ref.area * ref.a_minus)
+    r_plus = a_m * plus_m / energy.area_plus0
+    r_minus = a_m * minus_m / energy.area_minus0
     bracket = (ref.a_minus * r_minus * r_minus + 4.0 * r0 * r0
                + ref.a_plus * r_plus * r_plus)
-    density = 0.25 * mat.lam * (mat.h / 6.0) * bracket
-    if constants == "paper":
-        density = density * ref.area
-    return density
+    return energy.simpson_coef * bracket * energy.area_factor
 
 
 def det_square_bracket(mean, gauss, d_mean, d_gauss, h):
@@ -292,23 +275,20 @@ def det_square_bracket(mean, gauss, d_mean, d_gauss, h):
                     - 4.0 * K * dH * dH + dK * dK))
 
 
-def w_curv_det2_taylor(bundle, ref, mat, constants="oracle"):
+def w_curv_det2_taylor(bundle, energy):
     """Closed-form thickness expansion of the squared-volume term (model III):
     (lam/4) (a_m/a_y0)^2 times :func:`det_square_bracket` of
     dH = H_m - H, dK = K_m - K (reference curvatures unsubscripted).
     """
+    ref = energy.ref
     bracket = det_square_bracket(ref.mean, ref.gauss, bundle["H"] - ref.mean,
-                                 bundle["K"] - ref.gauss, mat.h)
+                                 bundle["K"] - ref.gauss, energy.mat.h)
     ratio = bundle["a"] / ref.area
-    density = 0.25 * mat.lam * ratio * ratio * bracket
-    if constants == "paper":
-        density = density * ref.area
-    return density
+    return energy.quarter_lam * ratio * ratio * bracket * energy.area_factor
 
 
-def density_partials(bundle, faces, det2, ref, mat, model,
-                     constants="oracle"):
-    """Closed-form partials (d_a, d_H, d_K) of a model's density in the
+def density_partials(bundle, energy, faces, det2):
+    """Closed-form partials (d_a, d_H, d_K) of a run's density in the
     area factor a_m and the curvatures H_m and K_m of a plain bundle, given
     the bundle's face factors (A^+_m, A^-_m) and its squared-volume density
     ``det2`` as the value path computed them.
@@ -330,15 +310,14 @@ def density_partials(bundle, faces, det2, ref, mat, model,
       partials into H_m (-+h) and K_m (h^2/4).
     """
     a_m, mean, gauss = bundle["a"], bundle["H"], bundle["K"]
-    h = mat.h
+    ref, h = energy.ref, energy.mat.h
     plus_m, minus_m = faces
-    coef = _log_coefficient(mat, constants) * (h / 6.0)
-    d_a = coef * (ref.a_minus + 4.0 + ref.a_plus) / a_m
-    d_plus = coef * ref.a_plus / plus_m
-    d_minus = coef * ref.a_minus / minus_m
+    d_a = energy.d_log_area / a_m
+    d_plus = energy.d_log_plus / plus_m
+    d_minus = energy.d_log_minus / minus_m
     ratio2 = (a_m / ref.area) ** 2
-    scale = 0.25 * mat.lam * (ref.area if constants == "paper" else 1.0)
-    if model == 3:
+    if energy.model == 3:
+        scale = energy.det2_scale
         d_mean = mean - ref.mean
         d_gauss = gauss - ref.gauss
         h3 = h ** 3 / 12.0
@@ -350,7 +329,7 @@ def density_partials(bundle, faces, det2, ref, mat, model,
         d_k = scale * ratio2 * (
             2.0 * h3 + h5 * (2.0 * d_gauss - 8.0 * ref.mean * d_mean))
     else:
-        q = 2.0 * scale * (h / 6.0) * ratio2
+        q = energy.simpson_partial * ratio2
         d_plus = d_plus + q * plus_m / ref.a_plus
         d_minus = d_minus + q * minus_m / ref.a_minus
         d_h = d_k = 0.0
@@ -367,28 +346,19 @@ def constant_density(ref, mat, constants="oracle"):
     return base * np.ones_like(ref.gauss)
 
 
-def energy_density_fields(bundle, ref, mat, model, constants="oracle",
-                          faces=None, weights=None, constant=None):
-    """The four density fields of a model, keyed like EnergyBreakdown.
-    ``faces``, ``weights`` and ``constant`` may pass in the bundle's face
-    factors at ``mat.h``, :func:`shell_form_weights` and
-    :func:`constant_density`.  Like the ``w_*`` terms it checks nothing:
-    :class:`ReducedEnergy` checks the model, mode and thickness per run."""
-    shell = w_shell(bundle, ref, mat, model, constants, weights)
-    if faces is None:
-        faces = face_factors(bundle["H"], bundle["K"], mat.h)
-    log_term = w_curv_log(bundle, ref, mat, constants, faces)
-    if model == 3:
-        det2 = w_curv_det2_taylor(bundle, ref, mat, constants)
+def energy_density_fields(bundle, energy, faces):
+    """The four density fields of the run ``energy``, keyed like
+    EnergyBreakdown, for a bundle with face factors ``faces`` (A^+_m, A^-_m)
+    at its thickness.  Like the ``w_*`` terms it checks nothing."""
+    if energy.model == 3:
+        det2 = w_curv_det2_taylor(bundle, energy)
     else:
-        det2 = w_curv_det2_simpson(bundle, ref, mat, constants, faces)
-    if constant is None:
-        constant = constant_density(ref, mat, constants)
+        det2 = w_curv_det2_simpson(bundle, energy, faces)
     return {
-        "shell": shell,
-        "curv_log": log_term,
+        "shell": w_shell(bundle, energy),
+        "curv_log": w_curv_log(bundle, energy, faces),
         "curv_det2": det2,
-        "constant": constant,
+        "constant": energy.constant,
     }
 
 
@@ -397,8 +367,9 @@ def energy_density_fields(bundle, ref, mat, model, constants="oracle",
 # ---------------------------------------------------------------------------
 
 class ReducedEnergy:
-    """A model's reduced energy on one reference: the per-run checks and
-    the reference-only fields that every evaluation reads, all at the one
+    """A model's reduced energy on one reference, and the record that its
+    density terms and :func:`density_partials` read: the per-run checks, the
+    calibration and every reference-only factor, decided once at the one
     thickness ``mat.h``.  The reference's face factors are rebuilt for it
     (:func:`~shellreduce.geometry.with_thickness`) and ``loads``, a 3-D
     LoadSpec (or None), is reduced at it."""
@@ -421,7 +392,6 @@ class ReducedEnergy:
         self.ref = ref = with_thickness(ref, mat.h)
         self.mat = mat
         self.model = model
-        self.constants = constants
         self.w2d = area_weights(ref.grid) * ref.area
         # the shell density is linear in the forms: its value and its
         # partials both read these reference-only weights
@@ -429,6 +399,27 @@ class ReducedEnergy:
         self.constant = constant_density(ref, mat, constants)
         self.load = load_covector(
             None if loads is None else reduce_loads(loads, mat.h), ref)
+        # calibration; each factor is a term's exact subexpression, in order
+        paper = constants == "paper"
+        h = mat.h
+        denom = 6.0 if model == 2 and paper else 12.0
+        coef = (-(mat.lam + 2.0 * mat.mu) / 4.0 if paper
+                else -(mat.mu + 0.5 * mat.lam))
+        self.area_factor = ref.area if paper else 1.0
+        self.standalone = 0.5 * mat.mu * (h + h ** 3 * ref.gauss / denom)
+        self.log_coef = coef * (h / 6.0)
+        self.area_plus0 = ref.area * ref.a_plus
+        self.area_minus0 = ref.area * ref.a_minus
+        self.log_area0 = np.log(ref.area)
+        self.log_plus0 = np.log(self.area_plus0)
+        self.log_minus0 = np.log(self.area_minus0)
+        self.d_log_area = self.log_coef * (ref.a_minus + 4.0 + ref.a_plus)
+        self.d_log_plus = self.log_coef * ref.a_plus
+        self.d_log_minus = self.log_coef * ref.a_minus
+        self.quarter_lam = 0.25 * mat.lam
+        self.simpson_coef = self.quarter_lam * (h / 6.0)
+        self.det2_scale = self.quarter_lam * self.area_factor
+        self.simpson_partial = 2.0 * self.det2_scale * (h / 6.0)
 
     def evaluate(self, bundle, positions, eps=None):
         """(internal energy, load potential, face factors, density fields)
@@ -448,9 +439,7 @@ class ReducedEnergy:
                 return None
             name, idx, value = bad
             raise OrientationViolation(idx, name, value)
-        fields = energy_density_fields(bundle, self.ref, self.mat, self.model,
-                                       self.constants, faces,
-                                       self.form_weights, self.constant)
+        fields = energy_density_fields(bundle, self, faces)
         density = fields["shell"] + fields["curv_log"] + fields["curv_det2"]
         internal = float(np.sum(self.w2d * (density + self.constant)))
         load = float(self.load.potential(positions, bundle["n"]))

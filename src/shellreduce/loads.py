@@ -131,8 +131,11 @@ def thickness_moments(profile, h):
     return zeroth, first
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def reduce_loads(spec, h):
-    """Collapse a LoadSpec onto the midsurface for thickness ``h``."""
+    """Collapse a LoadSpec onto the midsurface for thickness ``h``.  A
+    resultant that is not finite (say two 1e308 face tractions, whose sum
+    overflows) is a ConfigError naming it."""
     require_thickness(h)
     force_area, moment_area = thickness_moments(spec.body, h)
     for face, side in ((spec.face_plus, 0.5), (spec.face_minus, -0.5)):
@@ -148,6 +151,13 @@ def reduce_loads(spec, h):
             force_edge[edge] = f
         if m is not None:
             moment_edge[edge] = m
+    named = [("force_area", force_area), ("moment_area", moment_area)]
+    named += [("force_edge." + e, v) for e, v in force_edge.items()]
+    named += [("moment_edge." + e, v) for e, v in moment_edge.items()]
+    for name, value in named:
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ConfigError("reduced load resultant %s is not finite at "
+                              "h = %g" % (name, h))
     return LoadResultants(h=float(h), force_area=force_area,
                           moment_area=moment_area, force_edge=force_edge,
                           moment_edge=moment_edge, gamma_t=spec.gamma_t,

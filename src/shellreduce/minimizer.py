@@ -193,9 +193,7 @@ class ShellObjective(ReducedEnergy):
         if point is None:
             point = self.point(positions)
         bundle = point.bundle
-        partials = density_partials(bundle, point.faces, point.det2,
-                                    self.ref, self.mat, self.model,
-                                    self.constants)
+        partials = density_partials(bundle, self, point.faces, point.det2)
         seeds = dict(self.form_seeds)
         for key, part in zip("aHK", partials):
             seeds[key] = self.w2d * part
@@ -341,7 +339,7 @@ class TensorMetric:
 
     def apply(self, q):
         """H0 q for a packed vector: free nodes in grid order (the
-        objective's ``free``, an (m1, m2) block), then x, y, z."""
+        objective's ``free_box``, an (m1, m2) block), then x, y, z."""
         m1, m2 = len(self.v1), len(self.v2)
         c = _transposed(self.v1, self.v2, q.reshape(m1, m2, 3))
         nb = self.nbar

@@ -13,7 +13,7 @@ from shellreduce.admissibility import (admissibility_report, sample_convexity,
                                        stretch_threshold_cubic,
                                        stretch_threshold_full,
                                        volume_threshold_taylor)
-from shellreduce.energy import MaterialParams, w_shell
+from shellreduce.energy import MaterialParams, ReducedEnergy, w_shell
 from shellreduce.errors import ConfigError
 from shellreduce.geometry import make_chart
 from shellreduce.grids import Grid
@@ -373,7 +373,7 @@ def test_shell_hessian_reproduces_the_shell_density(model):
         for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
             bundle["%s%d%d" % (name, a + 1, b + 1)] = form[..., a, b]
     standalone = 0.5 * mat.mu * (mat.h + mat.h ** 3 * ref.gauss / 12.0)
-    want = w_shell(bundle, ref, mat, model) - standalone
+    want = w_shell(bundle, ReducedEnergy(ref, mat, model)) - standalone
     hess = shell_quadratic_hessian(ref, mat, model)
     x = np.concatenate([E.reshape(E.shape[:-2] + (6,)),
                         G.reshape(G.shape[:-2] + (6,))], axis=-1)

@@ -478,15 +478,29 @@ def _perfbench_module(name):
 
 
 def test_traced_benchmark_targets_resolve():
-    # every function the benchmark's tracer wraps must still exist
+    # every function the benchmark's tracer wraps must still exist, and the
+    # two whose span it names from the first argument (positional or by
+    # keyword) must keep that parameter first: a rename would zero the
+    # benchmark's layer metrics without failing an output check
+    import inspect
+
     tracing = _perfbench_module("tracing")
     assert tracing.TARGETS
+    first = {}
     for modname, attr, _ in tracing.TARGETS:
         obj = importlib.import_module(modname)
         for part in attr.split("."):
             assert hasattr(obj, part), (modname, attr)
             obj = getattr(obj, part)
         assert callable(obj), (modname, attr)
+        first[attr] = next(iter(inspect.signature(obj).parameters), None)
+    assert first["surface_bundle"] == "slots"
+    assert first["energy_density_fields"] == "bundle"
+    plain = {"d1": np.zeros(1), "a": np.zeros(1)}
+    for picker, name, span in (
+            (tracing._bundle_span, "slots", "geometry.surface_bundle_np"),
+            (tracing._density_span, "bundle", "energy.density_np")):
+        assert picker((plain,), {}) == picker((), {name: plain}) == span
 
 
 TRACED_MINIMIZE = """
@@ -640,6 +654,20 @@ def test_loads_reduce_resultants(tmp_path, capsys):
     assert abs(table[("force_edge.top", 1)] - 0.1 * 0.5) < 1e-14
 
 
+def test_non_finite_reduced_loads_are_a_config_error(tmp_path, capsys):
+    # two 1e308 face tractions sum to inf; unchecked, minimize reports a nan
+    # energy as converged and loads-reduce prints the inf, both exiting 0
+    text = PLATE + ("boundary.clamped = left,right,bottom,top\n"
+                    "loads.face_plus = 0, 0, 1e308\n"
+                    "loads.face_minus = 0, 0, 1e308\n")
+    cfg = _config(tmp_path, text)
+    for command in ("minimize", "loads-reduce"):
+        rc = main([command, "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 1, command
+        assert ("config error: reduced load resultant force_area is not "
+                "finite" in capsys.readouterr().err), command
+
+
 def test_loads_reduce_without_loads_is_an_error(tmp_path, capsys):
     cfg = _config(tmp_path, PLATE)
     rc = main(["loads-reduce", "--config", cfg, "--out", str(tmp_path)])
@@ -780,6 +808,20 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["check", "--help"])
     assert info.value.code == 0
+
+
+def test_force_is_a_minimize_flag(tmp_path, capsys):
+    # only minimize has a thickness gate to force past
+    cfg = _config(tmp_path, PLATE)
+    for command in ("check", "energy", "compare3d", "loads-reduce"):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", cfg, "--force", "--out",
+                  str(tmp_path)])
+        assert info.value.code == 1, command
+        assert "unrecognized arguments: --force" in capsys.readouterr().err
+    rc = main(["minimize", "--config", cfg, "--force", "--out",
+               str(tmp_path)])
+    assert rc == 0
 
 
 def test_threads_must_be_positive(tmp_path, capsys):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from shellreduce.energy import (CONSTANT_MODES, MODELS, MaterialParams,
-                                constant_density, deformed_state,
-                                density_partials, energy_density_fields,
+                                ReducedEnergy, constant_density,
+                                deformed_state, density_partials,
+                                energy_density_fields,
                                 shell_coefficient_table, shell_form_weights,
                                 total_energy, w_curv_log, w_shell)
 from shellreduce.errors import (ConfigError, OrientationViolation,
@@ -32,6 +33,12 @@ def _setup(kind, h=0.05, n=11, mu=1.0, lam=1.0, **params):
     return chart, grid, ref, mat
 
 
+def _fields(energy, bundle):
+    """The run's density fields of ``bundle`` at its own face factors."""
+    faces = face_factors(bundle["H"], bundle["K"], energy.mat.h)
+    return energy_density_fields(bundle, energy, faces)
+
+
 @pytest.mark.parametrize("kind", sorted(CHARTS))
 @pytest.mark.parametrize("model", MODELS)
 def test_natural_state_density_vanishes_pointwise(kind, model):
@@ -44,8 +51,7 @@ def test_natural_state_density_vanishes_pointwise(kind, model):
     # it, leaving an O(h^3) grouping residual (see the scaling test).
     chart, grid, ref, mat = _setup(kind, mu=1.3, lam=0.7, **CHARTS[kind])
     state = deformed_state(chart, grid, mat.h)
-    fields = energy_density_fields(state.bundle, ref, mat, model,
-                                   constants="oracle")
+    fields = _fields(ReducedEnergy(ref, mat, model, "oracle"), state.bundle)
     resid = sum(fields.values())
     if kind == "graph":
         assert 1e-9 < np.abs(resid).max() < mat.mu * mat.h ** 3
@@ -67,7 +73,7 @@ def test_noncommuting_chart_natural_residual_scales_like_h_cubed():
             ref = build_reference(chart, grid, h)
             mat = MaterialParams(mu=1.0, lam=1.0, h=h)
             state = deformed_state(chart, grid, h)
-            fields = energy_density_fields(state.bundle, ref, mat, model)
+            fields = _fields(ReducedEnergy(ref, mat, model), state.bundle)
             resid.append(np.abs(sum(fields.values())).max())
         order = np.log2(resid[0] / resid[1])
         assert 2.8 < order < 3.2, model
@@ -84,8 +90,9 @@ def test_truncated_and_full_shell_densities_agree_only_on_umbilic_charts():
         chart, grid, ref, mat = _setup(kind, **params)
         disp = TrigDisplacement.standard(chart.domain, amp)
         state = deformed_state(displace_chart(chart, disp), grid, mat.h)
-        w_full = w_shell(state.bundle, ref, mat, 1)
-        w_trunc = w_shell(state.bundle, ref, mat, 2, constants="oracle")
+        w_full = w_shell(state.bundle, ReducedEnergy(ref, mat, 1))
+        w_trunc = w_shell(state.bundle,
+                          ReducedEnergy(ref, mat, 2, constants="oracle"))
         gap = np.abs(w_full - w_trunc).max()
         if same:
             assert gap < 1e-15, kind
@@ -138,18 +145,17 @@ def test_density_partials_match_central_differences(model, constants):
     # both calibrations; the shell, standalone and constant terms do not
     # move with a, H or K
     bundle, ref, mat = _deformed_bundle()
+    energy = ReducedEnergy(ref, mat, model, constants)
     faces = face_factors(bundle["H"], bundle["K"], mat.h)
-    det2 = energy_density_fields(bundle, ref, mat, model,
-                                 constants)["curv_det2"]
-    partials = density_partials(bundle, faces, det2, ref, mat, model,
-                                constants)
+    det2 = energy_density_fields(bundle, energy, faces)["curv_det2"]
+    partials = density_partials(bundle, energy, faces, det2)
 
     def volumetric(b):
-        fields = energy_density_fields(b, ref, mat, model, constants)
+        fields = _fields(energy, b)
         return fields["curv_log"] + fields["curv_det2"]
 
     def rest(b):
-        fields = energy_density_fields(b, ref, mat, model, constants)
+        fields = _fields(energy, b)
         return fields["shell"] + fields["constant"]
 
     # the K-partial is ~1e-5 of the density, so K takes a larger step
@@ -169,8 +175,10 @@ def test_shell_form_weights_are_the_shell_density_partials(model,
         ["I11", "I12", "I22", "II11", "II12", "II21", "II22",
          "III11", "III12", "III22"])
 
+    energy = ReducedEnergy(ref, mat, model, constants)
+
     def shell(b):
-        return energy_density_fields(b, ref, mat, model, constants)["shell"]
+        return _fields(energy, b)["shell"]
 
     scale = max(np.abs(weight).max() for weight in weights.values())
     for key, weight in weights.items():
@@ -197,7 +205,7 @@ def test_shell_density_matches_the_kernel_contractions(model, constants):
         acc = acc + coef * np.einsum("...ij,...ij->...", forms[name],
                                      kernels[p])
     want = 0.5 * mat.mu * acc
-    got = w_shell(bundle, ref, mat, model, constants)
+    got = w_shell(bundle, ReducedEnergy(ref, mat, model, constants))
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -208,8 +216,10 @@ def test_constant_modes_differ_and_validate():
     state = deformed_state(displace_chart(chart, disp), grid, mat.h)
     # published log coefficient -(lam + 2 mu)/4 vs calibrated -(mu + lam/2)
     faces = face_factors(state.mean, state.gauss, mat.h)
-    w_o = w_curv_log(state.bundle, ref, mat, "oracle", faces)
-    w_p = w_curv_log(state.bundle, ref, mat, "paper", faces)
+    w_o = w_curv_log(state.bundle, ReducedEnergy(ref, mat, 1, "oracle"),
+                     faces)
+    w_p = w_curv_log(state.bundle, ReducedEnergy(ref, mat, 1, "paper"),
+                     faces)
     ratio = (mat.lam + 2.0 * mat.mu) / 4.0 / (mat.mu + 0.5 * mat.lam)
     mask = np.abs(w_o) > 1e-18
     assert np.abs(w_p[mask] / w_o[mask] - ratio).max() < 1e-12
@@ -224,8 +234,7 @@ def test_constant_modes_differ_and_validate():
         total_energy(state, ref, mat, 1, constants="exact")
     # under the published calibration the natural state is NOT stress-free
     natural = deformed_state(chart, grid, mat.h)
-    fields = energy_density_fields(natural.bundle, ref, mat, 1,
-                                   constants="paper")
+    fields = _fields(ReducedEnergy(ref, mat, 1, "paper"), natural.bundle)
     assert np.abs(sum(fields.values())).max() > 1e-3
 
 
@@ -240,7 +249,7 @@ def test_breakdown_bookkeeping_and_positivity_near_natural_state():
         # internal is the node-by-node quadrature of the summed densities
         # (the minimizer's order), so the separately integrated terms add
         # up to it only to their own round-off
-        fields = energy_density_fields(state.bundle, ref, mat, model)
+        fields = _fields(ReducedEnergy(ref, mat, model), state.bundle)
         density = fields["shell"] + fields["curv_log"] + fields["curv_det2"]
         w2d = area_weights(grid) * ref.area
         assert out.internal == float(np.sum(w2d * (density
@@ -285,6 +294,29 @@ def test_reference_of_another_thickness_gives_identical_energies():
                 assert getattr(got, key) == getattr(want, key), key
         natural = deformed_state(chart, grid, mat.h)
         assert abs(total_energy(natural, other, mat, model).internal) < 1e-10
+
+
+def test_run_densities_and_partials_ignore_the_reference_thickness():
+    # the densities read the run, whose reference carries the face factors
+    # of mat.h: mixing the face factors of a reference built at h = 0.2
+    # with mat.h = 0.05 integrates to 1.7608e-3 against 1.3933e-3 here
+    chart, grid, own, mat = _setup("sphere-cap", n=17,
+                                   **CHARTS["sphere-cap"])
+    other = build_reference(chart, grid, 0.2)
+    disp = TrigDisplacement.standard(chart.domain, 0.05)
+    bundle = deformed_state(displace_chart(chart, disp), grid, mat.h).bundle
+    faces = face_factors(bundle["H"], bundle["K"], mat.h)
+    for model in MODELS:
+        for constants in CONSTANT_MODES:
+            got = []
+            for ref in (own, other):
+                energy = ReducedEnergy(ref, mat, model, constants)
+                fields = energy_density_fields(bundle, energy, faces)
+                partials = density_partials(bundle, energy, faces,
+                                            fields["curv_det2"])
+                got.append([np.asarray(v).tobytes() for v in
+                            list(fields.values()) + list(partials)])
+            assert got[0] == got[1], (model, constants)
 
 
 def test_folded_state_raises_orientation_violation_with_node_index():

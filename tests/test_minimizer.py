@@ -9,7 +9,7 @@ from shellreduce.energy import (MaterialParams, deformed_state,
                                 energy_density_fields, total_energy)
 from shellreduce.errors import (ConfigError, InadmissibleInitialState,
                                 InadmissibleThickness, StepCollapsed)
-from shellreduce.geometry import make_chart, surface_bundle
+from shellreduce.geometry import face_factors, make_chart, surface_bundle
 from shellreduce.grids import EDGES, Grid, edge_weights, simpson_weights
 from shellreduce.loads import (LoadSpec, edge_arclength, load_covector,
                                reduce_loads, uniform_transverse)
@@ -274,8 +274,8 @@ def _full_graph_slope(objective, positions, direction, t=1e-30):
     compares reals, so it is left out)."""
     pos = positions + 1j * t * direction
     bundle = surface_bundle(objective.ops.all_slots(pos))
-    fields = energy_density_fields(bundle, objective.ref, objective.mat,
-                                   objective.model, objective.constants)
+    faces = face_factors(bundle["H"], bundle["K"], objective.mat.h)
+    fields = energy_density_fields(bundle, objective, faces)
     density = fields["shell"] + fields["curv_log"] + fields["curv_det2"]
     total = np.sum(objective.w2d * (density + fields["constant"]))
     total -= objective.load.potential(pos, bundle["n"])
