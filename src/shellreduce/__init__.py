@@ -17,14 +17,14 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "admissibility": ("AdmissibilityReport", "admissibility_report"),
-    "energy": ("CONSTANT_MODES", "MODELS", "DeformedState", "EnergyBreakdown",
-               "MaterialParams", "deformed_state", "total_energy"),
+    "energy": ("CONSTANT_MODES", "MODELS", "EnergyBreakdown",
+               "MaterialParams", "total_energy"),
     "errors": ("ConfigError", "InadmissibleInitialState",
                "InadmissibleThickness", "NonFinitePosition",
                "OrientationViolation", "ShellError", "StepCollapsed",
                "ThicknessError"),
-    "geometry": ("SurfaceChart", "TrigDisplacement", "displace_chart",
-                 "make_chart"),
+    "geometry": ("DeformedState", "SurfaceChart", "TrigDisplacement",
+                 "deformed_state", "displace_chart", "make_chart"),
     "grids": ("Grid",),
     "loads": ("LoadResultants", "LoadSpec", "reduce_loads",
               "uniform_transverse"),

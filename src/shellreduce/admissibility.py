@@ -434,7 +434,7 @@ class AdmissibilityReport:
     """Geometric and per-model convexity bounds plus verdicts for one h."""
 
     h: float
-    h_geom: float                   # 2 / sup max|kappa_i|
+    h_geom: float                   # the reference's 2 / sup max|kappa_i|
     stretch_full: StretchThresholds
     stretch_cubic: CubicStretchThreshold
     volume: VolumeThresholds
@@ -473,14 +473,13 @@ def admissibility_report(ref, h, safety=1.0):
     h = float(h)
     if not (safety > 0.0):
         raise ConfigError("safety factor must be positive, got %g" % safety)
-    h_geom = 2.0 / ref.kappa_sup if ref.kappa_sup > 0.0 else _INF
     full = stretch_threshold_full(ref)
     cubic = stretch_threshold_cubic(ref)
     vol = volume_threshold_taylor(ref)
     model_h0 = {1: full.h0, 2: cubic.h0, 3: min(full.h0, vol.h0)}
-    h_max = {m: min(h_geom, safety * h0) for m, h0 in model_h0.items()}
+    h_max = {m: min(ref.h_geom, safety * h0) for m, h0 in model_h0.items()}
     verdicts = {m: bool(h < h_max[m]) for m in model_h0}
-    return AdmissibilityReport(h=h, h_geom=h_geom, stretch_full=full,
+    return AdmissibilityReport(h=h, h_geom=ref.h_geom, stretch_full=full,
                                stretch_cubic=cubic, volume=vol,
                                model_h0=model_h0, h_max=h_max,
                                verdicts=verdicts, safety=float(safety))

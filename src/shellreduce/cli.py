@@ -170,8 +170,9 @@ def cmd_check(cfg, args):
 def cmd_energy(cfg, args):
     import numpy as np
 
-    from .energy import deformed_state, total_energy
+    from .energy import total_energy
     from .errors import ConfigError
+    from .geometry import deformed_state
     from .reference import build_reference
     from .vtkio import read_vtk, write_csv, write_vtk
 

@@ -39,12 +39,13 @@ minimizer seeds the adjoint of ``surface_bundle``
 (:func:`~shellreduce.geometry.surface_bundle_vjp`) with these partials.
 
 :class:`ReducedEnergy` is the record of one run and the one place a
-thickness (``mat.h``) or a calibration enters the energy; the terms,
+thickness (``mat.h``) or a calibration enters the energy: it builds the
+reference's face factors at ``mat.h``, and the terms,
 :func:`energy_density_fields` and :func:`density_partials` read it as
 ``(bundle, energy, faces)``.  :func:`total_energy` and the minimizer's
 ``ShellObjective`` (a subclass) both evaluate through it.  A deformed
 configuration enters as the per-node record the reference is built on,
-:func:`~shellreduce.geometry.deformed_state` (re-exported here).
+:func:`~shellreduce.geometry.deformed_state`.
 """
 
 from __future__ import annotations
@@ -54,12 +55,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, OrientationViolation, ThicknessError
-# deformed_state/DeformedState live in geometry so that the reference can
-# build on them without an import cycle; they are re-exported here because
-# the package exports, the CLI and the benchmark (perfbench/) call them as
-# shellreduce.energy.deformed_state
-from .geometry import (DeformedState, deformed_state,  # noqa: F401
-                       face_factors, with_thickness)
+# re-exported only for the benchmark (perfbench/), which calls
+# shellreduce.energy.deformed_state; ROADMAP item 4 deletes it
+from .geometry import DeformedState, deformed_state  # noqa: F401
+from .geometry import MAX_MATERIAL, face_factors
 from .grids import area_weights
 from .loads import load_covector, reduce_loads
 
@@ -71,7 +70,8 @@ EPS_ORIENT = 1e-10
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Material constants and thickness; both Lame constants positive."""
+    """Material constants and thickness, each positive and finite, inside
+    (1 / MAX_MATERIAL, MAX_MATERIAL)."""
 
     mu: float
     lam: float
@@ -79,11 +79,10 @@ class MaterialParams:
 
     def __post_init__(self):
         values = (self.mu, self.lam, self.h)
-        if not all(0.0 < v < float("inf") for v in values):
-            raise ConfigError(
-                "material parameters must be positive and finite: "
-                "mu=%g lam=%g h=%g" % values
-            )
+        if not all(1.0 / MAX_MATERIAL < v < MAX_MATERIAL for v in values):
+            raise ConfigError("material parameters must be positive and "
+                              "finite, in (%g, %g): mu=%g lam=%g h=%g"
+                              % ((1.0 / MAX_MATERIAL, MAX_MATERIAL) + values))
 
 
 @dataclass
@@ -235,11 +234,10 @@ def w_curv_log(bundle, energy, faces):
     """
     a_m = bundle["a"]
     plus_m, minus_m = faces
-    ref = energy.ref
     bracket = (
-        ref.a_minus * (np.log(a_m * minus_m) - energy.log_minus0)
+        energy.minus0 * (np.log(a_m * minus_m) - energy.log_minus0)
         + 4.0 * (np.log(a_m) - energy.log_area0)
-        + ref.a_plus * (np.log(a_m * plus_m) - energy.log_plus0)
+        + energy.plus0 * (np.log(a_m * plus_m) - energy.log_plus0)
     )
     return energy.log_coef * bracket
 
@@ -249,12 +247,11 @@ def w_curv_det2_simpson(bundle, energy, faces):
     under ``paper`` the block keeps its as-published interior area factor."""
     a_m = bundle["a"]
     plus_m, minus_m = faces
-    ref = energy.ref
-    r0 = a_m / ref.area
+    r0 = a_m / energy.ref.area
     r_plus = a_m * plus_m / energy.area_plus0
     r_minus = a_m * minus_m / energy.area_minus0
-    bracket = (ref.a_minus * r_minus * r_minus + 4.0 * r0 * r0
-               + ref.a_plus * r_plus * r_plus)
+    bracket = (energy.minus0 * r_minus * r_minus + 4.0 * r0 * r0
+               + energy.plus0 * r_plus * r_plus)
     return energy.simpson_coef * bracket * energy.area_factor
 
 
@@ -330,8 +327,8 @@ def density_partials(bundle, energy, faces, det2):
             2.0 * h3 + h5 * (2.0 * d_gauss - 8.0 * ref.mean * d_mean))
     else:
         q = energy.simpson_partial * ratio2
-        d_plus = d_plus + q * plus_m / ref.a_plus
-        d_minus = d_minus + q * minus_m / ref.a_minus
+        d_plus = d_plus + q * plus_m / energy.plus0
+        d_minus = d_minus + q * minus_m / energy.minus0
         d_h = d_k = 0.0
     d_a = d_a + 2.0 * det2 / a_m
     return (d_a, d_h + h * (d_minus - d_plus),
@@ -370,9 +367,8 @@ class ReducedEnergy:
     """A model's reduced energy on one reference, and the record that its
     density terms and :func:`density_partials` read: the per-run checks, the
     calibration and every reference-only factor, decided once at the one
-    thickness ``mat.h``.  The reference's face factors are rebuilt for it
-    (:func:`~shellreduce.geometry.with_thickness`) and ``loads``, a 3-D
-    LoadSpec (or None), is reduced at it."""
+    thickness ``mat.h``, at which the reference's face factors ``plus0``,
+    ``minus0`` are built and ``loads`` (a 3-D LoadSpec or None) reduced."""
 
     def __init__(self, ref, mat, model, constants="oracle", loads=None):
         if model not in MODELS:
@@ -384,12 +380,12 @@ class ReducedEnergy:
         # b(x3) = 1 - 2 H x3 + K x3^2 stays positive through the slab iff
         # h sup|kappa| < 2; on a sphere it can vanish inside while both faces
         # stay positive, so the face factors alone are not the test
-        if mat.h * ref.kappa_sup >= 2.0:
+        if not mat.h < ref.h_geom:
             raise ThicknessError(
                 "thickness h = %g exceeds the geometric bound "
                 "(h sup|kappa| = %.3f, needs < 2)"
                 % (mat.h, mat.h * ref.kappa_sup))
-        self.ref = ref = with_thickness(ref, mat.h)
+        self.ref = ref
         self.mat = mat
         self.model = model
         self.w2d = area_weights(ref.grid) * ref.area
@@ -405,17 +401,18 @@ class ReducedEnergy:
         denom = 6.0 if model == 2 and paper else 12.0
         coef = (-(mat.lam + 2.0 * mat.mu) / 4.0 if paper
                 else -(mat.mu + 0.5 * mat.lam))
+        self.plus0, self.minus0 = face_factors(ref.mean, ref.gauss, h)
         self.area_factor = ref.area if paper else 1.0
         self.standalone = 0.5 * mat.mu * (h + h ** 3 * ref.gauss / denom)
         self.log_coef = coef * (h / 6.0)
-        self.area_plus0 = ref.area * ref.a_plus
-        self.area_minus0 = ref.area * ref.a_minus
+        self.area_plus0 = ref.area * self.plus0
+        self.area_minus0 = ref.area * self.minus0
         self.log_area0 = np.log(ref.area)
         self.log_plus0 = np.log(self.area_plus0)
         self.log_minus0 = np.log(self.area_minus0)
-        self.d_log_area = self.log_coef * (ref.a_minus + 4.0 + ref.a_plus)
-        self.d_log_plus = self.log_coef * ref.a_plus
-        self.d_log_minus = self.log_coef * ref.a_minus
+        self.d_log_area = self.log_coef * (self.minus0 + 4.0 + self.plus0)
+        self.d_log_plus = self.log_coef * self.plus0
+        self.d_log_minus = self.log_coef * self.minus0
         self.quarter_lam = 0.25 * mat.lam
         self.simpson_coef = self.quarter_lam * (h / 6.0)
         self.det2_scale = self.quarter_lam * self.area_factor

@@ -28,13 +28,13 @@ record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ConfigError, CurvatureInconsistent, DegenerateChart,
                      NonFinitePosition)
-from .grids import Grid
+from .grids import MIN_SPACING, Grid
 from .stencils import GridDerivatives
 
 EPS_RANK = 1e-12
@@ -330,6 +330,9 @@ def make_chart(kind, **params):
         height = float(params.pop("height", 1.0))
         arc = float(params.pop("arc", 1.0))
         _reject_extra(kind, params)
+        if not abs(R) >= MIN_SPACING:
+            raise ConfigError("cylinder-patch radius must be at least %g in "
+                              "magnitude, got %g" % (MIN_SPACING, R))
 
         def fields(T, S):
             T, S = np.broadcast_arrays(T, S)
@@ -364,17 +367,11 @@ def make_chart(kind, **params):
                                   "got %r" % (tuple(bump),))
         else:
             amp, k1, k2 = 0.0, 1, 1
-        w1 = np.pi * k1 / L1
-        w2 = np.pi * k2 / L2
 
         def fz(X1, X2):
+            w1, w2 = np.pi * k1 / L1, np.pi * k2 / L2
             shape = np.broadcast(X1, X2).shape
-            f = np.zeros(shape)
-            f1 = np.zeros(shape)
-            f2 = np.zeros(shape)
-            f11 = np.zeros(shape)
-            f12 = np.zeros(shape)
-            f22 = np.zeros(shape)
+            f, f1, f2, f11, f12, f22 = (np.zeros(shape) for _ in range(6))
             for (p, q), c in poly.items():
                 f += c * X1 ** p * X2 ** q
                 if p >= 1:
@@ -485,9 +482,12 @@ def displace_chart(base, displacement):
 
 # surface_bundle multiplies up to four stencil derivatives of the positions,
 # and stencil weights grow like 1/spacing^2: below this magnitude every such
-# product stays finite for grid spacings down to 1e-6, above it an overflow
-# turns into a NaN at whichever node the stencils carry it to
+# product stays finite for grid spacings down to grids.MIN_SPACING, above it
+# an overflow turns into a NaN at whichever node the stencils carry it to
 MAX_COORDINATE = 1e60
+# the densities carry h^5 and the 3-D integrand up to h^7 times a Lame
+# constant: inside (1 / MAX_MATERIAL, MAX_MATERIAL) they stay normal floats
+MAX_MATERIAL = 1e12
 
 
 def require_finite_positions(positions, bound=MAX_COORDINATE,
@@ -503,9 +503,10 @@ def require_finite_positions(positions, bound=MAX_COORDINATE,
 
 
 def require_thickness(h):
-    """Raise ConfigError unless the thickness h is finite and positive."""
-    if not 0.0 < h < np.inf:
-        raise ConfigError("thickness must be finite and positive, h = %g" % h)
+    """Raise ConfigError unless 1 / MAX_MATERIAL < h < MAX_MATERIAL."""
+    if not 1.0 / MAX_MATERIAL < h < MAX_MATERIAL:
+        raise ConfigError("thickness must be finite and positive, in (%g, %g):"
+                          " h = %g" % (1.0 / MAX_MATERIAL, MAX_MATERIAL, h))
 
 
 def face_factors(mean, gauss, h):
@@ -517,11 +518,11 @@ def face_factors(mean, gauss, h):
 
 @dataclass
 class DeformedState:
-    """Per-node fields of one midsurface configuration on a grid, with the
-    face factors of one thickness.  The reference configuration's record is
+    """Per-node fields of one midsurface configuration on a grid; none of
+    them depends on the thickness.  The reference configuration's record is
     a :class:`~shellreduce.reference.ReferenceField`."""
 
-    h: float
+    h: float                # recorded only: no field depends on it
     grid: Grid
     order: int
     positions: np.ndarray   # (n1, n2, 3)
@@ -532,26 +533,18 @@ class DeformedState:
     area: np.ndarray        # (n1, n2)
     mean: np.ndarray
     gauss: np.ndarray
-    a_plus: np.ndarray      # A^+ = b(+h/2)
-    a_minus: np.ndarray     # A^- = b(-h/2)
-
-
-def with_thickness(record, h):
-    """A DeformedState (or ReferenceField) of the same configuration with the
-    face factors of thickness ``h``: nothing else in the record depends on
-    h, so an evaluation at the material's h shares all the rest."""
-    a_plus, a_minus = face_factors(record.mean, record.gauss, h)
-    return replace(record, h=float(h), a_plus=a_plus, a_minus=a_minus)
 
 
 def deformed_state(source, grid, h, order=4):
     """The DeformedState of an analytic chart, or of an (n1, n2, 3) array
     of nodal positions differentiated by the order-``order`` stencils; a
-    non-finite chart field or input position raises NonFinitePosition."""
+    chart field or input position that is not finite or reaches
+    MAX_COORDINATE raises NonFinitePosition."""
     if isinstance(source, SurfaceChart):
-        fields = source.fields(*grid.mesh())
+        with np.errstate(all="ignore"):     # checked right below
+            fields = source.fields(*grid.mesh())
         for name in ("value",) + SLOT_NAMES:
-            require_finite_positions(fields[name], np.inf, "chart " + name)
+            require_finite_positions(fields[name], name="chart " + name)
         positions = fields["value"]
         slots = {name: fields[name] for name in SLOT_NAMES}
     else:
@@ -563,7 +556,6 @@ def deformed_state(source, grid, h, order=4):
         ops = GridDerivatives(grid.n1, grid.n2, grid.dx1, grid.dx2, order)
         slots = ops.all_slots(positions)
     bundle = surface_bundle(slots)
-    a_plus, a_minus = face_factors(bundle["H"], bundle["K"], h)
     return DeformedState(
         h=float(h), grid=grid, order=order, positions=positions,
         bundle=bundle,
@@ -571,7 +563,6 @@ def deformed_state(source, grid, h, order=4):
         normal=bundle["n"],
         grad_n=np.stack([bundle["dn1"], bundle["dn2"]], axis=-1),
         area=bundle["a"], mean=bundle["H"], gauss=bundle["K"],
-        a_plus=a_plus, a_minus=a_minus,
     )
 
 

@@ -10,6 +10,7 @@ import numpy as np
 from .errors import ConfigError
 
 EDGES = ("left", "right", "bottom", "top")
+MIN_SPACING = 1e-6      # below it the stencil weights can overflow
 
 
 @dataclass(frozen=True)
@@ -24,10 +25,11 @@ class Grid:
         (a1, b1), (a2, b2) = domain
         if n1 < 2 or n2 < 2:
             raise ConfigError("grid needs at least 2 nodes per direction")
-        if not (b1 > a1 and b2 > a2):
-            raise ConfigError("chart domain %s is empty or reversed: each "
-                              "upper bound must exceed its lower bound"
-                              % (domain,))
+        spacing = min((b1 - a1) / (n1 - 1), (b2 - a2) / (n2 - 1))
+        if not spacing >= MIN_SPACING:
+            raise ConfigError("chart domain %s is empty or reversed, or its "
+                              "grid spacing %g is below %g"
+                              % (domain, spacing, MIN_SPACING))
         return cls(np.linspace(a1, b1, n1), np.linspace(a2, b2, n2))
 
     @property

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import require_thickness
+from .geometry import MAX_COORDINATE, require_thickness
 from .grids import (EDGES, area_weights, edge_index, edge_weights,
                     thickness_rule)
 
@@ -135,7 +135,8 @@ def thickness_moments(profile, h):
 def reduce_loads(spec, h):
     """Collapse a LoadSpec onto the midsurface for thickness ``h``.  A
     resultant that is not finite (say two 1e308 face tractions, whose sum
-    overflows) is a ConfigError naming it."""
+    overflows) or reaches ``MAX_COORDINATE`` in magnitude (the solver's
+    inner products would overflow) is a ConfigError naming it."""
     require_thickness(h)
     force_area, moment_area = thickness_moments(spec.body, h)
     for face, side in ((spec.face_plus, 0.5), (spec.face_minus, -0.5)):
@@ -155,9 +156,10 @@ def reduce_loads(spec, h):
     named += [("force_edge." + e, v) for e, v in force_edge.items()]
     named += [("moment_edge." + e, v) for e, v in moment_edge.items()]
     for name, value in named:
-        if value is not None and not np.all(np.isfinite(value)):
-            raise ConfigError("reduced load resultant %s is not finite at "
-                              "h = %g" % (name, h))
+        if value is not None and not np.all(np.abs(value) < MAX_COORDINATE):
+            raise ConfigError("reduced load resultant %s is not finite or "
+                              "reaches %g at h = %g"
+                              % (name, MAX_COORDINATE, h))
     return LoadResultants(h=float(h), force_area=force_area,
                           moment_area=moment_area, force_edge=force_edge,
                           moment_edge=moment_edge, gamma_t=spec.gamma_t,

@@ -55,8 +55,8 @@ from .admissibility import admissibility_report
 from .energy import MODELS, ReducedEnergy, density_partials
 from .errors import (ConfigError, InadmissibleInitialState,
                      InadmissibleThickness, NonFinitePosition, StepCollapsed)
-from .geometry import (SLOT_NAMES, require_finite_positions, surface_bundle,
-                       surface_bundle_vjp)
+from .geometry import (MAX_COORDINATE, SLOT_NAMES, require_finite_positions,
+                       surface_bundle, surface_bundle_vjp)
 from .grids import EDGES, edge_index, simpson_weights
 from .loads import _edge_measure
 from .stencils import GridDerivatives, _along0, _transposed
@@ -87,8 +87,9 @@ class SolverConfig:
                               "finite")
         if self.max_iter < 0:
             raise ConfigError("max_iter must be >= 0")
-        if not 0 <= self.penalty_beta < np.inf:
-            raise ConfigError("penalty weight must be >= 0 and finite")
+        if not 0 <= self.penalty_beta < MAX_COORDINATE:
+            raise ConfigError("penalty weight must lie in [0, %g)"
+                              % MAX_COORDINATE)
 
 
 class Point(NamedTuple):
@@ -135,11 +136,14 @@ class ShellObjective(ReducedEnergy):
 
     # -- plain evaluation ---------------------------------------------------
 
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
     def point(self, positions, eps=None):
         """The evaluated :class:`Point` of ``positions``: one stencil pass
         and one bundle.  With ``eps`` given, None where an orientation
         defect reaches that floor; without, the value's orientation check,
-        which raises."""
+        which raises.  Its warnings are silenced: a NaN from det I = 0 (a
+        trial under a huge load) fails the orientation check, and an inf
+        energy the Armijo test."""
         slots = self.ops.all_slots(positions)
         bundle = surface_bundle(slots)
         evaluated = self.evaluate(bundle, positions, eps)

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .energy import MaterialParams, deformed_state, total_energy
+from .energy import MaterialParams, total_energy
 from .errors import ConfigError, NonPositiveDeterminant
-from .geometry import form22, lift_flat, require_thickness
+from .geometry import (deformed_state, face_factors, form22, lift_flat,
+                       require_thickness)
 from .grids import area_weights, thickness_rule
 from .reference import build_reference
 
@@ -152,18 +153,20 @@ def simpson_point_products(state, ref):
 
     At x3 in {-h/2, 0, +h/2} the ansatz satisfies
     a_y0 b_y0(x3) det F(x3) = a_m b_m(x3), so the products must reproduce
-    a_m A_m^-, a_m, a_m A_m^+ exactly.  Returns (via_det, direct) dicts for
-    keys "minus", "mid", "plus".
+    a_m A_m^-, a_m, a_m A_m^+ exactly, with the state's face factors at
+    ``ref.h``.  Returns (via_det, direct) dicts for keys "minus", "mid",
+    "plus".
     """
     h = ref.h
+    plus, minus = face_factors(state.mean, state.gauss, h)
     via = {}
     for key, x3 in (("minus", -0.5 * h), ("mid", 0.0), ("plus", 0.5 * h)):
         point = ansatz_point(ref, state, x3)
         via[key] = point["det_F"] * ref.area * point["b"]
     direct = {
-        "minus": state.area * state.a_minus,
+        "minus": state.area * minus,
         "mid": state.area,
-        "plus": state.area * state.a_plus,
+        "plus": state.area * plus,
     }
     return via, direct
 

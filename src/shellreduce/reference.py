@@ -13,14 +13,13 @@ matrix square root: by the cyclic trace,
 
     |I^{1/2} L^T I^{-1/2}|_F^2 = tr(L^T I^{-1} L I) = <I, L^T I^{-1} L>,
 
-the Frobenius product of I with the third kernel.  The kernels and the
-curvature suprema are fixed once per (chart, grid); only the face factors
-depend on the thickness, and the energy evaluator rebuilds them at the
-material's.  :func:`build_reference` builds the reference's per-node record
-with the same :func:`~shellreduce.geometry.deformed_state` as any deformed
-configuration (face factors A^{+-} = 1 -+ h H + h^2 K / 4 included), checks
-its rank and curvatures, and adds the kernels, products of the bundle's
-component planes, to make a :class:`ReferenceField`.
+the Frobenius product of I with the third kernel.  The kernels, curvature
+suprema and geometric bound h_geom = 2 / sup|kappa| are fixed once per
+(chart, grid); the energy evaluator builds the face factors at its own h.
+:func:`build_reference` builds the reference's per-node record with the
+same :func:`~shellreduce.geometry.deformed_state` as any deformed
+configuration, checks its rank and curvatures, and adds the kernels,
+products of the bundle's component planes, to make a :class:`ReferenceField`.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ from .geometry import (DeformedState, check_rank, deformed_state, pack22,
 
 @dataclass
 class ReferenceField(DeformedState):
-    """The reference configuration's record on a grid (face factors at the
-    h it was built for), plus the h-free kernels and curvature suprema.
+    """The reference configuration's record on a grid, plus the kernels,
+    the curvature suprema and the geometric bound.
 
     ``curvature_bound`` is C = 2 sup |I^{1/2} L^T I^{-1/2}|_F, computed as
     2 sup sqrt(<I, kernel2>) by tr(L^T I^{-1} L I) = <I, L^T I^{-1} L>."""
@@ -46,18 +45,18 @@ class ReferenceField(DeformedState):
     kernel2: np.ndarray         # L^T I^{-1} L
     curvature_bound: float      # C = 2 sup |I^{1/2} L^T I^{-1/2}|_F
     kappa_sup: float            # sup max(|kappa1|, |kappa2|)
+    h_geom: float               # 2 / kappa_sup (inf where kappa_sup = 0)
 
 
 def build_reference(source, grid, h, order=4):
     """The ReferenceField of an analytic chart or nodal positions on a grid;
-    ``h`` sets only its face factors (an energy reads ``mat.h``).
+    ``h`` is recorded only (an energy reads ``mat.h``).
 
     Raises DegenerateChart where the surface loses rank and
     CurvatureInconsistent where H^2 < K beyond round-off.  Never raises on
-    thick geometry: the face factors may come out non-positive and
-    :func:`~shellreduce.admissibility.admissibility_report` reports the
-    geometric bound ``h_geom``, so the admissibility CLI can describe a
-    failing thickness instead of crashing.
+    thick geometry: the admissibility report and the energy evaluator both
+    test h < ``h_geom``, so the admissibility CLI can describe a failing
+    thickness instead of crashing.
     """
     require_thickness(h)
     state = deformed_state(source, grid, h, order)
@@ -92,4 +91,6 @@ def build_reference(source, grid, h, order=4):
         kernel2=pack22(k11, k12, k21, k22),
         curvature_bound=curvature_bound,
         kappa_sup=kappa_sup,
+        # b(x3) = 1 - 2 H x3 + K x3^2 > 0 through the slab iff h < h_geom
+        h_geom=2.0 / kappa_sup if kappa_sup > 0.0 else np.inf,
     )

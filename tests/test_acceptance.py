@@ -25,9 +25,10 @@ from shellreduce.admissibility import (sample_convexity, scan_stretch_cubic,
                                        stretch_threshold_full,
                                        volume_threshold_taylor)
 from shellreduce.cli import main
-from shellreduce.energy import (MaterialParams, deformed_state,
-                                det_square_bracket, total_energy)
-from shellreduce.geometry import TrigDisplacement, displace_chart, make_chart
+from shellreduce.energy import (MaterialParams, det_square_bracket,
+                                total_energy)
+from shellreduce.geometry import (TrigDisplacement, deformed_state,
+                                  displace_chart, make_chart)
 from shellreduce.grids import EDGES, Grid, area_weights
 from shellreduce.loads import LoadSpec, uniform_transverse
 from shellreduce.minimizer import ShellObjective, SolverConfig, minimize

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 import shellreduce
 from shellreduce.cli import main
 from shellreduce.config import RunConfig
+from shellreduce.reference import build_reference
 from shellreduce.vtkio import read_csv, read_vtk, write_vtk
 
 PLATE = """
@@ -271,6 +273,30 @@ def test_energy_beyond_the_geometric_bound_exits_with_thickness_code(
     assert "h sup|kappa| = 2.500, needs < 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "energy"])
+def test_thickness_at_the_geometric_bound_exits_2(tmp_path, capsys, command):
+    # h = fl(2 / kappa_sup) on this cap is h_geom itself, but the product
+    # h kappa_sup rounds below 2: the gate and the evaluator must both read
+    # the one bound h < h_geom, so energy exits 2 like check instead of
+    # reaching a zero reference face factor (exit 3)
+    text = SPHERE.replace("chart.radius = 1.0", "chart.radius = 1.05")
+    cfg = RunConfig.from_text(text)
+    ref = build_reference(cfg.chart, cfg.grid, cfg.material.h)
+    h = repr(2.0 / ref.kappa_sup)
+    assert h == "2.099999999999999"
+    text = text.replace("material.h = 0.8", "material.h = " + h)
+    argv = [command, "--config", _config(tmp_path, text),
+            "--out", str(tmp_path)]
+    if command == "energy":
+        argv += ["--deformation", _natural_vtk(tmp_path, text)[0]]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    if command == "check":
+        assert "h_geom" in out and "EXCEEDED" in out
+    else:
+        assert "h sup|kappa| = 2.000, needs < 2" in err
+
+
 def test_infinite_thickness_is_a_config_error(tmp_path, capsys):
     cfg = _config(tmp_path, PLATE.replace("material.h = 0.1",
                                           "material.h = inf"))
@@ -337,9 +363,9 @@ def test_integrate_3d_is_identical_across_thread_counts():
     # the slab integral's batched 3x3 products and frame inverse must not
     # split across BLAS threads on a large grid
     script = (
-        "from shellreduce.energy import MaterialParams, deformed_state\n"
-        "from shellreduce.geometry import (TrigDisplacement, displace_chart,"
-        " make_chart)\n"
+        "from shellreduce.energy import MaterialParams\n"
+        "from shellreduce.geometry import (TrigDisplacement, deformed_state,"
+        " displace_chart, make_chart)\n"
         "from shellreduce.grids import Grid\n"
         "from shellreduce.oracle3d import integrate_3d\n"
         "from shellreduce.reference import build_reference\n"
@@ -656,16 +682,26 @@ def test_loads_reduce_resultants(tmp_path, capsys):
 
 def test_non_finite_reduced_loads_are_a_config_error(tmp_path, capsys):
     # two 1e308 face tractions sum to inf; unchecked, minimize reports a nan
-    # energy as converged and loads-reduce prints the inf, both exiting 0
-    text = PLATE + ("boundary.clamped = left,right,bottom,top\n"
-                    "loads.face_plus = 0, 0, 1e308\n"
-                    "loads.face_minus = 0, 0, 1e308\n")
-    cfg = _config(tmp_path, text)
-    for command in ("minimize", "loads-reduce"):
-        rc = main([command, "--config", cfg, "--out", str(tmp_path)])
-        assert rc == 1, command
-        assert ("config error: reduced load resultant force_area is not "
-                "finite" in capsys.readouterr().err), command
+    # energy as converged and loads-reduce prints the inf, both exiting 0.
+    # A finite 1e200 pair overflows the solver's inner products (a step
+    # collapse at iteration 1, exit 0), so it is rejected too.  A 1e10 pair
+    # is a valid load: its line-search trials that reach det I = 0 are
+    # rejected without a warning
+    for load, code in (("1e308", 1), ("1e200", 1), ("1e10", 0)):
+        text = PLATE + ("boundary.clamped = left,right,bottom,top\n"
+                        "solver.max_iter = 3\n"
+                        "loads.face_plus = 0, 0, %s\n"
+                        "loads.face_minus = 0, 0, %s\n" % (load, load))
+        cfg = _config(tmp_path, text)
+        for command in ("minimize", "loads-reduce"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                rc = main([command, "--config", cfg, "--out", str(tmp_path)])
+            assert rc == code, (load, command)
+            err = capsys.readouterr().err
+            if code:
+                assert ("config error: reduced load resultant force_area is "
+                        "not finite or reaches 1e+60" in err), command
 
 
 def test_loads_reduce_without_loads_is_an_error(tmp_path, capsys):
@@ -719,6 +755,32 @@ def test_reversed_or_empty_chart_domain_is_a_config_error(tmp_path, capsys,
     rc = main([command, "--config", cfg, "--out", str(tmp_path)])
     assert rc == 1
     assert "empty or reversed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines, code, words", [
+    ("chart.kind = graph\nchart.length1 = 0", 1, "empty or reversed"),
+    ("chart.kind = plate\nchart.length1 = 1e-300", 1, "spacing"),
+    ("chart.kind = cylinder-patch\nchart.radius = 0", 1, "radius"),
+    ("chart.kind = sphere-cap\nchart.radius = 1e300", 3, "chart value"),
+    ("chart.kind = plate\nmaterial.h = 1e-300", 1, "material parameters"),
+    ("chart.kind = plate\nsolver.penalty_beta = 1e300", 1, "penalty"),
+], ids=["graph-length-0", "tiny-spacing", "cylinder-radius-0",
+        "huge-cap", "tiny-h", "huge-penalty"])
+def test_out_of_scale_inputs_fail_loudly(tmp_path, capsys, lines, code,
+                                         words):
+    # each of these raised ZeroDivisionError or ended in numpy overflow and
+    # divide-by-zero warnings in the chart, the stencils or the minimizer
+    text = lines + ("\ngrid.n1 = 9\ngrid.n2 = 9\nmaterial.mu = 1.0\n"
+                    "material.lambda = 1.0\n"
+                    "boundary.clamped = left,right,bottom,top\n")
+    if "material.h" not in lines:
+        text += "material.h = 0.05\n"
+    cfg = _config(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["minimize", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == code
+    assert words in capsys.readouterr().err
 
 
 def test_unknown_config_key(tmp_path, capsys):

@@ -3,14 +3,14 @@ import pytest
 
 from shellreduce.energy import (CONSTANT_MODES, MODELS, MaterialParams,
                                 ReducedEnergy, constant_density,
-                                deformed_state, density_partials,
-                                energy_density_fields,
+                                density_partials, energy_density_fields,
                                 shell_coefficient_table, shell_form_weights,
                                 total_energy, w_curv_log, w_shell)
 from shellreduce.errors import (ConfigError, OrientationViolation,
                                 ThicknessError)
-from shellreduce.geometry import (TrigDisplacement, displace_chart, face_factors,
-                                  form22, make_chart)
+from shellreduce.geometry import (TrigDisplacement, deformed_state,
+                                  displace_chart, face_factors, form22,
+                                  make_chart)
 from shellreduce.grids import Grid, area_weights
 from shellreduce.loads import LoadSpec
 from shellreduce.reference import build_reference
@@ -270,8 +270,10 @@ def test_material_params_validation():
     with pytest.raises(ConfigError):
         MaterialParams(mu=1.0, lam=1.0, h=0.0)
     inf, nan = float("inf"), float("nan")
+    # inside (1e-12, 1e12) the h^5 and h^7 products stay normal floats
     for mu, lam, h in ((inf, 1.0, 0.1), (1.0, inf, 0.1), (1.0, 1.0, inf),
-                       (nan, 1.0, 0.1)):
+                       (nan, 1.0, 0.1), (1e300, 1.0, 0.1), (1.0, 1.0, 1e-300),
+                       (1.0, 1.0, 1e12)):
         with pytest.raises(ConfigError):
             MaterialParams(mu=mu, lam=lam, h=h)
 
@@ -297,9 +299,10 @@ def test_reference_of_another_thickness_gives_identical_energies():
 
 
 def test_run_densities_and_partials_ignore_the_reference_thickness():
-    # the densities read the run, whose reference carries the face factors
-    # of mat.h: mixing the face factors of a reference built at h = 0.2
-    # with mat.h = 0.05 integrates to 1.7608e-3 against 1.3933e-3 here
+    # the densities read the run, which keeps the caller's reference and
+    # builds its face factors at mat.h: mixing the face factors of a
+    # reference built at h = 0.2 with mat.h = 0.05 integrates to 1.7608e-3
+    # against 1.3933e-3 here
     chart, grid, own, mat = _setup("sphere-cap", n=17,
                                    **CHARTS["sphere-cap"])
     other = build_reference(chart, grid, 0.2)
@@ -311,6 +314,7 @@ def test_run_densities_and_partials_ignore_the_reference_thickness():
             got = []
             for ref in (own, other):
                 energy = ReducedEnergy(ref, mat, model, constants)
+                assert energy.ref is ref
                 fields = energy_density_fields(bundle, energy, faces)
                 partials = density_partials(bundle, energy, faces,
                                             fields["curv_det2"])
@@ -348,7 +352,7 @@ def test_overthick_sphere_raises_thickness_error_with_positive_faces():
     # b(x3) vanishes inside the slab (h sup|kappa| = 2.5 >= 2)
     chart, grid, ref, mat = _setup("sphere-cap", h=2.5,
                                    **CHARTS["sphere-cap"])
-    assert min(ref.a_plus.min(), ref.a_minus.min()) > 0.0
+    assert min(f.min() for f in face_factors(ref.mean, ref.gauss, mat.h)) > 0.0
     state = deformed_state(chart, grid, mat.h)
     with pytest.raises(ThicknessError, match="h sup\\|kappa\\| = 2.500"):
         total_energy(state, ref, mat, 1)

@@ -72,14 +72,16 @@ def test_check_thickness_verdicts():
     assert thick.h * thick.kappa_sup > 2.0
     assert thick.h > admissibility_report(thick, thick.h).h_geom
     # a passing margin guarantees positive face factors ...
-    assert thin.a_plus.min() > 0.0 and thin.a_minus.min() > 0.0
+    assert min(f.min() for f in face_factors(thin.mean, thin.gauss,
+                                             thin.h)) > 0.0
     # ... a failing one means b(x3) = 1 - 2 H x3 + K x3^2 dips to zero
     # somewhere through the thickness (possibly in the interior, not at a
     # face: on the unit sphere with h = 2.5 both faces stay positive)
     x3s = np.clip(thick.mean / thick.gauss, -thick.h / 2, thick.h / 2)
     b_min = 1.0 - 2.0 * thick.mean * x3s + thick.gauss * x3s ** 2
     assert b_min.min() <= 1e-12
-    assert min(thick.a_plus.min(), thick.a_minus.min()) > 0.0
+    assert min(f.min() for f in face_factors(thick.mean, thick.gauss,
+                                             thick.h)) > 0.0
 
 
 def test_build_reference_rejects_nonpositive_thickness():
