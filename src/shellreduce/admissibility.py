@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
-from .energy import shell_form_weights
+from .energy import det2_form, shell_form_weights
 from .errors import ConfigError
 
 _INF = float("inf")
@@ -272,23 +272,17 @@ def volume_threshold_taylor(ref):
 
 
 def volume_quadratic_hessian(ref, mat):
-    """Closed-form Hessian of the squared-volume quadratic, per grid point.
-
-    Variables are (r, X, Y) = (a_m/a_y0) (1, dH, dK); returns an
-    (n1, n2, 3, 3) stack (lam a_y0 / 4) M(h; H, K) at h = ``mat.h``.
+    """Hessian of the squared-volume Taylor density (model III) in
+    (r, X, Y) = (a_m/a_y0) (1, dH, dK), per grid point: the (n1, n2, 3, 3)
+    stack (lam a_y0 / 4) M of the Taylor :func:`~shellreduce.energy.det2_form`
+    M at h = ``mat.h``, the matrix whose minors the thresholds above bound.
     """
-    h = mat.h
-    H = ref.mean
-    K = ref.gauss
-    a = ref.area
-    n1, n2 = H.shape
-    M = np.zeros((n1, n2, 3, 3))
-    M[..., 0, 0] = 2.0 * h + K * h ** 3 / 6.0
-    M[..., 1, 1] = 2.0 * h ** 3 / 3.0 + (h ** 5 / 40.0) * (16.0 * H * H - 4.0 * K)
-    M[..., 2, 2] = h ** 5 / 40.0
-    M[..., 0, 2] = M[..., 2, 0] = h ** 3 / 6.0
-    M[..., 1, 2] = M[..., 2, 1] = -H * h ** 5 / 10.0
-    return 0.25 * mat.lam * a[..., None, None] * M
+    m00, m02, m11, m12, m22 = det2_form(ref.mean, ref.gauss, mat.h)
+    M = np.zeros(ref.mean.shape + (3, 3))
+    M[..., 0, 0], M[..., 1, 1], M[..., 2, 2] = m00, m11, m22
+    M[..., 0, 2] = M[..., 2, 0] = m02
+    M[..., 1, 2] = M[..., 2, 1] = m12
+    return 0.25 * mat.lam * ref.area[..., None, None] * M
 
 
 # ---------------------------------------------------------------------------

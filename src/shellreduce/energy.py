@@ -12,10 +12,10 @@ the reference curvatures:
   blocks for model II),
 - ``w_curv_log`` three-point through-thickness rule for the logarithmic
   volumetric term,
-- ``w_curv_det2_simpson`` three-point rule for the squared-volume term
-  (models I and II),
-- ``w_curv_det2_taylor`` closed-form thickness expansion of the
-  squared-volume term (model III), :func:`det_square_bracket`.
+- ``w_curv_det2`` squared-volume term, a quadratic form in
+  (a_m/a_y0) (1, H_m - H, K_m - K) whose reference-only matrix
+  :func:`det2_form` builds from the three-point rule (models I and II,
+  a sum of squares) or the closed-form thickness expansion (model III).
 
 Two constant calibrations are exposed.  ``oracle`` (default) matches the
 through-thickness integral of the parent 3-D stored energy exactly: the
@@ -33,7 +33,9 @@ the deformed forms with weights that depend on the reference only
 gradient and the convexity Hessian of
 :func:`~shellreduce.admissibility.shell_quadratic_hessian` all read them);
 the log and squared-volume terms are scalar functions of a_m, H_m and K_m
-whose partials :func:`density_partials` returns as plain fields; the
+whose partials :func:`density_partials` returns as plain fields, the
+squared-volume ones from the same :func:`det2_form` as its value and the
+Hessian of :func:`~shellreduce.admissibility.volume_quadratic_hessian`; the
 standalone and constant terms do not depend on the deformation.  The
 minimizer seeds the adjoint of ``surface_bundle``
 (:func:`~shellreduce.geometry.surface_bundle_vjp`) with these partials.
@@ -242,46 +244,55 @@ def w_curv_log(bundle, energy, faces):
     return energy.log_coef * bracket
 
 
-def w_curv_det2_simpson(bundle, energy, faces):
-    """Three-point thickness rule for the squared-volume term (models I, II);
-    under ``paper`` the block keeps its as-published interior area factor."""
-    a_m = bundle["a"]
-    plus_m, minus_m = faces
-    r0 = a_m / energy.ref.area
-    r_plus = a_m * plus_m / energy.area_plus0
-    r_minus = a_m * minus_m / energy.area_minus0
-    bracket = (energy.minus0 * r_minus * r_minus + 4.0 * r0 * r0
-               + energy.plus0 * r_plus * r_plus)
-    return energy.simpson_coef * bracket * energy.area_factor
+def det2_form(mean, gauss, h, faces=None):
+    """The five nonzero planes (m00, m02, m11, m12, m22) of the symmetric
+    3x3 M, m01 = 0, that both thickness rules integrate (b_m/b)^2 b dx3 to:
+    (1/2) v^T M v with v = (1, H_m - H, K_m - K).  m00 = 2h + K h^3/6 and
+    m02 = h^3/6.  ``faces`` = None gives the fifth-order Taylor expansion
+    (model III, error O(h^7)): m11 = 2h^3/3 + h^5/40 (16 H^2 - 4K),
+    m12 = -H h^5/10, m22 = h^5/40.  The reference face factors ``faces`` =
+    (A^+_y0, A^-_y0) give Simpson's rule (models I, II), the sum of squares
+    (h/6) [A^-_y0 (A^-_m/A^-_y0)^2 + 4 + A^+_y0 (A^+_m/A^+_y0)^2]:
+    m11 = (h^3/3) s, m12 = (h^4/12) d, m22 = (h^5/48) s, with
+    s, d = 1/A^-_y0 +- 1/A^+_y0."""
+    h3 = h ** 3
+    m00 = 2.0 * h + gauss * (h3 / 6.0)
+    m02 = h3 / 6.0
+    if faces is None:
+        h5 = h ** 5
+        m11 = 2.0 * h3 / 3.0 + (h5 / 10.0) * (4.0 * mean * mean - gauss)
+        return m00, m02, m11, -mean * (h5 / 10.0), h5 / 40.0
+    inv_plus, inv_minus = 1.0 / faces[0], 1.0 / faces[1]
+    s, d = inv_minus + inv_plus, inv_minus - inv_plus
+    return m00, m02, (h3 / 3.0) * s, (h ** 4 / 12.0) * d, (h ** 5 / 48.0) * s
+
+
+def _form_at(form, d_mean, d_gauss):
+    """(1/2) v^T M v at v = (1, dH, dK), and rows 1 and 2 of M v, its dH-
+    and dK-partials."""
+    m00, m02, m11, m12, m22 = form
+    row_h = m11 * d_mean + m12 * d_gauss
+    row_k = m02 + m12 * d_mean + m22 * d_gauss
+    return (0.5 * (m00 + m02 * d_gauss + d_mean * row_h + d_gauss * row_k),
+            row_h, row_k)
 
 
 def det_square_bracket(mean, gauss, d_mean, d_gauss, h):
-    """int (b_m/b)^2 b dx3 through fifth order (error O(h^7)).
-
-    = h + h^3/12 (K + 4 dH^2 + 2 dK)
-        + h^5/80 (16 H^2 dH^2 - 8 H dH dK - 4 K dH^2 + dK^2),
-    with reference curvatures (mean, gauss) = (H, K) and the deformed
-    state's offsets (d_mean, d_gauss) = (dH, dK); complex offsets pass
-    through.
-    """
-    H, K, dH, dK = mean, gauss, d_mean, d_gauss
-    h3 = h ** 3 / 12.0
-    h5 = h ** 5 / 80.0
-    return (h + h3 * (K + 4.0 * dH * dH + 2.0 * dK)
-            + h5 * (16.0 * H * H * dH * dH - 8.0 * H * dH * dK
-                    - 4.0 * K * dH * dH + dK * dK))
+    """int (b_m/b)^2 b dx3 through fifth order (error O(h^7)): the Taylor
+    :func:`det2_form`'s (1/2) v^T M v at the reference curvatures (mean,
+    gauss) = (H, K) and v = (1, d_mean, d_gauss); complex offsets pass
+    through."""
+    return _form_at(det2_form(mean, gauss, h), d_mean, d_gauss)[0]
 
 
-def w_curv_det2_taylor(bundle, energy):
-    """Closed-form thickness expansion of the squared-volume term (model III):
-    (lam/4) (a_m/a_y0)^2 times :func:`det_square_bracket` of
-    dH = H_m - H, dK = K_m - K (reference curvatures unsubscripted).
-    """
+def w_curv_det2(bundle, energy):
+    """The squared-volume term of either rule: (a_m/a_y0)^2 (1/2) v^T M v
+    over the run's :func:`det2_form`, which carries (lam/4) and, under
+    ``paper``, the as-published interior area factor."""
     ref = energy.ref
-    bracket = det_square_bracket(ref.mean, ref.gauss, bundle["H"] - ref.mean,
-                                 bundle["K"] - ref.gauss, energy.mat.h)
     ratio = bundle["a"] / ref.area
-    return energy.quarter_lam * ratio * ratio * bracket * energy.area_factor
+    return ratio * ratio * _form_at(energy.det2_form, bundle["H"] - ref.mean,
+                                    bundle["K"] - ref.gauss)[0]
 
 
 def density_partials(bundle, energy, faces, det2):
@@ -298,41 +309,23 @@ def density_partials(bundle, energy, faces, det2):
     - log: coef (h/6) [A^-_y0 log(a_m A^-_m) + 4 log a_m
       + A^+_y0 log(a_m A^+_m)] plus a constant, so its a_m-partial is
       coef (h/6) (A^-_y0 + 4 + A^+_y0) / a_m and its A^+-_m-partial
-      coef (h/6) A^+-_y0 / A^+-_m;
-    - det^2 (both rules) is quadratic in a_m, so its a_m-partial is
-      2 w / a_m; Simpson's A^+-_m-partial is (lam/2)(h/6)(a_m/a_y0)^2
-      A^+-_m / A^+-_y0, Taylor's H_m- and K_m-partials differentiate its
-      bracket in dH and dK; ``paper`` multiplies both rules by a_y0;
-    - the face factors A^+-_m = 1 -+ h H_m + h^2 K_m / 4 carry the A^+-_m
-      partials into H_m (-+h) and K_m (h^2/4).
+      coef (h/6) A^+-_y0 / A^+-_m, which the face factors
+      A^+-_m = 1 -+ h H_m + h^2 K_m / 4 carry into H_m (-+h) and
+      K_m (h^2/4);
+    - det^2 (either rule) is (a_m/a_y0)^2 (1/2) v^T M v with
+      v = (1, dH, dK): its a_m-partial is 2 det2 / a_m, its H_m- and
+      K_m-partials (a_m/a_y0)^2 times rows 1 and 2 of M v.
     """
-    a_m, mean, gauss = bundle["a"], bundle["H"], bundle["K"]
+    a_m = bundle["a"]
     ref, h = energy.ref, energy.mat.h
-    plus_m, minus_m = faces
-    d_a = energy.d_log_area / a_m
-    d_plus = energy.d_log_plus / plus_m
-    d_minus = energy.d_log_minus / minus_m
+    d_plus = energy.d_log_plus / faces[0]
+    d_minus = energy.d_log_minus / faces[1]
     ratio2 = (a_m / ref.area) ** 2
-    if energy.model == 3:
-        scale = energy.det2_scale
-        d_mean = mean - ref.mean
-        d_gauss = gauss - ref.gauss
-        h3 = h ** 3 / 12.0
-        h5 = h ** 5 / 80.0
-        d_h = scale * ratio2 * (
-            8.0 * h3 * d_mean
-            + h5 * (32.0 * ref.mean ** 2 * d_mean - 8.0 * ref.mean * d_gauss
-                    - 8.0 * ref.gauss * d_mean))
-        d_k = scale * ratio2 * (
-            2.0 * h3 + h5 * (2.0 * d_gauss - 8.0 * ref.mean * d_mean))
-    else:
-        q = energy.simpson_partial * ratio2
-        d_plus = d_plus + q * plus_m / energy.plus0
-        d_minus = d_minus + q * minus_m / energy.minus0
-        d_h = d_k = 0.0
-    d_a = d_a + 2.0 * det2 / a_m
-    return (d_a, d_h + h * (d_minus - d_plus),
-            d_k + 0.25 * h * h * (d_plus + d_minus))
+    _, row_h, row_k = _form_at(energy.det2_form, bundle["H"] - ref.mean,
+                               bundle["K"] - ref.gauss)
+    return (energy.d_log_area / a_m + 2.0 * det2 / a_m,
+            ratio2 * row_h + h * (d_minus - d_plus),
+            ratio2 * row_k + 0.25 * h * h * (d_plus + d_minus))
 
 
 def constant_density(ref, mat, constants="oracle"):
@@ -347,14 +340,10 @@ def energy_density_fields(bundle, energy, faces):
     """The four density fields of the run ``energy``, keyed like
     EnergyBreakdown, for a bundle with face factors ``faces`` (A^+_m, A^-_m)
     at its thickness.  Like the ``w_*`` terms it checks nothing."""
-    if energy.model == 3:
-        det2 = w_curv_det2_taylor(bundle, energy)
-    else:
-        det2 = w_curv_det2_simpson(bundle, energy, faces)
     return {
         "shell": w_shell(bundle, energy),
         "curv_log": w_curv_log(bundle, energy, faces),
-        "curv_det2": det2,
+        "curv_det2": w_curv_det2(bundle, energy),
         "constant": energy.constant,
     }
 
@@ -402,21 +391,19 @@ class ReducedEnergy:
         coef = (-(mat.lam + 2.0 * mat.mu) / 4.0 if paper
                 else -(mat.mu + 0.5 * mat.lam))
         self.plus0, self.minus0 = face_factors(ref.mean, ref.gauss, h)
-        self.area_factor = ref.area if paper else 1.0
         self.standalone = 0.5 * mat.mu * (h + h ** 3 * ref.gauss / denom)
         self.log_coef = coef * (h / 6.0)
-        self.area_plus0 = ref.area * self.plus0
-        self.area_minus0 = ref.area * self.minus0
         self.log_area0 = np.log(ref.area)
-        self.log_plus0 = np.log(self.area_plus0)
-        self.log_minus0 = np.log(self.area_minus0)
+        self.log_plus0 = np.log(ref.area * self.plus0)
+        self.log_minus0 = np.log(ref.area * self.minus0)
         self.d_log_area = self.log_coef * (self.minus0 + 4.0 + self.plus0)
         self.d_log_plus = self.log_coef * self.plus0
         self.d_log_minus = self.log_coef * self.minus0
-        self.quarter_lam = 0.25 * mat.lam
-        self.simpson_coef = self.quarter_lam * (h / 6.0)
-        self.det2_scale = self.quarter_lam * self.area_factor
-        self.simpson_partial = 2.0 * self.det2_scale * (h / 6.0)
+        # the squared-volume term's one form, with the paper's interior a_y0
+        scale = 0.25 * mat.lam * (ref.area if paper else 1.0)
+        self.det2_form = tuple(scale * m for m in det2_form(
+            ref.mean, ref.gauss, h,
+            None if model == 3 else (self.plus0, self.minus0)))
 
     def evaluate(self, bundle, positions, eps=None):
         """(internal energy, load potential, face factors, density fields)

@@ -555,7 +555,9 @@ def deformed_state(source, grid, h, order=4):
         require_finite_positions(positions)
         ops = GridDerivatives(grid.n1, grid.n2, grid.dx1, grid.dx2, order)
         slots = ops.all_slots(positions)
-    bundle = surface_bundle(slots)
+    # checked by check_rank (a reference) or orientation_violations
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bundle = surface_bundle(slots)
     return DeformedState(
         h=float(h), grid=grid, order=order, positions=positions,
         bundle=bundle,
@@ -580,9 +582,15 @@ def form22(bundle, form):
 
 
 def check_rank(state):
-    """Raise DegenerateChart where |d1 x d2| drops below round-off scale."""
+    """Raise DegenerateChart where |d1 x d2| drops below round-off scale, or
+    where det I = I11 I22 - I12^2, which surface_bundle divides by, is not
+    a^2 to 1e-6: near-parallel tangents leave its ~1e-16 I11 I22 round-off
+    at a^2's size."""
+    b = state.bundle
     scale2 = np.max(np.sum(state.grad * state.grad, axis=-2), axis=-1)
-    bad = state.area <= EPS_RANK * scale2
+    a2 = state.area * state.area
+    gap = np.abs(b["I11"] * b["I22"] - b["I12"] * b["I12"] - a2)
+    bad = (state.area <= EPS_RANK * scale2) | ~(gap <= 1e-6 * a2)
     if np.any(bad):
         idx = np.unravel_index(np.argmax(bad), bad.shape)
         raise DegenerateChart(idx, state.area[idx], scale2[idx])

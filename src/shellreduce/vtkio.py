@@ -85,6 +85,9 @@ def read_vtk(path):
     if k < 0:
         raise ConfigError("%s: missing DIMENSIONS" % path)
     n2, n1, nz = _header_ints(path, flat, k, 3)
+    if min(n1, n2) < 1:
+        raise ConfigError("%s: DIMENSIONS must be positive, got %d %d"
+                          % (path, n2, n1))
     if nz != 1:
         raise ConfigError("%s: expected a single sheet, got nz=%d" % (path, nz))
     k = find("POINTS")

@@ -392,6 +392,30 @@ def test_volume_hessian_loses_definiteness_beyond_its_root():
     assert min_eig < -1e-12 * scale
 
 
+def _det2_matrices(ref, h, model):
+    """A run's squared-volume form (ReducedEnergy.det2_form) stacked as
+    (n1, n2, 3, 3) symmetric matrices."""
+    energy = ReducedEnergy(ref, MaterialParams(mu=1.0, lam=1.0, h=h), model)
+    m00, m02, m11, m12, m22 = np.broadcast_arrays(*energy.det2_form)
+    zero = np.zeros_like(m00)
+    rows = ((m00, zero, m02), (zero, m11, m12), (m02, m12, m22))
+    return np.stack([np.stack(row, -1) for row in rows], -2)
+
+
+def test_simpson_det2_form_is_psd_where_the_taylor_form_is_not():
+    # the paper's reason for Simpson's rule in models I and II: its
+    # squared-volume form is a sum of squares, so convex up to the geometric
+    # bound, while model III's Taylor form is convex only below volume.h0
+    # (1.1547 on the unit cap)
+    cap = _ref("sphere-cap", n=33, radius=1.0, extent=0.6)
+    for ref in (cap, _ref("cylinder-patch", radius=1.0),
+                _ref("graph", **GRAPH)):
+        eigs = np.linalg.eigvalsh(_det2_matrices(ref, 0.999 * ref.h_geom, 1))
+        assert eigs.min() >= -1e-12 * np.abs(eigs).max()
+    eigs = np.linalg.eigvalsh(_det2_matrices(cap, 1.8, 3))
+    assert eigs.min() < -1e-3 * np.abs(eigs).max()
+
+
 def test_sample_convexity_rejects_unknown_form():
     ref = _ref("plate")
     mat = MaterialParams(mu=1.0, lam=1.0, h=0.05)

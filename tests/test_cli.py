@@ -261,6 +261,22 @@ def test_energy_malformed_deformation_is_a_config_error(tmp_path, capsys):
     assert "surface.vtk" in err and "POINTS" in err
 
 
+def test_energy_deformation_with_negative_dimensions_is_a_config_error(
+        tmp_path, capsys):
+    # DIMENSIONS -9 -9 1 passes the POINTS count check, 81 = -9 * -9, and
+    # the reshape to (-9, -9, 3) raised a ValueError the CLI did not catch
+    vtk, _ = _natural_vtk(tmp_path, SPHERE)
+    with open(vtk) as fh:
+        text = fh.read()
+    with open(vtk, "w") as fh:
+        fh.write(text.replace("DIMENSIONS 9 9 1", "DIMENSIONS -9 -9 1"))
+    rc = main(["energy", "--config", _config(tmp_path, SPHERE),
+               "--deformation", vtk, "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "shellreduce: config error: %s: DIMENSIONS must be positive" % vtk)
+
+
 def test_energy_beyond_the_geometric_bound_exits_with_thickness_code(
         tmp_path, capsys):
     # unit sphere at h = 2.5: both face factors stay positive, but
@@ -824,6 +840,21 @@ def test_negative_chart_poly_power_is_a_config_error(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith(
         "shellreduce: config error: chart.poly powers must be >= 0")
+
+
+def test_chart_whose_det_i_rounds_to_zero_fails_the_rank_check(tmp_path,
+                                                                capsys):
+    # tangents (1, 0, 1e9) and (0, 1, 1e9): a^2 = |d1 x d2|^2 = 2e18 passes
+    # the area test, but I11 I22 - I12^2, which surface_bundle divides by,
+    # rounds to 0 at every node; check printed inf bounds and ADMISSIBLE
+    graph = PLATE.replace("chart.kind = plate", "chart.kind = graph").replace(
+        "material.h = 0.1", "material.h = 0.01")
+    cfg = _config(tmp_path, graph + "chart.poly = 1,0:1e9;0,1:1e9\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["check", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "rank deficient at grid node (0, 0)" in capsys.readouterr().err
 
 
 def test_chart_with_a_nan_node_exits_with_orientation_code(tmp_path, capsys,

@@ -373,8 +373,7 @@ def test_one_orientation_check_per_surface_bundle(monkeypatch):
                         counted("bundles", minimizer_module.surface_bundle))
     for key, name in (("checks", "orientation_violations"),
                       ("faces", "face_factors"),
-                      ("det2", "w_curv_det2_simpson"),
-                      ("det2", "w_curv_det2_taylor")):
+                      ("det2", "w_curv_det2")):
         monkeypatch.setattr(energy_module, name,
                             counted(key, getattr(energy_module, name)))
     result = minimize(ref, mat, SolverConfig(max_iter=200, gtol_abs=4e-8),
