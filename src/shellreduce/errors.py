@@ -21,16 +21,13 @@ class GridTooSmall(ShellError):
 
 
 class DegenerateChart(ShellError):
-    """The chart fails the rank-2 immersion check at some node."""
+    """The chart fails the rank-2 immersion check at some node; ``test``
+    names the test that failed and its numbers there."""
 
-    def __init__(self, index, area, scale):
+    def __init__(self, index, test):
         self.index = tuple(int(k) for k in index)
-        self.area = float(area)
-        self.scale = float(scale)
         super().__init__(
-            "chart is rank deficient at grid node %s: |d1 x d2| = %.3e "
-            "against tangent scale^2 = %.3e" % (self.index, self.area, self.scale)
-        )
+            "chart is rank deficient at grid node %s: %s" % (self.index, test))
 
 
 class CurvatureInconsistent(ShellError):

@@ -589,11 +589,18 @@ def check_rank(state):
     b = state.bundle
     scale2 = np.max(np.sum(state.grad * state.grad, axis=-2), axis=-1)
     a2 = state.area * state.area
-    gap = np.abs(b["I11"] * b["I22"] - b["I12"] * b["I12"] - a2)
-    bad = (state.area <= EPS_RANK * scale2) | ~(gap <= 1e-6 * a2)
+    det = b["I11"] * b["I22"] - b["I12"] * b["I12"]
+    thin = state.area <= EPS_RANK * scale2
+    bad = thin | ~(np.abs(det - a2) <= 1e-6 * a2)
     if np.any(bad):
         idx = np.unravel_index(np.argmax(bad), bad.shape)
-        raise DegenerateChart(idx, state.area[idx], scale2[idx])
+        if thin[idx]:
+            test = ("|d1 x d2| = %.3e against tangent scale^2 = %.3e"
+                    % (state.area[idx], scale2[idx]))
+        else:
+            test = ("det I = I11 I22 - I12^2 = %.3e is not a^2 = %.3e "
+                    "to 1e-6" % (det[idx], a2[idx]))
+        raise DegenerateChart(idx, test)
 
 
 def principal_curvatures(mean, gauss):

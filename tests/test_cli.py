@@ -277,6 +277,78 @@ def test_energy_deformation_with_negative_dimensions_is_a_config_error(
         "shellreduce: config error: %s: DIMENSIONS must be positive" % vtk)
 
 
+@pytest.mark.parametrize("kind", ["binary", "byte_0xff"])
+def test_energy_undecodable_deformation_is_a_config_error(tmp_path, capsys,
+                                                          kind):
+    # both files raised an uncaught UnicodeDecodeError in the text reader
+    vtk, _ = _natural_vtk(tmp_path, SPHERE)
+    with open(vtk, "rb") as fh:
+        data = fh.read()
+    if kind == "binary":
+        head = data.split(b"\n", 6)[:6]
+        head[2] = b"BINARY"
+        payload = np.ones(81 * 3).astype(">f8").tobytes()
+        data = b"\n".join(head) + b"\n" + payload
+    else:
+        lines = data.split(b"\n")
+        lines[6 + 4] = b"1 \xff 1"
+        data = b"\n".join(lines)
+    with open(vtk, "wb") as fh:
+        fh.write(data)
+    rc = main(["energy", "--config", _config(tmp_path, SPHERE),
+               "--deformation", vtk, "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("shellreduce: config error: %s: " % vtk)
+    assert err.count("\n") == 1
+    expected = {"binary": "line 3 reads 'BINARY', not ASCII",
+                "byte_0xff": "POINTS block: '\\\\xff'"}[kind]
+    assert expected in err
+
+
+def _assert_percent_vtk(path):
+    """Every number in the VTK file at ``path`` is what "%.17g" prints for
+    the value float() parses from it, and read_vtk returns those bits."""
+    lines = path.read_bytes().decode("ascii").splitlines(keepends=True)
+    positions, fields = read_vtk(path)
+    n = positions.shape[0] * positions.shape[1]
+    blocks = [(lines[6:6 + n], positions.reshape(n, 3))]
+    at = 6 + n
+    if fields:
+        assert lines[at] == "POINT_DATA %d\n" % n
+        at += 1
+    for name, values in fields.items():
+        assert lines[at:at + 2] == ["SCALARS %s double 1\n" % name,
+                                    "LOOKUP_TABLE default\n"]
+        blocks.append((lines[at + 2:at + 2 + n], values.reshape(n, 1)))
+        at += 2 + n
+    assert at == len(lines)
+    for text, values in blocks:
+        parsed = np.array([[float(t) for t in line.split()] for line in text])
+        assert parsed.tobytes() == values.tobytes()
+        template = " ".join(["%.17g"] * parsed.shape[1]) + "\n"
+        assert text == [template % tuple(row) for row in parsed.tolist()]
+
+
+def test_energy_density_and_final_surface_print_as_percent_17g(tmp_path):
+    text = SPHERE.replace("material.h = 0.8", "material.h = 0.05").replace(
+        "grid.n1 = 9\ngrid.n2 = 9", "grid.n1 = 33\ngrid.n2 = 33")
+    vtk, cfg_obj = _natural_vtk(tmp_path, text)
+    pos, _ = read_vtk(vtk)
+    x1, x2 = cfg_obj.grid.mesh()
+    pos[..., 2] += 0.01 * np.sin(3.0 * x1) * np.cos(2.0 * x2)
+    write_vtk(vtk, pos)
+    cfg = _config(tmp_path, text + (
+        "boundary.clamped = left,right,bottom,top\n"
+        "loads.face_plus = 0, 0, 0.002\n"
+        "solver.max_iter = 5\n"))
+    assert main(["energy", "--config", cfg, "--deformation", vtk,
+                 "--dump-density", "--out", str(tmp_path)]) == 0
+    assert main(["minimize", "--config", cfg, "--out", str(tmp_path)]) == 0
+    for name in ("energy-density.vtk", "minimize-final.vtk"):
+        _assert_percent_vtk(tmp_path / name)
+
+
 def test_energy_beyond_the_geometric_bound_exits_with_thickness_code(
         tmp_path, capsys):
     # unit sphere at h = 2.5: both face factors stay positive, but
@@ -854,7 +926,10 @@ def test_chart_whose_det_i_rounds_to_zero_fails_the_rank_check(tmp_path,
         warnings.simplefilter("error", RuntimeWarning)
         rc = main(["check", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 1
-    assert "rank deficient at grid node (0, 0)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "rank deficient at grid node (0, 0): det I = I11 I22 - I12^2 = " \
+        "0.000e+00 is not a^2 = 2.000e+18 to 1e-6" in err
+    assert "|d1 x d2|" not in err
 
 
 def test_chart_with_a_nan_node_exits_with_orientation_code(tmp_path, capsys,

@@ -1,12 +1,16 @@
 """Config parsing, RunConfig validation, and VTK/CSV round trips."""
 
+import io
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
 from shellreduce.config import RunConfig, parse_config
 from shellreduce.errors import ConfigError, NonFinitePosition
 from shellreduce.minimizer import SolverConfig
-from shellreduce.vtkio import read_csv, read_vtk, write_csv, write_vtk
+from shellreduce.vtkio import (_SLOW, _decimal, _write_block, read_csv,
+                               read_vtk, write_csv, write_vtk)
 
 BASE = """
 # minimal plate run
@@ -400,6 +404,91 @@ def test_vtk_writer_matches_the_per_node_format(tmp_path):
     assert back.tobytes() == pos.tobytes()
     for name in fields:
         assert fback[name].tobytes() == fields[name].tobytes()
+
+
+def _percent_block(values, per_line):
+    """The one-% template the whole-array formatter replaced, kept as its
+    oracle: ``per_line`` %.17g numbers to a line."""
+    line = " ".join(["%.17g"] * per_line) + "\n"
+    flat = np.ravel(values).tolist()
+    return ((line * (len(flat) // per_line)) % tuple(flat)).encode()
+
+
+def _exact_ties(rng):
+    """Doubles m 2^-k (m odd, k = 2 .. 24) whose exact decimal expansion has
+    18 significant digits ending in 5: each lies halfway between two
+    17-digit numbers."""
+    ties = []
+    for k in range(2, 25):
+        lo = -(-(10 ** 17 * 2 ** k) // 10 ** k)
+        hi = min(10 ** 18 * 2 ** k // 10 ** k, 2 ** 53)
+        m = rng.integers(lo, hi, 60) | 1
+        ties.append(m.astype(float) / 2.0 ** k)
+    return np.concatenate(ties)
+
+
+def _value_sets():
+    rng = np.random.default_rng(25)
+    n = 60000
+    powers = np.array([float("1e%d" % k) for k in range(-323, 309)])
+    subnormals = rng.integers(1, 2 ** 52, 200).astype(np.uint64).view(float)
+    return {
+        "random_1e300":
+            rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n),
+        "random_bits":
+            rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(float),
+        "powers_of_ten": np.concatenate([
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            -powers]),
+        "exact_ties": _exact_ties(rng),
+        "integers": np.concatenate([
+            rng.integers(-2 ** 62, 2 ** 62, n).astype(float),
+            np.arange(-1000.0, 1001.0), 2.0 ** np.arange(63)]),
+        "three_decimals": np.round(rng.uniform(-1e4, 1e4, n), 3),
+        "unit_interval": rng.uniform(-1.0, 1.0, n),
+        "specials": np.array(
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+             -np.finfo(float).max, np.finfo(float).max, np.nan, -np.nan,
+             np.inf, -np.inf, 1e16, 1e17, 9.9999999999999998e16, 1e-4,
+             9.9999999999999991e-5, 1e-5, 0.1 + 0.2, 1.0 / 3.0]
+            + list(subnormals) + list(-subnormals)),
+    }
+
+
+VALUE_SETS = _value_sets()
+
+
+@pytest.mark.parametrize("per_line", [1, 3])
+@pytest.mark.parametrize("name", sorted(VALUE_SETS))
+def test_vtk_block_bytes_match_the_percent_template(name, per_line):
+    values = VALUE_SETS[name]
+    values = values[:values.size // per_line * per_line]
+    out = io.BytesIO()
+    _write_block(out, values, per_line)
+    assert out.getvalue() == _percent_block(values, per_line)
+
+
+def test_exact_ties_take_the_percent_fallback():
+    ties = _exact_ties(np.random.default_rng(3))
+    for x in ties.tolist():
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, x
+    assert np.all(_decimal(ties)[0] == _SLOW)
+    # everything else in the unit interval stays on the whole-array path
+    plain = np.random.default_rng(4).uniform(-1.0, 1.0, 10000)
+    assert not np.any(_decimal(plain)[0] == _SLOW)
+
+
+def test_vtk_blocks_span_chunks_without_a_seam(tmp_path):
+    # 4,095 values are formatted at a time; 3 x 9,409 coordinates and
+    # 9,409 field values cross that boundary mid-line and mid-block
+    rng = np.random.default_rng(9)
+    pos = rng.standard_normal((97, 97, 3))
+    fields = {"w": rng.standard_normal((97, 97)) * 1e-9}
+    path = tmp_path / "big.vtk"
+    write_vtk(path, pos, fields=fields, comment="big")
+    expected = _per_node_vtk_text(pos, fields, "big").encode()
+    assert path.read_bytes() == expected
 
 
 def _replace_line(path, number, text):
