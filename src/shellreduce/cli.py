@@ -168,8 +168,6 @@ def cmd_check(cfg, args):
 
 
 def cmd_energy(cfg, args):
-    import numpy as np
-
     from .energy import total_energy
     from .errors import ConfigError
     from .geometry import deformed_state
@@ -199,11 +197,8 @@ def cmd_energy(cfg, args):
     for key, value in rows:
         print("  %-9s % .17e" % (key, value))
     if args.dump_density:
-        dump = {k: np.broadcast_to(np.asarray(v, dtype=float),
-                                   positions.shape[:2]).copy()
-                for k, v in breakdown.fields.items()}
         write_vtk(_outpath(args, "energy-density.vtk"), positions,
-                  fields=dump, comment="reduced energy densities")
+                  fields=breakdown.fields, comment="reduced energy densities")
     return 0
 
 
@@ -245,7 +240,7 @@ def cmd_minimize(cfg, args):
     cadence = cfg.scalar("minimize.snapshot_every", int, 0, minimum=0)
 
     def snapshot(it, positions):
-        if cadence > 0 and it > 0 and it % cadence == 0:
+        if it > 0 and it % cadence == 0:
             write_vtk(_outpath(args, "minimize-iter%06d.vtk" % it),
                       positions, comment="iterate %d" % it)
 
@@ -254,7 +249,7 @@ def cmd_minimize(cfg, args):
                           loads=cfg.load_spec,
                           clamped_edges=cfg.clamped_edges or None,
                           force=args.force, safety=cfg.safety,
-                          callback=snapshot)
+                          callback=snapshot if cadence else None)
     except InadmissibleThickness as exc:
         print("thickness gate failed for model %d: h = %g >= h_max = %s"
               % (cfg.model, cfg.material.h,

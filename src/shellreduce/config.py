@@ -236,15 +236,14 @@ class RunConfig:
         clamped = _edge_list(raw.get("boundary.clamped", ""),
                              "boundary.clamped")
         load_spec = _loads_from(raw, clamped)
+        # only the keys given: SolverConfig holds the defaults
         solver = SolverConfig(
-            model=model,
-            constants=constants,
-            max_iter=_typed(raw, "solver.max_iter", int, default=200),
-            gtol_rel=_typed(raw, "solver.gtol_rel", float, default=1e-6),
-            gtol_abs=_typed(raw, "solver.gtol_abs", float, default=1e-11),
-            penalty_beta=_typed(raw, "solver.penalty_beta", float,
-                                default=0.0),
-        )
+            model=model, constants=constants,
+            **{name: _typed(raw, "solver." + name, kind)
+               for name, kind in (("max_iter", int), ("gtol_rel", float),
+                                  ("gtol_abs", float),
+                                  ("penalty_beta", float))
+               if "solver." + name in raw})
         safety = _typed(raw, "safety", float, default=1.0)
         if safety <= 0:
             raise ConfigError("safety must be positive")

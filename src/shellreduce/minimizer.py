@@ -55,11 +55,11 @@ from .admissibility import admissibility_report
 from .energy import MODELS, ReducedEnergy, density_partials
 from .errors import (ConfigError, InadmissibleInitialState,
                      InadmissibleThickness, NonFinitePosition, StepCollapsed)
-from .geometry import (MAX_COORDINATE, SLOT_NAMES, require_finite_positions,
+from .geometry import (MAX_COORDINATE, require_finite_positions,
                        surface_bundle, surface_bundle_vjp)
 from .grids import EDGES, edge_index, simpson_weights
 from .loads import _edge_measure
-from .stencils import GridDerivatives, _along0, _transposed
+from .stencils import GridDerivatives, _along0
 
 EPS_FEAS = 1e-8
 STEP_MIN = 1e-14
@@ -209,11 +209,7 @@ class ShellObjective(ReducedEnergy):
             weight = 2.0 * self.penalty_beta * self.penalty_weights
             seed += weight[..., None] * (normal - self.ref.normal)
         seeds["n"] = seed
-        slot_dots = surface_bundle_vjp(point.slots, bundle, seeds)
-
-        grad = np.zeros_like(positions)
-        for name in SLOT_NAMES:
-            grad += self.ops.scatter(name, slot_dots[name])
+        grad = self.ops.scatter(surface_bundle_vjp(point.slots, bundle, seeds))
         if self.load.force is not None:
             grad -= self.load.force
         return point.energy, grad
@@ -345,7 +341,7 @@ class TensorMetric:
         """H0 q for a packed vector: free nodes in grid order (the
         objective's ``free_box``, an (m1, m2) block), then x, y, z."""
         m1, m2 = len(self.v1), len(self.v2)
-        c = _transposed(self.v1, self.v2, q.reshape(m1, m2, 3))
+        c = _along0(self.v1.T, np.matmul(self.v2.T, q.reshape(m1, m2, 3)))
         nb = self.nbar
         cn = c[..., 0] * nb[0] + c[..., 1] * nb[1] + c[..., 2] * nb[2]
         r = c * self._inv_t[..., None] + (cn * self._inv_dn)[..., None] * nb

@@ -14,7 +14,7 @@ with OpenBLAS 0.3.31 the 2-D GEMM gives different last bits at one and two
 threads from 97^2 up (as do the square GEMMs a tensor-product metric
 would take: seen at 97^2 and 129^2), while the batched products hash
 identically at both thread counts from 17^2 to 257^2.  The minimizer's
-tensor metric applies its 1-D mode matrices through the same two helpers.
+tensor metric applies its 1-D mode matrices through the same helper.
 """
 
 from __future__ import annotations
@@ -115,61 +115,47 @@ def derivative_matrix(n, spacing, deriv, order=4):
 class GridDerivatives:
     """Pre-built differentiation matrices for a tensor grid.
 
-    Each derivative slot is a tensor product of one 1-D matrix per axis
-    (or none), listed once in ``slot_ops``.  That table drives the forward
-    application to fields shaped ``(n1, n2, c)`` and the transposed
-    application the gradient assembly needs.
+    Each derivative slot applies one 1-D matrix per axis it differentiates:
+    d1 and d11 run along axis 0, d2 and d22 along axis 1, and d12 is the d1
+    pass followed by d2.  ``all_slots`` applies the five to a field shaped
+    ``(n1, n2, c)``; ``scatter`` is its mirror, the summed transpose the
+    gradient assembly needs.
     """
 
     def __init__(self, n1, n2, dx1, dx2, order=4):
-        self.order = int(order)
         self.d1 = derivative_matrix(n1, dx1, 1, order)
         self.d2 = derivative_matrix(n2, dx2, 1, order)
         self.d11 = derivative_matrix(n1, dx1, 2, order)
         self.d22 = derivative_matrix(n2, dx2, 2, order)
-        # slot -> (axis-0 matrix, axis-1 matrix); None skips that axis
-        self.slot_ops = {
-            "d1": (self.d1, None),
-            "d2": (None, self.d2),
-            "d11": (self.d11, None),
-            "d12": (self.d1, self.d2),
-            "d22": (None, self.d22),
-        }
 
     def all_slots(self, f):
-        """The five derivative fields of ``f``: d1, d2, d11, d12, d22."""
-        along0 = {}     # axis-0 passes by matrix, so d12 reuses d1's
-        out = {}
-        for slot, (op0, op1) in self.slot_ops.items():
-            g = f
-            if op0 is not None:
-                if id(op0) not in along0:
-                    along0[id(op0)] = _along0(op0, f)
-                g = along0[id(op0)]
-            if op1 is not None:
-                g = np.matmul(op1, g)
-            # C-ordered, so the vector kernels view components without a copy
-            out[slot] = np.ascontiguousarray(g)
-        return out
+        """The five derivative fields of ``f``: d1, d2, d11, d12, d22.
 
-    def scatter(self, slot, sigma):
-        """Adjoint of the slot operator applied to a weight field.
-
-        If ``F_slot = op(f)`` is linear, the gradient contribution of a
-        functional ``sum(sigma * F_slot)`` with respect to nodal ``f`` is
-        ``op^T sigma``; this returns that field.  The axis-1 transpose is
-        applied first, the reverse of the forward order.
+        Every field is C-ordered, so the vector kernels view components
+        without a copy; the axis-1 products already return that layout.
         """
-        return _transposed(*self.slot_ops[slot], sigma)
+        d1 = _along0(self.d1, f)
+        return {"d1": np.ascontiguousarray(d1),
+                "d2": np.matmul(self.d2, f),
+                "d11": np.ascontiguousarray(_along0(self.d11, f)),
+                "d12": np.matmul(self.d2, d1),
+                "d22": np.matmul(self.d22, f)}
 
+    def scatter(self, dots):
+        """Adjoint of ``all_slots``: the nodal gradient of the functional
+        ``sum over slots of sum(dots[slot] * slot(f))``.
 
-def _transposed(op0, op1, sigma):
-    """``(op0 (x) op1)^T sigma``, axis-1 transpose first; None skips an axis."""
-    if op1 is not None:
-        sigma = np.matmul(op1.T, sigma)
-    if op0 is not None:
-        sigma = _along0(op0.T, sigma)
-    return sigma
+        Each slot's transpose runs the reverse of its forward pass (for d12
+        the axis-1 transpose first), and the five fields are summed in slot
+        order into a zeroed C-ordered array.
+        """
+        grad = np.zeros(dots["d1"].shape)
+        grad += _along0(self.d1.T, dots["d1"])
+        grad += np.matmul(self.d2.T, dots["d2"])
+        grad += _along0(self.d11.T, dots["d11"])
+        grad += _along0(self.d1.T, np.matmul(self.d2.T, dots["d12"]))
+        grad += np.matmul(self.d22.T, dots["d22"])
+        return grad
 
 
 def _along0(op, f):

@@ -318,6 +318,8 @@ def read_vtk(path):
     while idx < len(flat):
         if flat[idx] == b"SCALARS":
             # SCALARS name type [numComp], numComp 1 when absent
+            if idx + 1 == len(flat):
+                raise ConfigError("%s: SCALARS without a field name" % path)
             name = _text(flat[idx + 1])
             idx += 3
             if idx < len(flat) and flat[idx] != b"LOOKUP_TABLE":

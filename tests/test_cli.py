@@ -277,6 +277,20 @@ def test_energy_deformation_with_negative_dimensions_is_a_config_error(
         "shellreduce: config error: %s: DIMENSIONS must be positive" % vtk)
 
 
+def test_energy_deformation_ending_at_scalars_is_a_config_error(tmp_path,
+                                                               capsys):
+    # no token follows SCALARS, so there is no field name to read
+    vtk, _ = _natural_vtk(tmp_path, SPHERE)
+    with open(vtk, "a") as fh:
+        fh.write("POINT_DATA 81\nSCALARS\n")
+    rc = main(["energy", "--config", _config(tmp_path, SPHERE),
+               "--deformation", vtk, "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == ("shellreduce: config error: %s: SCALARS without a field "
+                   "name\n" % vtk)
+
+
 @pytest.mark.parametrize("kind", ["binary", "byte_0xff"])
 def test_energy_undecodable_deformation_is_a_config_error(tmp_path, capsys,
                                                           kind):

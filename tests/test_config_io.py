@@ -551,6 +551,16 @@ def test_vtk_read_rejects_multi_component_scalars(tmp_path):
         read_vtk(path)
 
 
+def test_vtk_read_rejects_a_file_ending_at_scalars(tmp_path):
+    # no token follows SCALARS, so there is no field name to read
+    path = tmp_path / "mesh.vtk"
+    write_vtk(path, np.ones((3, 3, 3)))
+    with open(path, "a") as fh:
+        fh.write("POINT_DATA 9\nSCALARS\n")
+    with pytest.raises(ConfigError, match=r"mesh\.vtk: SCALARS without"):
+        read_vtk(path)
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
 def test_vtk_read_names_the_node_of_a_non_finite_point(tmp_path, token):
     # points are listed with the second index fastest, so line 6 + 7 * 3 + 4

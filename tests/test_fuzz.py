@@ -7,8 +7,14 @@ negative, infinite, NaN, 1e+-300, empty, repeated edges, negative
 and runs every command on it.  Each run must end in one of the driver's
 exit codes 0-3 with no exception escaping; the warning filter turns a numpy
 RuntimeWarning into such an exception.
+
+The VTK reader gets its own seeded run: a small ``write_vtk`` file with
+fields, cut short, with tokens deleted, or with keywords and junk tokens
+(a 0xff byte among them) inserted.  Each read must return or raise
+ConfigError or NonFinitePosition, again under the warning filter.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -16,8 +22,9 @@ import pytest
 
 from shellreduce.cli import main
 from shellreduce.config import RunConfig
+from shellreduce.errors import ConfigError, NonFinitePosition
 from shellreduce.reference import build_reference
-from shellreduce.vtkio import write_vtk
+from shellreduce.vtkio import read_vtk, write_vtk
 
 COMMON = """
 grid.n1 = 9
@@ -124,3 +131,54 @@ def test_fuzzed_configs_end_in_an_exit_code(tmp_path, capsys, bases, seed):
                 rc = main(argv)
             capsys.readouterr()
             assert rc in (0, 1, 2, 3), (name, command, text)
+
+
+VTK_KEYWORDS = (b"DATASET", b"DIMENSIONS", b"POINTS", b"POINT_DATA",
+                b"SCALARS", b"LOOKUP_TABLE")
+VTK_JUNK = (b"\xff", b"zz", b"-1", b"0", b"12", b"1e999", b"nan", b"-inf",
+            b"STRUCTURED_GRID", b"double")
+VTK_CASES = 2000
+
+
+def _mutated_vtk(rng, data):
+    """``data`` after one to three seeded mutations: a truncation, a deleted
+    token, an inserted keyword or an inserted junk token."""
+    for _ in range(rng.integers(1, 4)):
+        kind = rng.integers(4)
+        if kind == 0:
+            data = data[:rng.integers(len(data) + 1)]
+            continue
+        parts = re.split(rb"(\s+)", data)
+        words = [i for i, part in enumerate(parts) if part.strip()]
+        if kind == 1:
+            if words:
+                del parts[words[rng.integers(len(words))]]
+        else:
+            pool = VTK_KEYWORDS if kind == 2 else VTK_JUNK
+            parts.insert(rng.integers(len(parts) + 1),
+                         b" %s " % pool[rng.integers(len(pool))])
+        data = b"".join(parts)
+    return data
+
+
+def test_mutated_vtk_files_read_or_raise_a_config_error(tmp_path):
+    base = tmp_path / "base.vtk"
+    rng = np.random.default_rng(0)
+    write_vtk(base, rng.normal(size=(3, 4, 3)),
+              fields={"rho": rng.normal(size=(3, 4)),
+                      "phi": rng.normal(size=(3, 4))})
+    data = base.read_bytes()
+    # a file ending right after SCALARS, which random mutation seldom makes
+    cases = [data + b"POINT_DATA 12\nSCALARS\n"]
+    cases += [_mutated_vtk(rng, data) for _ in range(VTK_CASES)]
+    path = tmp_path / "case.vtk"
+    for k, case in enumerate(cases):
+        path.write_bytes(case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                read_vtk(path)
+            except (ConfigError, NonFinitePosition):
+                pass
+            except Exception as exc:
+                pytest.fail("case %d raised %r on %r" % (k, exc, case))

@@ -67,9 +67,17 @@ GRIDS = ((11, 9, 0.1, 0.2, 4), (9, 13, 0.21, 0.08, 4), (7, 12, 0.3, 0.05, 2),
          (16, 5, 0.04, 0.5, 2))
 
 
+def _axis_ops(ops):
+    """Oracle table: slot -> (axis-0 matrix, axis-1 matrix), None for an
+    axis the slot does not differentiate."""
+    return {"d1": (ops.d1, None), "d2": (None, ops.d2),
+            "d11": (ops.d11, None), "d12": (ops.d1, ops.d2),
+            "d22": (None, ops.d22)}
+
+
 def _einsum_slot(ops, slot, f):
     """Oracle: the slot operator applied with einsum, axis 0 first."""
-    op0, op1 = ops.slot_ops[slot]
+    op0, op1 = _axis_ops(ops)[slot]
     if op0 is not None:
         f = np.einsum("ik,kjc->ijc", op0, f)
     if op1 is not None:
@@ -77,14 +85,14 @@ def _einsum_slot(ops, slot, f):
     return f
 
 
-def _einsum_adjoint(ops, slot, sigma):
-    """Oracle: the transposed slot operator applied with einsum."""
-    op0, op1 = ops.slot_ops[slot]
-    if op1 is not None:
-        sigma = np.einsum("kj,ikc->ijc", op1, sigma)
-    if op0 is not None:
-        sigma = np.einsum("ki,kjc->ijc", op0, sigma)
-    return sigma
+def _kron_adjoint(ops, slot, sigma):
+    """Oracle: the transposed slot operator as one Kronecker matrix on the
+    C-ordered nodal values, applied to each component."""
+    n1, n2, c = sigma.shape
+    op0, op1 = _axis_ops(ops)[slot]
+    mat = np.kron(np.eye(n1) if op0 is None else op0,
+                  np.eye(n2) if op1 is None else op1)
+    return (mat.T @ sigma.reshape(n1 * n2, c)).reshape(sigma.shape)
 
 
 def test_derivative_matrix_matches_the_per_row_build():
@@ -119,6 +127,7 @@ def test_all_slots_match_manual_axis_application():
             assert list(slots) == list(SLOT_NAMES)
             for name in SLOT_NAMES:
                 assert slots[name].shape == f.shape
+                assert slots[name].flags.c_contiguous, name
                 assert _relerr(slots[name], _einsum_slot(ops, name, f)) \
                     <= 1e-13, (seed, n1, n2, order, name)
             # mixed derivative must not depend on application order
@@ -128,20 +137,31 @@ def test_all_slots_match_manual_axis_application():
 
 
 def test_scatter_is_the_exact_adjoint_of_every_slot():
-    # <sigma, op(f)> == <scatter(op, sigma), f> must hold to round-off;
-    # the gradient assembly relies on this identity, not on approximations
+    # <sigma, op(f)> == <scatter(sigma), f> must hold to round-off, slot by
+    # slot and summed; the gradient assembly relies on this identity, not
+    # on approximations
     for seed in (11, 23, 37):
         rng = np.random.default_rng(seed)
         for n1, n2, dx1, dx2, order in GRIDS:
             ops = GridDerivatives(n1, n2, dx1, dx2, order=order)
             f = rng.standard_normal((n1, n2, 3))
-            sigma = rng.standard_normal((n1, n2, 3))
+            dots = {name: rng.standard_normal((n1, n2, 3))
+                    for name in SLOT_NAMES}
             slots = ops.all_slots(f)
             for name in SLOT_NAMES:
-                back = ops.scatter(name, sigma)
-                assert back.shape == sigma.shape
-                assert _relerr(back, _einsum_adjoint(ops, name, sigma)) \
+                alone = {other: np.zeros_like(f) for other in SLOT_NAMES}
+                alone[name] = dots[name]
+                back = ops.scatter(alone)
+                assert back.shape == f.shape
+                assert _relerr(back, _kron_adjoint(ops, name, dots[name])) \
                     <= 1e-13, (seed, n1, n2, order, name)
-                lhs = np.sum(sigma * slots[name])
+                lhs = np.sum(dots[name] * slots[name])
                 rhs = np.sum(back * f)
                 assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
+            summed = ops.scatter(dots)
+            assert summed.flags.c_contiguous
+            want = sum(_kron_adjoint(ops, name, dots[name])
+                       for name in SLOT_NAMES)
+            assert _relerr(summed, want) <= 1e-13, (seed, n1, n2, order)
+            lhs = sum(np.sum(dots[name] * slots[name]) for name in SLOT_NAMES)
+            assert abs(lhs - np.sum(summed * f)) < 1e-11 * max(1.0, abs(lhs))
