@@ -7,8 +7,8 @@ takes --force.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 admissibility
 failure (a threshold test failed, or the requested thickness is at or above
-its bound), 3 orientation violation or non-finite input position (the report
-names the offending grid node).
+its bound), 3 orientation violation, a 3-D slab folded to det F <= 0, or a
+non-finite input position (the report names the offending grid node).
 
 Heavy imports happen inside the command handlers so --threads can cap the
 numeric thread pools before the array library starts them.  ``main`` also
@@ -338,7 +338,8 @@ def main(argv=None):
 
     from .errors import (ConfigError, InadmissibleInitialState,
                          InadmissibleThickness, NonFinitePosition,
-                         OrientationViolation, ShellError, ThicknessError)
+                         NonPositiveDeterminant, OrientationViolation,
+                         ShellError, ThicknessError)
 
     try:
         cfg = _load_config(args)
@@ -346,7 +347,7 @@ def main(argv=None):
     except ConfigError as exc:
         print("shellreduce: config error: %s" % exc, file=sys.stderr)
         return 1
-    except (OrientationViolation, NonFinitePosition,
+    except (OrientationViolation, NonPositiveDeterminant, NonFinitePosition,
             InadmissibleInitialState) as exc:
         print("shellreduce: %s" % exc, file=sys.stderr)
         return 3

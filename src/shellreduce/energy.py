@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, OrientationViolation, ThicknessError
+from .errors import ConfigError, OrientationViolation
 # re-exported only for the benchmark (perfbench/), which calls
 # shellreduce.energy.deformed_state; ROADMAP item 4 deletes it
 from .geometry import DeformedState, deformed_state  # noqa: F401
@@ -366,14 +366,7 @@ class ReducedEnergy:
         if constants not in CONSTANT_MODES:
             raise ConfigError("constants mode must be one of %s, got %r"
                               % (CONSTANT_MODES, constants))
-        # b(x3) = 1 - 2 H x3 + K x3^2 stays positive through the slab iff
-        # h sup|kappa| < 2; on a sphere it can vanish inside while both faces
-        # stay positive, so the face factors alone are not the test
-        if not mat.h < ref.h_geom:
-            raise ThicknessError(
-                "thickness h = %g exceeds the geometric bound "
-                "(h sup|kappa| = %.3f, needs < 2)"
-                % (mat.h, mat.h * ref.kappa_sup))
+        ref.require_slab(mat.h)
         self.ref = ref
         self.mat = mat
         self.model = model

@@ -3,6 +3,7 @@ through-thickness rules."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +70,17 @@ def simpson_weights(n, dx):
     return w * (dx / 3.0)
 
 
+@functools.lru_cache(maxsize=8)
+def _legendre(count):
+    """Gauss-Legendre nodes and weights on [-1, 1]; an eigenvalue solve
+    (~0.3 ms for 16 nodes), so a thickness sweep solves it once."""
+    return np.polynomial.legendre.leggauss(count)
+
+
 def thickness_rule(kind="gauss", count=16, h=1.0):
     """Quadrature nodes/weights on [-h/2, h/2]; weights sum to h."""
     if kind == "gauss":
-        x, w = np.polynomial.legendre.leggauss(int(count))
+        x, w = _legendre(int(count))
         return 0.5 * h * x, 0.5 * h * w
     if kind == "simpson":
         n = int(count)

@@ -12,10 +12,35 @@ evaluated on the normal-extension ansatz
     Theta(x', x3) = y0(x') + x3 n_y0(x'),
     F = grad Phi (grad Theta)^{-1}.
 
-This module assembles F without any thickness expansion.  The closed-form
-inverse of grad Theta makes b(x3) F(x3) an exact quadratic in x3 whose
-per-node 3x3 coefficients do not depend on x3, so :func:`integrate_3d`
-builds them once per call and evaluates F by Horner at each thickness node.
+W reads F only through |F|^2 and det F, and on this ansatz both are exact
+functions of the two midsurfaces' fundamental forms, with no thickness
+expansion.  n . dn = 0 and n . d_alpha y = 0 make
+(grad Phi)^T grad Phi = diag(G_m(x3), 1), with the tangent metric
+
+    G(x3) = I - x3 (II + II^T) + x3^2 III
+
+of each configuration, and likewise for Theta with G_0, so that
+
+    |F|^2 = 1 + tr(G_m adj G_0) / det G_0,   (det F)^2 = det G_m / det G_0,
+    det G_0 = (a_y0 b_y0(x3))^2,            det F = a_m b_m / (a_y0 b_y0),
+
+with b(x3) = 1 - 2 H x3 + K x3^2.  W is stationary at F = Id, so an error
+in |F|^2 or det F alone would enter W at first order.  :func:`integrate_3d`
+therefore reads both as differences from Id's, through the metric strain
+dG = G_m - G_0 and the mean metric Gbar = (G_m + G_0) / 2 (for 2x2 matrices
+tr(A adj A) = 2 det A, and det is a quadratic form):
+
+    |F|^2 - 3     = tr(dG adj G_0) / det G_0,
+    (det F)^2 - 1 = tr(dG adj Gbar) / det G_0.
+
+Both numerators are quartics in x3 whose per-node coefficients do not
+depend on x3: they are built once per call from the bundles, and each
+thickness node costs a few Horner steps on (n1, n2) planes, with no 3x3
+stack.  Their round-off is relative to the strain rather than to 3 and 1,
+and the natural state (dG = 0) reads W = 0 exactly.  :func:`ansatz_point`
+still assembles F itself from the frames; it is the slow oracle the fast
+path is tested against.
+
 W is integrated over the slab with Gauss-Legendre or composite-Simpson
 rules through the thickness and the tensor Simpson rule over the surface.
 The module also exposes the closed-form thickness-moment/coefficient
@@ -45,6 +70,15 @@ def det3(F):
                               - F[..., 1, 2] * F[..., 2, 0])
             + F[..., 0, 2] * (F[..., 1, 0] * F[..., 2, 1]
                               - F[..., 1, 1] * F[..., 2, 0]))
+
+
+def _strain_energy(excess, rho, mu, lam):
+    """W from |F|^2 - 3 (``excess``) and rho = (det F)^2 - 1:
+
+        W = mu/2 (excess - log(1 + rho)) + lam/4 (rho - log(1 + rho)).
+    """
+    log_det2 = np.log1p(rho)
+    return 0.5 * mu * (excess - log_det2) + 0.25 * lam * (rho - log_det2)
 
 
 def stored_energy(F, mu, lam):
@@ -126,24 +160,84 @@ def ansatz_point(ref, state, x3):
     return {"grad_theta": grad_theta, "F": F, "det_F": det3(F), "b": b}
 
 
-def integrate_3d(state, ref, mat, rule=("gauss", 16), coeffs=None):
+def _metric_coefficients(bundle):
+    """The x3^0, x3^1, x3^2 coefficients I, -(II + II^T), III of a
+    bundle's tangent metric G(x3), each as its (11, 12, 22) planes."""
+    b = bundle
+    return ((b["I11"], b["I12"], b["I22"]),
+            (-2.0 * b["II11"], -(b["II12"] + b["II21"]), -2.0 * b["II22"]),
+            (b["III11"], b["III12"], b["III22"]))
+
+
+def _adjugate_trace(a, b):
+    """Per-node x3^0 .. x3^4 coefficients of tr(A(x3) adj B(x3)) for two
+    metrics given by their quadratic coefficients, each as (11, 12, 22)
+    planes: tr(A adj B) = A11 B22 + A22 B11 - 2 A12 B12 for symmetric 2x2
+    A, B."""
+    out = [None] * 5
+    for p, (a11, a12, a22) in enumerate(a):
+        for q, (b11, b12, b22) in enumerate(b):
+            term = a11 * b22 + a22 * b11 - 2.0 * (a12 * b12)
+            out[p + q] = term if out[p + q] is None else out[p + q] + term
+    return out
+
+
+def _horner(coeffs, x):
+    """sum_k coeffs[k] x^k for a scalar x, in one new array."""
+    acc = coeffs[-1] * x
+    for c in coeffs[-2:0:-1]:
+        acc += c
+        acc *= x
+    acc += coeffs[0]
+    return acc
+
+
+def _invariant_numerators(state, ref):
+    """Per-node x3^0 .. x3^4 coefficients of tr(dG adj G_0) and
+    tr(dG adj Gbar), the numerators of |F|^2 - 3 and (det F)^2 - 1 over
+    det G_0 (see the module docstring)."""
+    metric_m = _metric_coefficients(state.bundle)
+    metric_0 = _metric_coefficients(ref.bundle)
+    strain = [[m - g for m, g in zip(*pair)]
+              for pair in zip(metric_m, metric_0)]
+    mean_metric = [[0.5 * (m + g) for m, g in zip(*pair)]
+                   for pair in zip(metric_m, metric_0)]
+    return (_adjugate_trace(strain, metric_0),
+            _adjugate_trace(strain, mean_metric))
+
+
+def integrate_3d(state, ref, mat, rule=("gauss", 16)):
     """Slab integral of the parent stored energy over the ansatz.
 
     integral = sum_x3 w(x3) sum_nodes W2d a_y0 b_y0(x3) W(F(x', x3)), with
-    the x3-invariant coefficients of F built once per call, or passed in as
-    ``coeffs`` (``_ansatz_coefficients(ref, state)``, which does not depend
-    on the thickness) by a thickness sweep.
+    |F|^2 - 3 and (det F)^2 - 1 read from the two bundles' fundamental
+    forms as the quartics of the module docstring.
+
+    Raises ThicknessError unless ``mat.h`` < ``ref.h_geom`` (b_y0 would
+    vanish inside the slab), and NonPositiveDeterminant where
+    det F = a_m b_m / (a_y0 b_y0) <= 0, at the grid node of the smallest
+    det F at the first thickness node where one is.
     """
+    ref.require_slab(mat.h)
     kind, count = rule
     nodes, weights = thickness_rule(kind, count, mat.h)
-    if coeffs is None:
-        coeffs = _ansatz_coefficients(ref, state)
+    frob_excess, det2_excess = _invariant_numerators(state, ref)
+    jacobian_0 = (1.0, -2.0 * ref.mean, ref.gauss)
+    jacobian_m = (1.0, -2.0 * state.mean, state.gauss)
+    area2 = ref.area * ref.area
     w2d = area_weights(ref.grid) * ref.area
     total = 0.0
     for x3, w in zip(nodes, weights):
-        b = thickness_jacobian(ref.mean, ref.gauss, x3)
-        density = stored_energy(_ansatz_gradient(coeffs, b, x3), mat.mu,
-                                mat.lam)
+        b = _horner(jacobian_0, x3)
+        b_m = _horner(jacobian_m, x3)
+        if b_m.min() <= 0.0:
+            det = state.area * b_m / (ref.area * b)
+            idx = np.unravel_index(np.argmin(det), det.shape)
+            raise NonPositiveDeterminant(det[idx], tuple(int(k) for k in idx))
+        inv_det_0 = 1.0 / (area2 * b * b)
+        density = _strain_energy(_horner(frob_excess, x3) * inv_det_0,
+                                 _horner(det2_excess, x3) * inv_det_0,
+                                 mat.mu, mat.lam)
         total += w * float(np.sum(w2d * b * density))
     return total
 
@@ -251,11 +345,13 @@ def compare_reduced_3d(chart, deformed_chart, grid, mu, lam, h_values,
              "orders": {model: fitted slope of log|err| vs log h}}.
     Every thickness is checked, and a repeated one (it would skew the
     fitted orders) rejected, before any geometry is built.  The
-    reference, the deformed state and the ansatz coefficients are built
-    once and shared by every thickness: the reduced energy takes its
-    thickness from the material, and the slab integral reads the shared
-    coefficients.  The sweep runs serially, so the numeric library's
-    threads (which the CLI's ``--threads`` caps) are the only ones.
+    reference and the deformed state are built once and shared by every
+    thickness: the reduced energy and the slab integral both take their
+    thickness from the material and read the two records' fundamental
+    forms, with no 3x3 stack.  A thickness at or above ``h_geom`` raises
+    ThicknessError before its slab is integrated.  The sweep runs
+    serially, so the numeric library's threads (which the CLI's
+    ``--threads`` caps) are the only ones.
     """
     h_values = [float(h) for h in h_values]
     if not h_values:
@@ -267,13 +363,11 @@ def compare_reduced_3d(chart, deformed_chart, grid, mu, lam, h_values,
     models = tuple(models)
     shared_ref = build_reference(chart, grid, h_values[0], order)
     shared_state = deformed_state(deformed_chart, grid, h_values[0], order)
-    coeffs = _ansatz_coefficients(shared_ref, shared_state)
 
     rows = []
     for h in h_values:
         mat = MaterialParams(mu=mu, lam=lam, h=h)
-        full3d = integrate_3d(shared_state, shared_ref, mat, rule=rule,
-                              coeffs=coeffs)
+        full3d = integrate_3d(shared_state, shared_ref, mat, rule=rule)
         for model in models:
             reduced = total_energy(shared_state, shared_ref, mat, model,
                                    constants).internal

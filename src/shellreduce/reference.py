@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ThicknessError
 from .geometry import (DeformedState, check_rank, deformed_state, pack22,
                        principal_curvatures, require_thickness)
 
@@ -47,6 +48,17 @@ class ReferenceField(DeformedState):
     kappa_sup: float            # sup max(|kappa1|, |kappa2|)
     h_geom: float               # 2 / kappa_sup (inf where kappa_sup = 0)
 
+    def require_slab(self, h):
+        """Raise ThicknessError unless h < h_geom.
+
+        b(x3) = 1 - 2 H x3 + K x3^2 stays positive through the slab iff
+        h sup|kappa| < 2; on a sphere it can vanish inside while both faces
+        stay positive, so the face factors alone are not the test."""
+        if not h < self.h_geom:
+            raise ThicknessError(
+                "thickness h = %g exceeds the geometric bound "
+                "(h sup|kappa| = %.3f, needs < 2)" % (h, h * self.kappa_sup))
+
 
 def build_reference(source, grid, h, order=4):
     """The ReferenceField of an analytic chart or nodal positions on a grid;
@@ -55,8 +67,9 @@ def build_reference(source, grid, h, order=4):
     Raises DegenerateChart where the surface loses rank and
     CurvatureInconsistent where H^2 < K beyond round-off.  Never raises on
     thick geometry: the admissibility report and the energy evaluator both
-    test h < ``h_geom``, so the admissibility CLI can describe a failing
-    thickness instead of crashing.
+    test h < ``h_geom`` (the evaluator and the slab integral through
+    :meth:`ReferenceField.require_slab`), so the admissibility CLI can
+    describe a failing thickness instead of crashing.
     """
     require_thickness(h)
     state = deformed_state(source, grid, h, order)

@@ -16,6 +16,10 @@ import pytest
 import shellreduce
 from shellreduce.cli import main
 from shellreduce.config import RunConfig
+from shellreduce.geometry import (TrigDisplacement, deformed_state,
+                                  displace_chart)
+from shellreduce.grids import thickness_rule
+from shellreduce.oracle3d import ansatz_point
 from shellreduce.reference import build_reference
 from shellreduce.vtkio import read_csv, read_vtk, write_vtk
 
@@ -459,6 +463,56 @@ def test_compare3d_is_identical_across_thread_counts(tmp_path):
         assert proc.returncode == 0, proc.stderr
         tables.append((out / "compare3d.csv").read_bytes())
     assert tables[0] == tables[1]
+
+
+def _cap_sweep(h_values, grid="17", amplitude=None):
+    text = (SPHERE.replace("material.h = 0.8", "material.h = 0.05")
+            .replace("grid.n1 = 9", "grid.n1 = 17")
+            .replace("grid.n2 = 9", "grid.n2 = " + grid))
+    text += "compare3d.h_values = %s\n" % h_values
+    if amplitude is not None:
+        text += "compare3d.amplitude = %s\n" % amplitude
+    return text
+
+
+def test_compare3d_past_the_geometric_bound_exits_2(tmp_path, capsys):
+    # h = 2.5 on the unit cap puts a zero of b_y0 inside the slab: the sweep
+    # stops at the one bound h < h_geom, as check and energy do, before the
+    # slab is integrated
+    cfg = _config(tmp_path, _cap_sweep("2.5, 0.02"))
+    rc = main(["compare3d", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "h = 2.5 exceeds the geometric bound" in err
+    assert "h sup|kappa| = 2.500, needs < 2" in err
+    assert not (tmp_path / "compare3d.csv").exists()
+
+
+def test_compare3d_folded_slab_exits_3_naming_its_node(tmp_path, capsys):
+    # h = 1.9 is under the cap's bound, but the deformed surface under the
+    # amplitude-0.3 bumps bends tighter than h / 2: b_m, and so det F, turns
+    # negative inside the slab.  A 17 x 15 grid leaves no mirror tie for
+    # the smallest det F
+    text = _cap_sweep("1.9, 0.02", grid="15", amplitude="0.3")
+    rc = main(["compare3d", "--config", _config(tmp_path, text),
+               "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    # the node of the smallest det F of the assembled 3x3 F, at the first
+    # Gauss node where one is <= 0
+    cfg = RunConfig.from_text(text)
+    ref = build_reference(cfg.chart, cfg.grid, 1.9)
+    state = deformed_state(
+        displace_chart(cfg.chart,
+                       TrigDisplacement.standard(cfg.chart.domain, 0.3)),
+        cfg.grid, 1.9)
+    for x3 in thickness_rule("gauss", 16, 1.9)[0]:
+        det = ansatz_point(ref, state, x3)["det_F"]
+        if det.min() <= 0.0:
+            break
+    node = tuple(int(k) for k in np.unravel_index(np.argmin(det), det.shape))
+    assert node == (7, 5)
+    assert "det F = %.6e <= 0 at %s" % (det[node], node) in err, err
 
 
 def test_integrate_3d_is_identical_across_thread_counts():

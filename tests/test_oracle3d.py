@@ -6,15 +6,16 @@ import pytest
 from shellreduce import oracle3d
 from shellreduce.energy import (MaterialParams, det_square_bracket,
                                 total_energy)
-from shellreduce.errors import ConfigError, NonPositiveDeterminant
+from shellreduce.errors import (ConfigError, NonPositiveDeterminant,
+                                ThicknessError)
 from shellreduce.geometry import (TrigDisplacement, deformed_state,
                                   displace_chart, face_factors, make_chart)
 from shellreduce.grids import Grid, area_weights
-from shellreduce.oracle3d import (ansatz_point, compare_reduced_3d,
+from shellreduce.oracle3d import (ansatz_point, compare_reduced_3d, det3,
                                   det_square_series, integrate_3d,
                                   log_det_bracket, simpson_point_products,
-                                  stored_energy, thickness_rule,
-                                  trace_moment_coefficients)
+                                  stored_energy, thickness_jacobian,
+                                  thickness_rule, trace_moment_coefficients)
 from shellreduce.reference import build_reference
 
 RNG = np.random.default_rng(1203)
@@ -141,6 +142,94 @@ def test_slab_integral_matches_per_node_inverse_sum():
                 slow = _slow_slab_integral(state, ref, mat, rule)
                 assert abs(fast / slow - 1.0) < 1e-13, (chart.name, seed,
                                                         rule)
+
+
+def _nodal_state(chart, grid, h, seed):
+    """A deformed state built from nodal positions by the grid's stencils
+    (the path of a deformation read from a file)."""
+    rng = np.random.default_rng(seed)
+    X1, X2 = grid.mesh()
+    (a1, b1), (a2, b2) = chart.domain
+    u, v = (X1 - a1) / (b1 - a1), (X2 - a2) / (b2 - a2)
+    positions = chart.positions_on(grid).copy()
+    for k1, k2 in ((1, 1), (1, 2), (2, 1)):
+        mode = np.sin(np.pi * k1 * u) * np.sin(np.pi * k2 * v)
+        positions += mode[..., None] * (0.02 * rng.uniform(-1.0, 1.0, 3))
+    return deformed_state(positions, grid, h)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("sphere-cap", {"radius": 1.0, "extent": 0.6}),
+    ("cylinder-patch", {"radius": 0.8, "height": 1.0, "arc": 1.2}),
+    ("graph", {"poly": {(2, 0): 0.3, (1, 2): -0.2}, "bump": (0.1, 2, 1)}),
+])
+def test_forms_give_det_and_frobenius_of_the_assembled_gradient(kind, params):
+    # the slab integral reads det F and |F|^2 from the fundamental forms,
+    #   |F|^2 - 3 = tr(dG adj G0) / det G0,
+    #   (det F)^2 - 1 = tr(dG adj Gbar) / det G0,
+    # with det G0 = (a_y0 b_y0)^2 and det F = a_m b_m / (a_y0 b_y0); all
+    # must match det3 and the Frobenius sum of the assembled 3x3 F
+    chart = make_chart(kind, **params)
+    grid = Grid.uniform(chart.domain, 13, 11)
+    h = 0.05
+    ref = build_reference(chart, grid, h)
+    states = [deformed_state(displace_chart(
+                  chart, _seeded_displacement(chart.domain, seed)), grid, h)
+              for seed in (3, 17)]
+    states.append(_nodal_state(chart, grid, h, 5))
+    for state in states:
+        frob_excess, det2_excess = oracle3d._invariant_numerators(state, ref)
+        for x3 in (-0.5 * h, -0.31 * h, 0.0, 0.17 * h, 0.5 * h):
+            point = ansatz_point(ref, state, x3)
+            F, b = point["F"], point["b"]
+            det_g0 = (ref.area * b) ** 2
+            frob2 = 3.0 + oracle3d._horner(frob_excess, x3) / det_g0
+            det2 = 1.0 + oracle3d._horner(det2_excess, x3) / det_g0
+            b_m = thickness_jacobian(state.mean, state.gauss, x3)
+            det = state.area * b_m / (ref.area * b)
+            want_frob2 = np.einsum("...ij,...ij->...", F, F)
+            want_det = det3(F)
+            assert np.abs(frob2 / want_frob2 - 1.0).max() <= 1e-13, x3
+            assert np.abs(det / want_det - 1.0).max() <= 1e-13, x3
+            assert np.abs(det2 / want_det ** 2 - 1.0).max() <= 1e-13, x3
+
+
+def test_slab_integral_builds_no_3x3_stacks(monkeypatch):
+    # the ansatz's 3x3 coefficient stacks belong to the slow oracle
+    # (ansatz_point) only: neither the sweep nor a bare call builds them
+    calls = []
+    original = oracle3d._ansatz_coefficients
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(oracle3d, "_ansatz_coefficients", counted)
+    chart, grid, ref, mat, state = _sphere_setup()
+    assert integrate_3d(state, ref, mat) > 0.0
+    deformed = displace_chart(chart,
+                              TrigDisplacement.standard(chart.domain, 0.04))
+    compare_reduced_3d(chart, deformed, grid, 1.0, 1.0, (0.04, 0.02))
+    assert calls == []
+    ansatz_point(ref, state, 0.0)
+    assert calls == [1]
+
+
+def test_slab_past_the_geometric_bound_raises_before_integrating():
+    # past h_geom = 2 on the unit cap, b_y0 vanishes inside the slab; the
+    # slab integral raises the evaluator's ThicknessError, with no
+    # RuntimeWarning (an error under the suite's filter) from a division
+    chart, grid, ref, _, state = _sphere_setup()
+    assert ref.h_geom < 2.5
+    for h in (ref.h_geom, 2.5):
+        mat = MaterialParams(mu=1.0, lam=1.0, h=h)
+        with pytest.raises(ThicknessError, match="exceeds the geometric"):
+            integrate_3d(state, ref, mat)
+        with pytest.raises(ThicknessError) as evaluator:
+            total_energy(state, ref, mat, 1)
+        with pytest.raises(ThicknessError) as sweep:
+            compare_reduced_3d(chart, chart, grid, 1.0, 1.0, (h, 0.02))
+        assert str(sweep.value) == str(evaluator.value)
 
 
 def test_folded_state_names_its_grid_node():
