@@ -208,10 +208,10 @@ def shell_form_weights(ref, mat, model):
     weights = {}
     for (p, name), coef in table.items():
         sign, keys = _FORM_KEYS[name]
+        scaled = (0.5 * mat.mu * sign) * coef
         for ij, key in keys.items():
-            entry = kernels[p][..., int(ij[0]) - 1, int(ij[1]) - 1]
-            term = (0.5 * mat.mu * sign) * coef * entry
-            weights[key] = weights.get(key, 0.0) + term
+            # the first add is 0.0 + term, which turns -0.0 into +0.0
+            weights[key] = weights.get(key, 0.0) + scaled * kernels[p][ij]
     return weights
 
 

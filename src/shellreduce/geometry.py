@@ -21,8 +21,8 @@ and finite-difference modes.
 :func:`surface_bundle_vjp` is its hand-derived vector-Jacobian product
 (Griewank & Walther, *Evaluating Derivatives*, ch. 3-4), which maps output
 adjoints on a, H, K, the ten form components and n back to the five
-derivative slots.  :func:`deformed_state` packs the per-node fields of one
-configuration, reference or deformed, into one :class:`DeformedState`
+derivative slots.  :func:`deformed_state` gathers the per-node fields of
+one configuration, reference or deformed, into one :class:`DeformedState`
 record.
 """
 
@@ -216,14 +216,6 @@ def surface_bundle_vjp(slots, bundle, seeds):
         "d12": _cross(g_c1, d1) + _cross(d2, g_c2),
         "d22": _cross(g_c2, d1),
     }
-
-
-def lift_flat(mat2):
-    """Embed a 2x2 block into 3x3 with a zero (3,3) entry."""
-    mat2 = np.asarray(mat2, dtype=float)
-    out = np.zeros(mat2.shape[:-2] + (3, 3))
-    out[..., :2, :2] = mat2
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +488,11 @@ def require_finite_positions(positions, bound=MAX_COORDINATE,
     field (``name``, positions by default) that has a NaN, infinite or
     overflowing coordinate (magnitude at or above ``bound``; ``np.inf``
     admits every finite one)."""
+    if (np.abs(positions) < bound).all():   # one flat test, no node scan
+        return
     bad = ~(np.abs(positions) < bound).all(axis=-1)
-    if bad.any():
-        idx = np.unravel_index(np.argmax(bad), bad.shape)
-        raise NonFinitePosition(idx, positions[idx], name)
+    idx = np.unravel_index(np.argmax(bad), bad.shape)
+    raise NonFinitePosition(idx, positions[idx], name)
 
 
 def require_thickness(h):
@@ -527,9 +520,9 @@ class DeformedState:
     order: int
     positions: np.ndarray   # (n1, n2, 3)
     bundle: dict            # surface_bundle output (numpy fields)
-    grad: np.ndarray        # (n1, n2, 3, 2)
+    d1: np.ndarray          # (n1, n2, 3) tangents, no packed gradient:
+    d2: np.ndarray          # the normal's are the bundle's dn1, dn2
     normal: np.ndarray      # (n1, n2, 3)
-    grad_n: np.ndarray      # (n1, n2, 3, 2)
     area: np.ndarray        # (n1, n2)
     mean: np.ndarray
     gauss: np.ndarray
@@ -560,10 +553,7 @@ def deformed_state(source, grid, h, order=4):
         bundle = surface_bundle(slots)
     return DeformedState(
         h=float(h), grid=grid, order=order, positions=positions,
-        bundle=bundle,
-        grad=np.stack([slots["d1"], slots["d2"]], axis=-1),
-        normal=bundle["n"],
-        grad_n=np.stack([bundle["dn1"], bundle["dn2"]], axis=-1),
+        bundle=bundle, d1=slots["d1"], d2=slots["d2"], normal=bundle["n"],
         area=bundle["a"], mean=bundle["H"], gauss=bundle["K"],
     )
 
@@ -587,7 +577,7 @@ def check_rank(state):
     a^2 to 1e-6: near-parallel tangents leave its ~1e-16 I11 I22 round-off
     at a^2's size."""
     b = state.bundle
-    scale2 = np.max(np.sum(state.grad * state.grad, axis=-2), axis=-1)
+    scale2 = np.maximum(b["I11"], b["I22"])     # max |d_k y|^2
     a2 = state.area * state.area
     det = b["I11"] * b["I22"] - b["I12"] * b["I12"]
     thin = state.area <= EPS_RANK * scale2

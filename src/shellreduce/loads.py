@@ -169,9 +169,8 @@ def reduce_loads(spec, h):
 def edge_arclength(ref, edge):
     """|d_tau y0| along an edge's running coordinate, as a full-grid field."""
     axis, _ = edge_index(edge, ref.grid.n1, ref.grid.n2)
-    run = 1 if axis == 0 else 0   # frozen axis 0 => runs along x2
-    tangent = ref.grad[..., run]
-    return np.sqrt(np.sum(tangent * tangent, axis=-1))
+    # frozen axis 0 => runs along x2, |d2 y0|^2 = I22
+    return np.sqrt(ref.bundle["I22" if axis == 0 else "I11"])
 
 
 def _edge_measure(ref, edge, measure):

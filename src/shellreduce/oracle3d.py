@@ -54,8 +54,7 @@ import numpy as np
 
 from .energy import MaterialParams, total_energy
 from .errors import ConfigError, NonPositiveDeterminant
-from .geometry import (deformed_state, face_factors, form22, lift_flat,
-                       require_thickness)
+from .geometry import deformed_state, face_factors, form22, require_thickness
 from .grids import area_weights, thickness_rule
 from .reference import build_reference
 
@@ -97,19 +96,19 @@ def stored_energy(F, mu, lam):
 # ansatz frames
 # ---------------------------------------------------------------------------
 
-def _frame(grad, normal):
-    """[d1 | d2 | n] as (..., 3, 3)."""
-    return np.concatenate([grad, normal[..., None]], axis=-1)
+def _frame(col1, col2, col3):
+    """[col1 | col2 | col3] of three (..., 3) fields as (..., 3, 3)."""
+    return np.stack([col1, col2, col3], axis=-1)
 
 
 def _inverse_frame(ref):
     """T0^{-1} of the reference frame T0 = [d1 | d2 | n]: the unit normal
     is orthogonal to d1 and d2, so T0^{-1} stacks I^{-1} (grad y)^T (with
     I^{-1} = ``kernel0``) over n^T."""
-    k0, grad = ref.kernel0, ref.grad
-    out = np.empty(grad.shape[:-2] + (3, 3))
-    out[..., :2, :] = (k0[..., :, :1] * grad[..., None, :, 0]
-                       + k0[..., :, 1:] * grad[..., None, :, 1])
+    k0 = {ij: plane[..., None] for ij, plane in ref.kernel0.items()}
+    out = np.empty(ref.d1.shape + (3,))
+    out[..., 0, :] = k0["11"] * ref.d1 + k0["12"] * ref.d2
+    out[..., 1, :] = k0["21"] * ref.d1 + k0["22"] * ref.d2
     out[..., 2, :] = ref.normal
     return out
 
@@ -130,10 +129,12 @@ def _ansatz_coefficients(ref, state):
         M0 = P0 R,  M1 = (P1 + P0 C1) R,  M2 = (P1 C1 + K P0 e3 e3^T) R.
     """
     inv_frame0 = _inverse_frame(ref)
-    c1 = (lift_flat(form22(ref.bundle, "L"))
-          - 2.0 * ref.mean[..., None, None] * EYE3)
-    p0 = _frame(state.grad, state.normal)
-    p1 = _frame(state.grad_n, np.zeros_like(state.normal))
+    c1 = np.zeros(ref.mean.shape + (3, 3))
+    c1[..., :2, :2] = form22(ref.bundle, "L")
+    c1 -= 2.0 * ref.mean[..., None, None] * EYE3
+    p0 = _frame(state.d1, state.d2, state.normal)
+    p1 = _frame(state.bundle["dn1"], state.bundle["dn2"],
+                np.zeros_like(state.normal))
     p2 = np.matmul(p1, c1)
     p2[..., 2] += ref.gauss[..., None] * state.normal
     return (np.matmul(p0, inv_frame0),
@@ -154,7 +155,8 @@ def ansatz_point(ref, state, x3):
     Jacobian b.
     """
     x3 = float(x3)
-    grad_theta = _frame(ref.grad + x3 * ref.grad_n, ref.normal)
+    grad_theta = _frame(ref.d1 + x3 * ref.bundle["dn1"],
+                        ref.d2 + x3 * ref.bundle["dn2"], ref.normal)
     b = thickness_jacobian(ref.mean, ref.gauss, x3)
     F = _ansatz_gradient(_ansatz_coefficients(ref, state), b, x3)
     return {"grad_theta": grad_theta, "F": F, "det_F": det3(F), "b": b}

@@ -18,8 +18,8 @@ suprema and geometric bound h_geom = 2 / sup|kappa| are fixed once per
 (chart, grid); the energy evaluator builds the face factors at its own h.
 :func:`build_reference` builds the reference's per-node record with the
 same :func:`~shellreduce.geometry.deformed_state` as any deformed
-configuration, checks its rank and curvatures, and adds the kernels,
-products of the bundle's component planes, to make a :class:`ReferenceField`.
+configuration, checks its rank and curvatures, and adds the kernels, (n1, n2)
+planes keyed "11" .. "22" like the bundle's forms, to make the record.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ThicknessError
-from .geometry import (DeformedState, check_rank, deformed_state, pack22,
+from .geometry import (DeformedState, check_rank, deformed_state,
                        principal_curvatures, require_thickness)
 
 
@@ -41,9 +41,9 @@ class ReferenceField(DeformedState):
     ``curvature_bound`` is C = 2 sup |I^{1/2} L^T I^{-1/2}|_F, computed as
     2 sup sqrt(<I, kernel2>) by tr(L^T I^{-1} L I) = <I, L^T I^{-1} L>."""
 
-    kernel0: np.ndarray         # I^{-1}               (n1, n2, 2, 2)
-    kernel1: np.ndarray         # L I^{-1} + I^{-1} L
-    kernel2: np.ndarray         # L^T I^{-1} L
+    kernel0: dict               # I^{-1}, (n1, n2) planes keyed "11" .. "22"
+    kernel1: dict               # L I^{-1} + I^{-1} L
+    kernel2: dict               # L^T I^{-1} L
     curvature_bound: float      # C = 2 sup |I^{1/2} L^T I^{-1/2}|_F
     kappa_sup: float            # sup max(|kappa1|, |kappa2|)
     h_geom: float               # 2 / kappa_sup (inf where kappa_sup = 0)
@@ -96,12 +96,12 @@ def build_reference(source, grid, h, order=4):
 
     return ReferenceField(
         **vars(state),
-        kernel0=pack22(j11, j12, j12, j22),
-        kernel1=pack22(l11 * j11 + l12 * j12 + m11,
-                       l11 * j12 + l12 * j22 + m12,
-                       l21 * j11 + l22 * j12 + m21,
-                       l21 * j12 + l22 * j22 + m22),
-        kernel2=pack22(k11, k12, k21, k22),
+        kernel0={"11": j11, "12": j12, "21": j12, "22": j22},
+        kernel1={"11": l11 * j11 + l12 * j12 + m11,
+                 "12": l11 * j12 + l12 * j22 + m12,
+                 "21": l21 * j11 + l22 * j12 + m21,
+                 "22": l21 * j12 + l22 * j22 + m22},
+        kernel2={"11": k11, "12": k12, "21": k21, "22": k22},
         curvature_bound=curvature_bound,
         kappa_sup=kappa_sup,
         # b(x3) = 1 - 2 H x3 + K x3^2 > 0 through the slab iff h < h_geom

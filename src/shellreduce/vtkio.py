@@ -245,8 +245,9 @@ def _digits(q):
     """The 17 digits of each q as ASCII in columns 3 .. 19 of (n, 20)
     arrays: as they are, and with the number's trailing zeros blanked."""
     g = np.empty((q.size, 5), dtype=np.int32)   # the leading digit, then
-    g[:, 0], rest = np.divmod(q, 10 ** 16)      # four groups of four
-    high, low = np.divmod(rest, 10 ** 8)
+    high = q // 10 ** 8         # four groups of four from int32 halves
+    low = (q - high * 10 ** 8).astype(np.int32)
+    g[:, 0], high = np.divmod(high.astype(np.int32), 10 ** 8)
     g[:, 1], g[:, 2] = np.divmod(high, 10 ** 4)
     g[:, 3], g[:, 4] = np.divmod(low, 10 ** 4)
     quads = _quads()

@@ -516,8 +516,9 @@ def test_compare3d_folded_slab_exits_3_naming_its_node(tmp_path, capsys):
 
 
 def test_integrate_3d_is_identical_across_thread_counts():
-    # the slab integral's batched 3x3 products and frame inverse must not
-    # split across BLAS threads on a large grid
+    # the slab integral, plane arithmetic on the two bundles' fundamental
+    # forms and whole-grid sums, must not split across BLAS threads on a
+    # large grid
     script = (
         "from shellreduce.energy import MaterialParams\n"
         "from shellreduce.geometry import (TrigDisplacement, deformed_state,"

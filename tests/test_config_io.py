@@ -9,8 +9,9 @@ import pytest
 from shellreduce.config import RunConfig, parse_config
 from shellreduce.errors import ConfigError, NonFinitePosition
 from shellreduce.minimizer import SolverConfig
-from shellreduce.vtkio import (_SLOW, _decimal, _write_block, read_csv,
-                               read_vtk, write_csv, write_vtk)
+from shellreduce.vtkio import (_SLOW, _decimal, _digits, _quads,
+                               _write_block, read_csv, read_vtk, write_csv,
+                               write_vtk)
 
 BASE = """
 # minimal plate run
@@ -477,6 +478,24 @@ def test_exact_ties_take_the_percent_fallback():
     # everything else in the unit interval stays on the whole-array path
     plain = np.random.default_rng(4).uniform(-1.0, 1.0, 10000)
     assert not np.any(_decimal(plain)[0] == _SLOW)
+
+
+def test_digit_groups_match_the_int64_divmod_chain():
+    # the groups of one int64 split and int32 divmods against four int64
+    # divmods, at both ends of [10^16, 10^17), the q = 10^16 that a carry
+    # leaves (powers of ten: their first exponent estimate is one low, so
+    # they round to 10^17), and seeded values
+    rng = np.random.default_rng(17)
+    carried = _decimal(np.array([1e-3, 10.0, 100.0, 1e5]))
+    assert np.array_equal(carried[2], [10 ** 16] * 4)
+    q = np.concatenate([[10 ** 16, 10 ** 17 - 1], carried[2],
+                        rng.integers(10 ** 16, 10 ** 17, 10 ** 4)])
+    g = np.empty((q.size, 5), dtype=np.int64)
+    g[:, 0], rest = np.divmod(q, 10 ** 16)
+    high, low = np.divmod(rest, 10 ** 8)
+    g[:, 1], g[:, 2] = np.divmod(high, 10 ** 4)
+    g[:, 3], g[:, 4] = np.divmod(low, 10 ** 4)
+    assert np.array_equal(_digits(q)[0], _quads()[g].view(np.uint8))
 
 
 def test_vtk_blocks_span_chunks_without_a_seam(tmp_path):

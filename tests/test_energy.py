@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from shellreduce.energy import (CONSTANT_MODES, MODELS, MaterialParams,
-                                ReducedEnergy, constant_density,
-                                density_partials, energy_density_fields,
+from shellreduce.energy import (_FORM_KEYS, CONSTANT_MODES, MODELS,
+                                MaterialParams, ReducedEnergy,
+                                constant_density, density_partials,
+                                energy_density_fields,
                                 shell_coefficient_table, shell_form_weights,
                                 total_energy, w_curv_log, w_shell)
 from shellreduce.errors import (ConfigError, OrientationViolation,
                                 ThicknessError)
 from shellreduce.geometry import (TrigDisplacement, deformed_state,
                                   displace_chart, face_factors, form22,
-                                  make_chart)
+                                  make_chart, pack22)
 from shellreduce.grids import Grid, area_weights
 from shellreduce.loads import LoadSpec
 from shellreduce.reference import build_reference
@@ -31,6 +32,12 @@ def _setup(kind, h=0.05, n=11, mu=1.0, lam=1.0, **params):
     ref = build_reference(chart, grid, h)
     mat = MaterialParams(mu=mu, lam=lam, h=h)
     return chart, grid, ref, mat
+
+
+def _packed_kernels(ref):
+    """The three kernels' component planes packed as (n1, n2, 2, 2)."""
+    return [pack22(k["11"], k["12"], k["21"], k["22"])
+            for k in (ref.kernel0, ref.kernel1, ref.kernel2)]
 
 
 def _fields(energy, bundle):
@@ -196,7 +203,7 @@ def test_shell_density_matches_the_kernel_contractions(model, constants):
     # not used
     bundle, ref, mat = _deformed_bundle()
     table = shell_coefficient_table(ref.mean, ref.gauss, mat.h, model != 2)
-    kernels = (ref.kernel0, ref.kernel1, ref.kernel2)
+    kernels = _packed_kernels(ref)
     forms = {"I": form22(bundle, "I"), "II": -form22(bundle, "II"),
              "III": form22(bundle, "III")}
     denom = 6.0 if (model, constants) == (2, "paper") else 12.0
@@ -207,6 +214,31 @@ def test_shell_density_matches_the_kernel_contractions(model, constants):
     want = 0.5 * mat.mu * acc
     got = w_shell(bundle, ReducedEnergy(ref, mat, model, constants))
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("constants", CONSTANT_MODES)
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("kind", sorted(CHARTS))
+def test_form_weights_on_planes_match_the_packed_kernels(kind, model,
+                                                         constants):
+    # the weights read from the kernels' planes against the same sums read
+    # entry by entry from the kernels packed as (n1, n2, 2, 2), bit for bit
+    # and sign bit for sign bit (the plate's kernels are zero)
+    _, _, ref, mat = _setup(kind, mu=1.3, lam=0.7, **CHARTS[kind])
+    kernels = _packed_kernels(ref)
+    want = {}
+    table = shell_coefficient_table(ref.mean, ref.gauss, mat.h, model != 2)
+    for (p, name), coef in table.items():
+        sign, keys = _FORM_KEYS[name]
+        for ij, key in keys.items():
+            entry = kernels[p][..., int(ij[0]) - 1, int(ij[1]) - 1]
+            term = (0.5 * mat.mu * sign) * coef * entry
+            want[key] = want.get(key, 0.0) + term
+    got = ReducedEnergy(ref, mat, model, constants).form_weights
+    assert got.keys() == want.keys()
+    for key, weight in got.items():
+        assert np.array_equal(weight, want[key]), key
+        assert np.array_equal(np.signbit(weight), np.signbit(want[key])), key
 
 
 def test_constant_modes_differ_and_validate():

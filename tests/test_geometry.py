@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from shellreduce.errors import ConfigError, DegenerateChart, NonFinitePosition
-from shellreduce.geometry import (SLOT_NAMES, SurfaceChart, TrigDisplacement,
+from shellreduce.geometry import (MAX_COORDINATE, SLOT_NAMES, SurfaceChart,
+                                  TrigDisplacement, check_rank,
                                   deformed_state, displace_chart, form22,
                                   make_chart, principal_curvatures,
-                                  surface_bundle, surface_bundle_vjp)
+                                  require_finite_positions, surface_bundle,
+                                  surface_bundle_vjp)
 from shellreduce.grids import Grid
 from shellreduce.reference import build_reference
 
@@ -121,6 +123,90 @@ def test_degenerate_chart_is_reported():
         assert info.value.index == (0, 0)
         state = deformed_state(pos, grid, 0.05)
     assert np.all(state.area == 0.0)
+
+
+def _stacked_scale2(state):
+    """max_k |d_k y|^2 summed over the stacked (3, 2) gradient."""
+    grad = np.stack([state.d1, state.d2], axis=-1)
+    return np.max(np.sum(grad * grad, axis=-2), axis=-1)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("plate", {}),
+    ("sphere-cap", {"radius": 1.0, "extent": 0.6}),
+    ("cylinder-patch", {"radius": 0.8, "arc": 1.2}),
+    ("graph", {"poly": {(2, 0): 0.3, (1, 1): -0.2}, "bump": (0.05, 1, 2)}),
+])
+def test_rank_scale_is_the_stacked_tangent_sum(kind, params):
+    # check_rank's tangent scale max(I11, I22) against the sums over the
+    # stacked gradient, bit for bit, on a chart and on nodal positions
+    chart, grid = _chart_grid(kind, n=13, **params)
+    for source in (chart, chart.positions_on(grid)):
+        state = deformed_state(source, grid, 0.05)
+        b = state.bundle
+        assert np.array_equal(np.maximum(b["I11"], b["I22"]),
+                              _stacked_scale2(state))
+
+
+def test_rank_deficient_node_keeps_its_message():
+    # d2 parallel to d1 at one node of the cap: check_rank names that node
+    # with the tangent scale of the stacked gradient
+    base, grid = _chart_grid("sphere-cap", radius=1.0, extent=0.6, n=9)
+
+    def fields(X1, X2):
+        out = base.fields(X1, X2)
+        out["d2"][4, 3] = 3.0 * out["d1"][4, 3]
+        return out
+
+    chart = SurfaceChart("folded", base.domain, fields)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        state = deformed_state(chart, grid, 0.05)
+        with pytest.raises(DegenerateChart) as info:
+            check_rank(state)
+        with pytest.raises(DegenerateChart) as built:
+            build_reference(chart, grid, 0.05)
+    want = ("chart is rank deficient at grid node (4, 3): |d1 x d2| = %.3e "
+            "against tangent scale^2 = %.3e"
+            % (state.area[4, 3], _stacked_scale2(state)[4, 3]))
+    assert info.value.index == built.value.index == (4, 3)
+    assert str(info.value) == str(built.value) == want
+
+
+def _first_bad_node(positions, bound):
+    """The first node in C order with a coordinate not below ``bound`` in
+    magnitude, by a per-node scan."""
+    for idx in np.ndindex(positions.shape[:-1]):
+        if not all(abs(x) < bound for x in positions[idx]):
+            return idx
+    return None
+
+
+@pytest.mark.parametrize("bound", [MAX_COORDINATE, np.inf])
+@pytest.mark.parametrize("component", [0, 1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, MAX_COORDINATE,
+                                 -MAX_COORDINATE, 3e300])
+def test_finite_position_check_names_the_first_bad_node(bad, component,
+                                                        bound):
+    # the flat test lets a good field pass; a bad one raises at the node,
+    # value and name the per-node scan finds, the first in C order
+    rng = np.random.default_rng(5)
+    pos = rng.standard_normal((6, 5, 3))
+    pos[2, 1] *= 1e59                   # large but finite and in bounds
+    require_finite_positions(pos, bound=bound, name="chart d1")
+    for node in ((4, 3), (3, 4), (1, 2)):
+        pos[node + (component,)] = bad
+        pos[node + ((component + 1) % 3,)] = -bad
+    want = _first_bad_node(pos, bound)
+    if want is None:                    # overflowing values under bound=inf
+        require_finite_positions(pos, bound=bound, name="chart d1")
+        return
+    assert want == (1, 2)
+    with pytest.raises(NonFinitePosition) as info:
+        require_finite_positions(pos, bound=bound, name="chart d1")
+    assert info.value.index == want
+    assert np.array_equal(info.value.position, pos[want], equal_nan=True)
+    assert str(info.value) == str(NonFinitePosition(want, pos[want],
+                                                    "chart d1"))
 
 
 @pytest.mark.parametrize("field", ("value",) + SLOT_NAMES)

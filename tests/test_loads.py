@@ -144,6 +144,28 @@ def test_potential_matches_a_hand_assembled_quadrature():
     assert abs(got - want) < 1e-14
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("plate", {}),
+    ("sphere-cap", {"radius": 1.0, "extent": 0.6}),
+    ("cylinder-patch", {"radius": 1.7, "height": 1.0, "arc": 1.2}),
+    ("graph", {"poly": {(2, 0): 0.3, (1, 1): -0.2}, "bump": (0.05, 1, 2)}),
+])
+def test_edge_arclength_matches_the_stacked_tangent_sum(kind, params):
+    # sqrt(I11) and sqrt(I22) against |d_tau y0| summed over the
+    # components of the stacked (3, 2) gradient, bit for bit, on a chart
+    # and on nodal positions
+    chart = make_chart(kind, **params)
+    grid = Grid.uniform(chart.domain, 13, 13)
+    for source in (chart, chart.positions_on(grid)):
+        ref = build_reference(source, grid, 0.05)
+        grad = np.stack([ref.d1, ref.d2], axis=-1)
+        for edge, run in (("left", 1), ("right", 1), ("bottom", 0),
+                          ("top", 0)):
+            tangent = grad[..., run]
+            want = np.sqrt(np.sum(tangent * tangent, axis=-1))
+            assert np.array_equal(edge_arclength(ref, edge), want), edge
+
+
 def test_edge_measures_on_the_cylinder():
     # bottom/top edges run along the arc: arclength factor R; left/right
     # edges run along the axis: factor 1

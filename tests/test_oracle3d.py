@@ -77,12 +77,18 @@ def test_thickness_rules_integrate_polynomials():
 # ansatz assembly and the slab integral
 # ---------------------------------------------------------------------------
 
+def _tangents(state, x3):
+    """(grad y + x3 grad n) at offset x3, packed as (n1, n2, 3, 2)."""
+    dn1, dn2 = state.bundle["dn1"], state.bundle["dn2"]
+    return np.stack([state.d1 + x3 * dn1, state.d2 + x3 * dn2], axis=-1)
+
+
 def test_ansatz_closed_form_inverse_cross_checks():
     _, _, ref, mat, state = _sphere_setup()
     for x3 in (-0.5 * mat.h, -0.17 * mat.h, 0.0, 0.5 * mat.h):
         point = ansatz_point(ref, state, x3)
         # F against grad Phi (grad Theta)^-1 assembled by np.linalg.solve
-        grad_phi = np.concatenate([state.grad + x3 * state.grad_n,
+        grad_phi = np.concatenate([_tangents(state, x3),
                                    state.normal[..., None]], axis=-1)
         F_solve = np.swapaxes(np.linalg.solve(
             np.swapaxes(point["grad_theta"], -1, -2),
@@ -103,9 +109,9 @@ def _slow_slab_integral(state, ref, mat, rule):
     weights = area_weights(ref.grid)
     total = 0.0
     for x3, wk in zip(x, w):
-        theta = np.concatenate([ref.grad + x3 * ref.grad_n,
+        theta = np.concatenate([_tangents(ref, x3),
                                 ref.normal[..., None]], axis=-1)
-        phi = np.concatenate([state.grad + x3 * state.grad_n,
+        phi = np.concatenate([_tangents(state, x3),
                               state.normal[..., None]], axis=-1)
         F = phi @ np.linalg.inv(theta)
         det = np.linalg.det(F)

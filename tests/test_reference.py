@@ -3,12 +3,17 @@ import pytest
 
 from shellreduce.admissibility import admissibility_report
 from shellreduce.errors import ConfigError
-from shellreduce.geometry import face_factors, form22, make_chart
+from shellreduce.geometry import face_factors, form22, make_chart, pack22
 from shellreduce.grids import Grid
 from shellreduce.oracle3d import _frame, _inverse_frame
 from shellreduce.reference import build_reference
 
 RNG = np.random.default_rng(20240517)
+
+
+def _packed(kernel):
+    """A kernel's component planes packed as (n1, n2, 2, 2)."""
+    return pack22(kernel["11"], kernel["12"], kernel["21"], kernel["22"])
 
 
 def _ref(kind, h=0.05, n=11, **params):
@@ -37,8 +42,10 @@ def test_sphere_kernels_collapse_to_multiples_of_the_first():
     ref = _ref("sphere-cap", radius=R, extent=0.6)
     H = ref.mean[..., None, None]
     K = ref.gauss[..., None, None]
-    assert np.abs(ref.kernel1 - 2.0 * H * ref.kernel0).max() < 1e-12
-    assert np.abs(ref.kernel2 - K * ref.kernel0).max() < 1e-12
+    kernel0, kernel1, kernel2 = (_packed(ref.kernel0), _packed(ref.kernel1),
+                                 _packed(ref.kernel2))
+    assert np.abs(kernel1 - 2.0 * H * kernel0).max() < 1e-12
+    assert np.abs(kernel2 - K * kernel0).max() < 1e-12
 
 
 def test_second_kernel_is_positive_on_gram_arguments():
@@ -48,7 +55,7 @@ def test_second_kernel_is_positive_on_gram_arguments():
     for _ in range(25):
         E = RNG.normal(size=(3, 2))
         gram = E.T @ E
-        vals = np.einsum("ij,...ij->...", gram, ref.kernel2)
+        vals = np.einsum("ij,...ij->...", gram, _packed(ref.kernel2))
         assert vals.min() > -1e-15
 
 
@@ -136,7 +143,7 @@ def test_kernels_match_the_einsum_contractions(kind, params):
     ref = _nodal_graph_ref() if kind == "nodal" else _ref(kind, n=13,
                                                            **params)
     *kernels, bound = _einsum_kernels(ref)
-    fast = (ref.kernel0, ref.kernel1, ref.kernel2)
+    fast = (_packed(ref.kernel0), _packed(ref.kernel1), _packed(ref.kernel2))
     for got, slow in zip(fast, kernels):
         assert np.abs(got - slow).max() <= 1e-14 * np.abs(slow).max()
     assert abs(ref.curvature_bound - bound) <= 1e-14 * bound
@@ -152,7 +159,7 @@ def test_kernels_match_the_einsum_contractions(kind, params):
 def test_closed_form_frame_inverse_is_the_inverse(kind, params):
     ref = _nodal_graph_ref() if kind == "nodal" else _ref(kind, n=13,
                                                            **params)
-    frame = _frame(ref.grad, ref.normal)
+    frame = _frame(ref.d1, ref.d2, ref.normal)
     for product in (np.matmul(_inverse_frame(ref), frame),
                     np.matmul(frame, _inverse_frame(ref))):
         assert np.abs(product - np.eye(3)).max() <= 1e-14
@@ -160,7 +167,7 @@ def test_closed_form_frame_inverse_is_the_inverse(kind, params):
 
 def test_plate_kernels_vanish():
     ref = _ref("plate")
-    assert not ref.kernel1.any() and not ref.kernel2.any()
+    assert not _packed(ref.kernel1).any() and not _packed(ref.kernel2).any()
     assert ref.curvature_bound == 0.0
 
 
