@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
 
 from .energy import det2_form, shell_form_weights
 from .errors import ConfigError
@@ -74,16 +73,31 @@ def smallest_positive_roots(coeffs):
                 [np.where(r > 0.0, r, _INF)
                  for r in _ROOTS_BY_DEGREE[d](*c[d::-1, sel])])
         found = (deg >= 2) & np.isfinite(out)
-        c, dc, t = c[:, found], polyder(c[:, found]), out[found]
+        c, dc, t = c[:, found], _polyder(c[:, found]), out[found]
         lo, hi = 0.9999 * t, 1.0001 * t
-        bracketed = (polyval(lo, c, tensor=False)
-                     * polyval(hi, c, tensor=False) < 0)
+        bracketed = _polyval(lo, c) * _polyval(hi, c) < 0
         for _ in range(2):      # one step already reaches round-off
-            g, dg = polyval(t, c, tensor=False), polyval(t, dc, tensor=False)
+            g, dg = _polyval(t, c), _polyval(t, dc)
             step = t - g / dg
             t = np.where(bracketed & (step >= lo) & (step <= hi), step, t)
     out[found] = t
     return out
+
+
+def _polyval(x, c):
+    """``numpy.polynomial.polynomial.polyval(x, c, tensor=False)``, operation
+    for operation, without importing that package into every command."""
+    out = c[-1] + x * 0
+    for k in range(len(c) - 2, -1, -1):
+        out = c[k] + out * x
+    return out
+
+
+def _polyder(c):
+    """``numpy.polynomial.polynomial.polyder(c)``, operation for operation."""
+    if len(c) == 1:
+        return c[:1] * 0
+    return np.arange(1, len(c))[:, None] * c[1:]
 
 
 def _linear_roots(a, b):

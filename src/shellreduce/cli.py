@@ -76,46 +76,55 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, metavar="PATH",
-                        help="run configuration file (key = value lines)")
-    common.add_argument("--model", metavar="N",
-                        help="override the config key model")
-    common.add_argument("--constants", metavar="MODE",
-                        help="override the config key constants")
-    common.add_argument("--threads", type=int, metavar="N",
-                        help="cap numeric worker threads (default: "
-                             "hardware count)")
-    common.add_argument("--out", default=".", metavar="DIR",
-                        help="directory for output files (default: .)")
+_COMMON = (
+    ("--config", dict(required=True, metavar="PATH",
+                      help="run configuration file (key = value lines)")),
+    ("--model", dict(metavar="N", help="override the config key model")),
+    ("--constants", dict(metavar="MODE",
+                         help="override the config key constants")),
+    ("--threads", dict(type=int, metavar="N",
+                       help="cap numeric worker threads (default: "
+                            "hardware count)")),
+    ("--out", dict(default=".", metavar="DIR",
+                   help="directory for output files (default: .)")),
+)
 
+# subcommand -> (help, its arguments after the common ones)
+_SUBCOMMANDS = {
+    "check": ("admissibility / convexity threshold report", ()),
+    "energy": ("energy breakdown of a deformation file", (
+        ("--deformation", dict(metavar="PATH",
+                               help="deformed surface (VTK structured "
+                                    "grid); defaults to config key "
+                                    "energy.deformation")),
+        ("--dump-density", dict(action="store_true",
+                                help="also write a VTK with per-node "
+                                     "densities")))),
+    "compare3d": ("reduced energies vs. the 3-D slab integral over a "
+                  "thickness sweep", ()),
+    "minimize": ("minimize the shell energy; writes VTK + trace CSV", (
+        ("--force", dict(action="store_true",
+                         help="run even when the thickness check fails "
+                              "(a warning is printed)")),)),
+    "loads-reduce": ("reduce a 3-D load specification to midsurface "
+                     "resultants", ()),
+}
+
+
+def build_parser(command=None):
+    """The argument parser.  Given a ``command``, only that subcommand gets
+    its arguments; the others keep their names and help, which is all a
+    command line naming ``command`` can reach."""
     parser = _Parser(
         prog="shellreduce",
         description="Reduced shell energies, admissibility thresholds, "
                     "and midsurface minimization.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("check", parents=[common],
-                   help="admissibility / convexity threshold report")
-    p_energy = sub.add_parser("energy", parents=[common],
-                              help="energy breakdown of a deformation file")
-    p_energy.add_argument("--deformation", metavar="PATH",
-                          help="deformed surface (VTK structured grid); "
-                               "defaults to config key energy.deformation")
-    p_energy.add_argument("--dump-density", action="store_true",
-                          help="also write a VTK with per-node densities")
-    sub.add_parser("compare3d", parents=[common],
-                   help="reduced energies vs. the 3-D slab integral over "
-                        "a thickness sweep")
-    p_minimize = sub.add_parser(
-        "minimize", parents=[common],
-        help="minimize the shell energy; writes VTK + trace CSV")
-    p_minimize.add_argument("--force", action="store_true",
-                            help="run even when the thickness check fails "
-                                 "(a warning is printed)")
-    sub.add_parser("loads-reduce", parents=[common],
-                   help="reduce a 3-D load specification to midsurface "
-                        "resultants")
+    for name, (text, extra) in _SUBCOMMANDS.items():
+        p_sub = sub.add_parser(name, help=text)
+        if command in (None, name):
+            for flag, kwargs in _COMMON + extra:
+                p_sub.add_argument(flag, **kwargs)
     return parser
 
 
@@ -262,17 +271,16 @@ def cmd_minimize(cfg, args):
               "convexity of the integrand is not guaranteed (--force)"
               % (cfg.material.h, cfg.model,
                  _fmt(result.report.h_max[cfg.model])), file=sys.stderr)
-    write_vtk(_outpath(args, "minimize-final.vtk"), result.positions,
-              comment="minimizer final surface")
-    write_csv(_outpath(args, "minimize-trace.csv"),
-              ("iter", "energy", "grad_norm", "step"), result.trace)
+    final = _outpath(args, "minimize-final.vtk")
+    trace = _outpath(args, "minimize-trace.csv")
+    write_vtk(final, result.positions, comment="minimizer final surface")
+    write_csv(trace, ("iter", "energy", "grad_norm", "step"), result.trace)
     print("minimize: model %d, %d iterations, converged=%s (%s)"
           % (cfg.model, result.iterations, result.converged, result.message))
     print("  energy    % .17e" % result.energy)
     print("  grad norm % .3e" % result.grad_norm)
     print("  clamped   %s" % ",".join(result.clamped_edges))
-    print("  wrote %s and %s" % (_outpath(args, "minimize-final.vtk"),
-                                 _outpath(args, "minimize-trace.csv")))
+    print("  wrote %s and %s" % (final, trace))
     return 0
 
 
@@ -326,8 +334,9 @@ _COMMANDS = {
 
 def main(argv=None):
     _keep_freed_heap_pages()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     if args.threads is not None:
         if args.threads < 1:
             print("shellreduce: --threads must be >= 1", file=sys.stderr)

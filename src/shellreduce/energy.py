@@ -118,8 +118,9 @@ def orientation_violations(bundle, ref, faces, eps=EPS_ORIENT):
     bundle with face factors ``faces`` = (A^+_m, A^-_m), or None.
 
     The discrete admissible set requires a_m > eps * a_y0 and both face
-    factors above eps at every node.  argmin returns the first NaN, so a
-    NaN factor (a non-finite position upstream) is a violation at its node.
+    factors above eps at every node.  A NaN minimum defect is not positive
+    and argmin returns the first NaN, so a NaN factor (a non-finite
+    position upstream) is a violation at its node.
     """
     a_m = bundle["a"]
     plus, minus = faces
@@ -131,9 +132,10 @@ def orientation_violations(bundle, ref, faces, eps=EPS_ORIENT):
     worst = None
     for name, values, floor in checks:
         defect = values - floor
+        if defect.min() > 0.0:
+            continue
         idx = np.unravel_index(np.argmin(defect), defect.shape)
-        if not defect[idx] > 0.0 and (worst is None
-                                      or defect[idx] < worst[3]):
+        if worst is None or defect[idx] < worst[3]:
             worst = (name, idx, values[idx], defect[idx])
     if worst is None:
         return None
@@ -418,7 +420,7 @@ class ReducedEnergy:
             raise OrientationViolation(idx, name, value)
         fields = energy_density_fields(bundle, self, faces)
         density = fields["shell"] + fields["curv_log"] + fields["curv_det2"]
-        internal = float(np.sum(self.w2d * (density + self.constant)))
+        internal = float((self.w2d * (density + self.constant)).sum())
         load = float(self.load.potential(positions, bundle["n"]))
         return internal, load, faces, fields
 

@@ -68,7 +68,7 @@ def _dot(u, v):
 
 def _scale(s, u):
     out = np.empty(u.shape, np.result_type(s, u))
-    np.multiply(np.reshape(s, -1), _planes(u), out=_planes(out), order="C")
+    np.multiply(s.reshape(-1), _planes(u), out=_planes(out), order="C")
     return out
 
 
@@ -78,7 +78,7 @@ def _combine(terms):
     out = _scale(s, u)
     out_k = _planes(out)
     for s, u in rest:
-        out_k += np.reshape(s, -1) * _planes(u)
+        out_k += s.reshape(-1) * _planes(u)
     return out
 
 

@@ -119,7 +119,10 @@ class LoadResultants:
 
 def thickness_moments(profile, h):
     """(zeroth, first) x3-moments of a polynomial vector profile, by the
-    8-node Gauss-Legendre rule (exact through x3 power 14)."""
+    8-node Gauss-Legendre rule (exact through x3 power 14); (None, None)
+    for an empty profile, which needs no rule."""
+    if not profile:
+        return None, None
     nodes, weights = thickness_rule("gauss", 8, h)
     zeroth = None
     first = None
@@ -203,10 +206,10 @@ class LoadCovector:
         for k in range(3):
             if self.force is not None:
                 v_k = positions[..., k] - self.ref.positions[..., k]
-                acc = acc + np.sum(self.force[..., k] * v_k)
+                acc = acc + (self.force[..., k] * v_k).sum()
             if self.moment is not None:
                 dn_k = normals[..., k] - self.ref.normal[..., k]
-                acc = acc + np.sum(self.moment[..., k] * dn_k)
+                acc = acc + (self.moment[..., k] * dn_k).sum()
         return acc
 
 

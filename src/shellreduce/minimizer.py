@@ -327,8 +327,9 @@ class TensorMetric:
     (``mu_t``).  Hence P^-1 = V diag(1/mu) V^T: one pass of the 1-D mode
     matrices per axis each way and one division per mode (Lynch, Rice &
     Thomas, Numer. Math. 6, 1964).  The passes are the stencils' batched
-    per-line products, whose bits do not depend on the thread count; one
-    GEMM per component would be ~4x faster at 49^2 but is not.
+    per-line products, whose bits do not depend on the thread count: at
+    49^2 (one thread) ~0.13 ms of a ~0.29 ms ``apply``, the split along
+    ``nbar`` ~0.08 ms, and two GEMMs per component would take ~0.1 ms.
     """
 
     def __init__(self, v1, v2, mu_t, mu_n, nbar):
@@ -388,7 +389,7 @@ def _dot(a, b):
     ``np.dot`` and ``np.linalg.norm``) splits long vectors across threads,
     so its last bits, and the whole iteration after them, would change with
     the thread count."""
-    return float(np.sum(a * b))
+    return float((a * b).sum())
 
 
 def _two_loop(g, pairs, metric):
@@ -463,7 +464,7 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
     # a Point holds some thirty fields: keep at most one alive between
     # gradients, or the peak memory of a solve grows by one
     del start
-    gnorm = float(np.max(np.abs(g))) if g.size else 0.0
+    gnorm = float(abs(g).max()) if g.size else 0.0
     tol = max(config.gtol_abs, config.gtol_rel * gnorm)
     trace = [(0, energy, gnorm, 0.0)]
     if callback is not None:
@@ -511,7 +512,7 @@ def minimize(ref, mat, config, loads=None, clamped_edges=None, initial=None,
             pairs = []
 
         x, g, energy = trial, new_g, trial_energy
-        gnorm = float(np.max(np.abs(g)))
+        gnorm = float(abs(g).max())
         trace.append((it, energy, gnorm, step))
         if callback is not None:
             callback(it, unpack(x))

@@ -31,14 +31,16 @@ def fornberg_weights(z, x, m):
 
     Returns an array ``w`` of shape ``(len(x), m + 1)`` where ``w[:, k]``
     are the weights of the ``k``-th derivative at ``z``:
-    ``f^(k)(z) ~= sum_j w[j, k] f(x[j])``.
+    ``f^(k)(z) ~= sum_j w[j, k] f(x[j])``.  The recursion runs on Python
+    floats and lists: the same IEEE operations in the same order as on
+    numpy scalars, without their per-operation overhead.
     """
-    x = np.asarray(x, dtype=float)
+    x = [float(v) for v in x]
     n = len(x)
-    w = np.zeros((n, m + 1))
+    w = [[0.0] * (m + 1) for _ in range(n)]
     c1 = 1.0
     c4 = x[0] - z
-    w[0, 0] = 1.0
+    w[0][0] = 1.0
     for i in range(1, n):
         mn = min(i, m)
         c2 = 1.0
@@ -49,13 +51,13 @@ def fornberg_weights(z, x, m):
             c2 *= c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    w[i, k] = c1 * (k * w[i - 1, k - 1] - c5 * w[i - 1, k]) / c2
-                w[i, 0] = -c1 * c5 * w[i - 1, 0] / c2
+                    w[i][k] = c1 * (k * w[i - 1][k - 1] - c5 * w[i - 1][k]) / c2
+                w[i][0] = -c1 * c5 * w[i - 1][0] / c2
             for k in range(mn, 0, -1):
-                w[j, k] = (c4 * w[j, k] - k * w[j, k - 1]) / c3
-            w[j, 0] = c4 * w[j, 0] / c3
+                w[j][k] = (c4 * w[j][k] - k * w[j][k - 1]) / c3
+            w[j][0] = c4 * w[j][0] / c3
         c1 = c2
-    return w
+    return np.array(w)
 
 
 def _window(i, n, npts):
@@ -102,8 +104,8 @@ def derivative_matrix(n, spacing, deriv, order=4):
     # uniform spacing: every centered row has the same weights
     offsets = np.arange(-half, half + 1, dtype=float) * spacing
     centered = fornberg_weights(0.0, offsets, deriv)[:, deriv]
-    for i in range(half, n - half):
-        mat[i, i - half:i + half + 1] = centered
+    rows = np.arange(half, n - half)[:, None]
+    mat[rows, rows + np.arange(-half, half + 1)] = centered
     for i in list(range(half)) + list(range(n - half, n)):
         lo, hi = _window(i, n, npts_bnd)
         nodes = np.arange(lo, hi, dtype=float) * spacing

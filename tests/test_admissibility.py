@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyder, polyfromroots, polyval
 
-from shellreduce.admissibility import (admissibility_report, sample_convexity,
+from shellreduce.admissibility import (_polyder, _polyval,
+                                       admissibility_report, sample_convexity,
                                        scan_stretch_cubic, scan_stretch_full,
                                        scan_volume_det,
                                        shell_quadratic_hessian,
@@ -215,6 +216,31 @@ def test_smallest_positive_roots_takes_widths_one_to_four():
     assert smallest_positive_roots([[-2.0, 4.0]])[0] == 0.5
     with pytest.raises(ValueError):
         smallest_positive_roots(np.ones((2, 5)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_local_horner_and_derivative_match_numpy_polynomial(seed):
+    # the root polish's helpers repeat numpy.polynomial's operations, so
+    # every bit must agree, signed zeros, infinities and NaN included
+    rng = np.random.default_rng(seed)
+    special = np.array([0.0, -0.0, INF, -INF, np.nan, 1e-300, -1e300])
+    for width in (1, 2, 3, 4):
+        for cols in (0, 1, 17):
+            c = rng.standard_normal((width, cols)) * 10.0 ** rng.integers(
+                -3, 4, size=(width, cols))
+            x = rng.standard_normal(cols)
+            mask = rng.random((width, cols)) < 0.3
+            c[mask] = rng.choice(special, size=int(mask.sum()))
+            x[rng.random(cols) < 0.3] = rng.choice(special)
+            with np.errstate(over="ignore", invalid="ignore"):
+                pairs = ((_polyder(c), polyder(c)),
+                         (_polyval(x, c), polyval(x, c, tensor=False)),
+                         (_polyval(x, _polyder(c)),
+                          polyval(x, polyder(c), tensor=False)))
+            for got, want in pairs:
+                assert got.shape == want.shape, (width, cols)
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # ---------------------------------------------------------------------------

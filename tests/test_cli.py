@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import shellreduce
+from shellreduce import cli
 from shellreduce.cli import main
 from shellreduce.config import RunConfig
 from shellreduce.geometry import (TrigDisplacement, deformed_state,
@@ -600,6 +601,29 @@ def test_check_loads_no_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_commands_leave_numpy_polynomial_unloaded(tmp_path):
+    # importing numpy.polynomial costs every command ~3 ms; the root
+    # polish and the load reduction do without it
+    check = _config(tmp_path, SPHERE.replace("material.h = 0.8",
+                                             "material.h = 0.1"))
+    plate = _config(tmp_path, PLATE + "boundary.clamped = left,right\n"
+                    "loads.face_plus = 0, 0, 0.001\n"
+                    "loads.face_minus = 0, 0, 0.001\nsolver.max_iter = 3\n",
+                    name="plate.cfg")
+    code = ("import sys\n"
+            "import shellreduce.config\n"
+            "from shellreduce import cli\n"
+            "for command, cfg in (('check', sys.argv[1]),"
+            " ('minimize', sys.argv[2])):\n"
+            "    assert cli.main([command, '--config', cfg,"
+            " '--out', sys.argv[3]]) == 0\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith('numpy.polynomial')))\n")
+    proc = _run_fresh(["-c", code, check, plate, str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_minimize_keeps_its_freed_heap_pages(tmp_path):
     # Without main()'s mallopt call glibc hands the freed top of the heap
     # back after every L-BFGS iteration, and a second minimize of this cap
@@ -1059,6 +1083,48 @@ def test_force_is_a_minimize_flag(tmp_path, capsys):
     rc = main(["minimize", "--config", cfg, "--force", "--out",
                str(tmp_path)])
     assert rc == 0
+
+
+def _main_output(argv, capsys):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_one_subcommand_parser_prints_what_the_full_tree_prints(
+        tmp_path, capsys, monkeypatch):
+    # main builds only the named subcommand's arguments; help, usage
+    # errors and exit codes must not tell the difference
+    monkeypatch.setenv("COLUMNS", "80")
+    for name in cli._SUBCOMMANDS:
+        assert (cli.build_parser(name).format_help()
+                == cli.build_parser().format_help()), name
+        texts = []
+        for parser in (cli.build_parser(name), cli.build_parser()):
+            with pytest.raises(SystemExit) as info:
+                parser.parse_args([name, "--help"])
+            assert info.value.code == 0
+            texts.append(capsys.readouterr())
+        assert texts[0] == texts[1], name
+    cfg = _config(tmp_path, PLATE)
+    out = ["--out", str(tmp_path)]
+    cases = [[], ["--help"], ["bend", "--config", cfg] + out,
+             ["check", "--config", cfg, "--model", "4"] + out,
+             ["check", "--config", cfg, "--constants", "exact"] + out,
+             ["check"] + out, ["check", "--config", cfg, "--threads", "x"],
+             ["check", "--help"]]
+    cases += [[command, "--config", cfg, "--force"] + out
+              for command in ("check", "energy", "compare3d",
+                              "loads-reduce", "minimize")]
+    fast = [_main_output(argv, capsys) for argv in cases]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert fast == [_main_output(argv, capsys) for argv in cases]
+    assert [rc for rc, _, _ in fast] == [1, 0, 1, 1, 1, 1, 1, 0,
+                                         1, 1, 1, 1, 0]
 
 
 def test_threads_must_be_positive(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from shellreduce.energy import (_FORM_KEYS, CONSTANT_MODES, MODELS,
                                 MaterialParams, ReducedEnergy,
                                 constant_density, density_partials,
                                 energy_density_fields,
+                                orientation_violations,
                                 shell_coefficient_table, shell_form_weights,
                                 total_energy, w_curv_log, w_shell)
 from shellreduce.errors import (ConfigError, OrientationViolation,
@@ -365,6 +368,26 @@ def test_folded_state_raises_orientation_violation_with_node_index():
         total_energy(state, ref, mat, model=1)
     msg = str(err.value)
     assert "grid node" in msg and "(" in msg
+
+
+def test_orientation_violations_locate_the_worst_defect():
+    rng = np.random.default_rng(5)
+    ref = SimpleNamespace(area=rng.uniform(0.5, 1.5, (6, 5)))
+    bundle = {"a": ref.area * rng.uniform(0.9, 1.1, (6, 5))}
+    plus, minus = rng.uniform(0.5, 1.0, (2, 6, 5))
+    eps = 1e-3
+    assert orientation_violations(bundle, ref, (plus, minus), eps) is None
+    # a violation in the last check only
+    low = minus.copy()
+    low[4, 1] = 0.5 * eps
+    assert orientation_violations(bundle, ref, (plus, low), eps) == (
+        "face factor A_m^-", (4, 1), 0.5 * eps)
+    # a NaN factor is a violation at the first NaN node, in grid order
+    nan = plus.copy()
+    nan[3, 0] = nan[1, 4] = np.nan
+    name, idx, value = orientation_violations(bundle, ref, (nan, minus),
+                                              eps)
+    assert (name, idx) == ("face factor A_m^+", (1, 4)) and value != value
 
 
 def test_overthick_reference_raises_thickness_error():

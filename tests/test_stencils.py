@@ -117,6 +117,65 @@ def test_derivative_matrix_matches_the_per_row_build():
                 assert _relerr(mat, want) <= 1e-13, (n, deriv, order)
 
 
+def _fornberg_numpy(z, x, m):
+    """Oracle: Fornberg's recursion on numpy scalars indexing a 2-D array,
+    the operations ``fornberg_weights`` runs on Python floats."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    w = np.zeros((n, m + 1))
+    c1 = 1.0
+    c4 = x[0] - z
+    w[0, 0] = 1.0
+    for i in range(1, n):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - z
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    w[i, k] = c1 * (k * w[i - 1, k - 1] - c5 * w[i - 1, k]) / c2
+                w[i, 0] = -c1 * c5 * w[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                w[j, k] = (c4 * w[j, k] - k * w[j, k - 1]) / c3
+            w[j, 0] = c4 * w[j, 0] / c3
+        c1 = c2
+    return w
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("n", [5, 9, 17, 33, 97, 257])
+def test_float_fornberg_is_bit_identical_to_the_numpy_scalar_recursion(n):
+    dx = 1.0 / (n - 1)
+    for deriv in (1, 2):
+        for order in (2, 4):
+            half = (order + 1) // 2
+            if n < max(2 * half + 1, order + deriv):
+                continue
+            offsets = np.arange(-half, half + 1, dtype=float) * dx
+            centered = _fornberg_numpy(0.0, offsets, deriv)
+            assert _same_bits(fornberg_weights(0.0, offsets, deriv),
+                              centered)
+            want = np.zeros((n, n))
+            for i in range(n):
+                # every row's own window, interior rows included
+                interior = half <= i <= n - 1 - half
+                lo, hi = ((i - half, i + half + 1) if interior
+                          else _window(i, n, order + deriv))
+                nodes = np.arange(lo, hi, dtype=float) * dx
+                w = _fornberg_numpy(i * dx, nodes, deriv)
+                assert _same_bits(fornberg_weights(i * dx, nodes, deriv), w)
+                want[i, lo:hi] = (centered if interior else w)[:, deriv]
+            assert _same_bits(derivative_matrix(n, dx, deriv, order),
+                              want), (n, deriv, order)
+
+
 def test_all_slots_match_manual_axis_application():
     for seed in (3, 17, 29):
         rng = np.random.default_rng(seed)
