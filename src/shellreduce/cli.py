@@ -212,8 +212,9 @@ def cmd_energy(cfg, args):
 
 
 def cmd_compare3d(cfg, args):
-    from .energy import MODELS
+    from .errors import ConfigError
     from .geometry import TrigDisplacement, displace_chart
+    from .grids import MAX_THICKNESS_NODES
     from .oracle3d import compare_reduced_3d
     from .vtkio import write_csv
 
@@ -221,13 +222,15 @@ def cmd_compare3d(cfg, args):
                               default=(0.04, 0.02, 0.01))
     amplitude = cfg.scalar("compare3d.amplitude", float, 0.05)
     nodes = cfg.scalar("compare3d.thickness_nodes", int, 16, minimum=1)
+    if nodes > MAX_THICKNESS_NODES:
+        raise ConfigError("compare3d.thickness_nodes must be <= %d, got %d"
+                          % (MAX_THICKNESS_NODES, nodes))
     deformed = displace_chart(
         cfg.chart, TrigDisplacement.standard(cfg.chart.domain, amplitude))
     result = compare_reduced_3d(cfg.chart, deformed, cfg.grid,
                                 cfg.material.mu, cfg.material.lam,
-                                h_values, models=MODELS,
-                                constants=cfg.constants, order=cfg.order,
-                                rule=("gauss", nodes))
+                                h_values, constants=cfg.constants,
+                                order=cfg.order, nodes=nodes)
     header = ("h", "model", "E_reduced", "E_3d", "abs_err", "fitted_order")
     rows = [(h, model, reduced, full3d, err, result["orders"][model])
             for h, model, reduced, full3d, err in result["rows"]]
@@ -285,8 +288,6 @@ def cmd_minimize(cfg, args):
 
 
 def cmd_loads_reduce(cfg, args):
-    import numpy as np
-
     from .errors import ConfigError
     from .loads import reduce_loads
     from .vtkio import write_csv
@@ -300,26 +301,16 @@ def cmd_loads_reduce(cfg, args):
         named.append(("force_edge.%s" % edge, res.force_edge[edge]))
     for edge in sorted(res.moment_edge):
         named.append(("moment_edge.%s" % edge, res.moment_edge[edge]))
-    rows = []
-    for name, field in named:
-        if field is None:
-            continue
-        arr = np.asarray(field, dtype=float)
-        for k in range(3):
-            comp = arr[..., k] if arr.ndim > 1 else arr[k]
-            lo, hi = float(np.min(comp)), float(np.max(comp))
-            value = lo if lo == hi else float("nan")
-            rows.append((name, k, value, lo, hi))
+    # config loads are 3-vectors, so each resultant's value is its min and max
+    rows = [(name, k, value, value, value)
+            for name, vec in named if vec is not None
+            for k, value in enumerate(map(float, vec))]
     write_csv(_outpath(args, "loads-resultants.csv"),
               ("quantity", "component", "value", "min", "max"), rows)
     print("reduced load resultants at h = %g (boundary measure: %s)"
           % (res.h, res.boundary_measure))
-    for name, k, value, lo, hi in rows:
-        if value == value:
-            print("  %-18s [%d]  % .12e" % (name, k, value))
-        else:
-            print("  %-18s [%d]  varies in [% .12e, % .12e]"
-                  % (name, k, lo, hi))
+    for name, k, value, _, _ in rows:
+        print("  %-18s [%d]  % .12e" % (name, k, value))
     return 0
 
 

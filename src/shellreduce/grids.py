@@ -1,5 +1,5 @@
-"""Tensor grids on rectangular parameter domains, Simpson quadrature and the
-through-thickness rules."""
+"""Tensor grids on rectangular parameter domains, Simpson surface quadrature
+and the Gauss-Legendre through-thickness rule."""
 
 from __future__ import annotations
 
@@ -70,6 +70,11 @@ def simpson_weights(n, dx):
     return w * (dx / 3.0)
 
 
+# leggauss(n) solves a dense n x n eigenproblem: 8 ms at 256 nodes, 0.6 s
+# at 2,000, and a 3.2 GB matrix at 20,000
+MAX_THICKNESS_NODES = 256
+
+
 @functools.lru_cache(maxsize=8)
 def _legendre(count):
     """Gauss-Legendre nodes and weights on [-1, 1]; an eigenvalue solve
@@ -77,16 +82,10 @@ def _legendre(count):
     return np.polynomial.legendre.leggauss(count)
 
 
-def thickness_rule(kind="gauss", count=16, h=1.0):
-    """Quadrature nodes/weights on [-h/2, h/2]; weights sum to h."""
-    if kind == "gauss":
-        x, w = _legendre(int(count))
-        return 0.5 * h * x, 0.5 * h * w
-    if kind == "simpson":
-        n = int(count)
-        x = np.linspace(-0.5 * h, 0.5 * h, max(n, 2))  # simpson_weights checks n
-        return x, simpson_weights(n, x[1] - x[0])
-    raise ConfigError("unknown thickness rule %r" % (kind,))
+def thickness_rule(count, h):
+    """Gauss-Legendre nodes/weights on [-h/2, h/2]; weights sum to h."""
+    x, w = _legendre(int(count))
+    return 0.5 * h * x, 0.5 * h * w
 
 
 def area_weights(grid):

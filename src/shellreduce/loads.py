@@ -16,7 +16,8 @@ normal deviation n_m - n_{y0} jointly, is
               + int_{edges} (<t, v> + <d, n_m - n_0>) ds .
 
 x3-profiles are polynomials with vector coefficients (constant vectors or
-per-node fields), integrated by Gauss-Legendre, which is exact for them.
+per-node fields), integrated term by term from the closed-form monomial
+moments.
 Boundary integrals default to the reference-surface arclength measure
 ds = |d_tau y0| dtau; the parameter measure (plain dtau) is a switch,
 recorded in the resultants.
@@ -30,8 +31,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import MAX_COORDINATE, require_thickness
-from .grids import (EDGES, area_weights, edge_index, edge_weights,
-                    thickness_rule)
+from .grids import EDGES, area_weights, edge_index, edge_weights
 
 BOUNDARY_MEASURES = ("surface", "parameter")
 
@@ -117,20 +117,27 @@ class LoadResultants:
     boundary_measure: str
 
 
+def _monomial_moment(power, h):
+    """int_{-h/2}^{h/2} x3^power dx3: 0 for odd powers, else
+    2 (h/2)^(power+1) / (power+1)."""
+    if power % 2:
+        return 0.0
+    return 2.0 * (0.5 * h) ** (power + 1) / (power + 1)
+
+
 def thickness_moments(profile, h):
-    """(zeroth, first) x3-moments of a polynomial vector profile, by the
-    8-node Gauss-Legendre rule (exact through x3 power 14); (None, None)
-    for an empty profile, which needs no rule."""
+    """(zeroth, first) x3-moments of a polynomial vector profile, exact to
+    the rounding of each monomial moment; (None, None) for an empty
+    profile."""
     if not profile:
         return None, None
-    nodes, weights = thickness_rule("gauss", 8, h)
     zeroth = None
     first = None
     for power, coef in profile.items():
-        m0 = float(np.sum(weights * nodes ** power))
-        m1 = float(np.sum(weights * nodes ** (power + 1)))
-        zeroth = coef * m0 if zeroth is None else zeroth + coef * m0
-        first = coef * m1 if first is None else first + coef * m1
+        m0 = coef * _monomial_moment(power, h)
+        m1 = coef * _monomial_moment(power + 1, h)
+        zeroth = m0 if zeroth is None else zeroth + m0
+        first = m1 if first is None else first + m1
     return zeroth, first
 
 

@@ -41,8 +41,8 @@ and the natural state (dG = 0) reads W = 0 exactly.  :func:`ansatz_point`
 still assembles F itself from the frames; it is the slow oracle the fast
 path is tested against.
 
-W is integrated over the slab with Gauss-Legendre or composite-Simpson
-rules through the thickness and the tensor Simpson rule over the surface.
+W is integrated over the slab with the Gauss-Legendre rule through the
+thickness and the tensor Simpson rule over the surface.
 The module also exposes the closed-form thickness-moment/coefficient
 tables the reduced densities are built from, so tests can pin them against
 independent re-derivations.
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .energy import MaterialParams, total_energy
+from .energy import MODELS, MaterialParams, total_energy
 from .errors import ConfigError, NonPositiveDeterminant
 from .geometry import deformed_state, face_factors, form22, require_thickness
 from .grids import area_weights, thickness_rule
@@ -208,10 +208,11 @@ def _invariant_numerators(state, ref):
             _adjugate_trace(strain, mean_metric))
 
 
-def integrate_3d(state, ref, mat, rule=("gauss", 16)):
+def integrate_3d(state, ref, mat, nodes=16):
     """Slab integral of the parent stored energy over the ansatz.
 
     integral = sum_x3 w(x3) sum_nodes W2d a_y0 b_y0(x3) W(F(x', x3)), with
+    x3 and w(x3) the ``nodes``-point Gauss-Legendre rule on [-h/2, h/2], and
     |F|^2 - 3 and (det F)^2 - 1 read from the two bundles' fundamental
     forms as the quartics of the module docstring.
 
@@ -221,15 +222,14 @@ def integrate_3d(state, ref, mat, rule=("gauss", 16)):
     det F at the first thickness node where one is.
     """
     ref.require_slab(mat.h)
-    kind, count = rule
-    nodes, weights = thickness_rule(kind, count, mat.h)
+    offsets, weights = thickness_rule(nodes, mat.h)
     frob_excess, det2_excess = _invariant_numerators(state, ref)
     jacobian_0 = (1.0, -2.0 * ref.mean, ref.gauss)
     jacobian_m = (1.0, -2.0 * state.mean, state.gauss)
     area2 = ref.area * ref.area
     w2d = area_weights(ref.grid) * ref.area
     total = 0.0
-    for x3, w in zip(nodes, weights):
+    for x3, w in zip(offsets, weights):
         b = _horner(jacobian_0, x3)
         b_m = _horner(jacobian_m, x3)
         if b_m.min() <= 0.0:
@@ -339,12 +339,14 @@ def log_det_bracket(mean, gauss, log_area_ratio, d_mean, d_gauss, h):
 # ---------------------------------------------------------------------------
 
 def compare_reduced_3d(chart, deformed_chart, grid, mu, lam, h_values,
-                       models=(1, 2, 3), constants="oracle", order=4,
-                       rule=("gauss", 16)):
-    """Reduced energies against the slab integral over a thickness sweep.
+                       constants="oracle", order=4, nodes=16):
+    """Reduced energies of every model against the slab integral over a
+    thickness sweep, the slab integrated with ``nodes`` Gauss-Legendre
+    points through the thickness.
 
     Returns {"rows": [(h, model, reduced, full3d, abs_err), ...],
-             "orders": {model: fitted slope of log|err| vs log h}}.
+             "orders": {model: fitted slope of log|err| vs log h}}, with the
+    rows of each h in ``MODELS`` order.
     Every thickness is checked, and a repeated one (it would skew the
     fitted orders) rejected, before any geometry is built.  The
     reference and the deformed state are built once and shared by every
@@ -362,23 +364,22 @@ def compare_reduced_3d(chart, deformed_chart, grid, mu, lam, h_values,
         require_thickness(h)
     if len(set(h_values)) < len(h_values):
         raise ConfigError("the thickness sweep repeats a value: %s" % h_values)
-    models = tuple(models)
     shared_ref = build_reference(chart, grid, h_values[0], order)
     shared_state = deformed_state(deformed_chart, grid, h_values[0], order)
 
     rows = []
     for h in h_values:
         mat = MaterialParams(mu=mu, lam=lam, h=h)
-        full3d = integrate_3d(shared_state, shared_ref, mat, rule=rule)
-        for model in models:
+        full3d = integrate_3d(shared_state, shared_ref, mat, nodes)
+        for model in MODELS:
             reduced = total_energy(shared_state, shared_ref, mat, model,
                                    constants).internal
             rows.append((h, model, reduced, full3d, abs(reduced - full3d)))
 
     orders = {}
     log_h = np.log(np.asarray(h_values))
-    for k, model in enumerate(models):
-        errs = np.asarray([row[4] for row in rows[k::len(models)]])
+    for k, model in enumerate(MODELS):
+        errs = np.asarray([row[4] for row in rows[k::len(MODELS)]])
         if np.all(errs > 0.0) and len(h_values) >= 2:
             orders[model] = float(np.polyfit(log_h, np.log(errs), 1)[0])
         else:

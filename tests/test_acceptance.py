@@ -121,8 +121,7 @@ def test_criterion_2_thickness_convergence_orders():
         chart, TrigDisplacement.standard(chart.domain, 0.05))
     result = compare_reduced_3d(chart, deformed, grid, 1.0, 1.0,
                                 (0.04, 0.02, 0.01, 0.005),
-                                models=(1, 2, 3), constants="oracle",
-                                rule=("gauss", 16))
+                                constants="oracle", nodes=16)
     failures = []
     for model, floor in ((1, 4.5), (2, 2.5), (3, 4.5)):
         order = result["orders"][model]
@@ -345,7 +344,7 @@ def test_criterion_8_coefficient_tables_match_dense_quadrature():
         H, dH = rng.uniform(-1.0, 1.0, size=2)
         K, dK = rng.uniform(-1.5, 1.5, size=2)
         h = rng.uniform(0.005, 0.05)
-        x, w = thickness_rule("gauss", 24, h)
+        x, w = thickness_rule(24, h)
         b = 1.0 - 2.0 * H * x + K * x * x
         bm = 1.0 - 2.0 * (H + dH) * x + (K + dK) * x * x
         if b.min() < 0.5 or bm.min() < 0.5:

@@ -19,7 +19,7 @@ from shellreduce.cli import main
 from shellreduce.config import RunConfig
 from shellreduce.geometry import (TrigDisplacement, deformed_state,
                                   displace_chart)
-from shellreduce.grids import thickness_rule
+from shellreduce.grids import MAX_THICKNESS_NODES, thickness_rule
 from shellreduce.oracle3d import ansatz_point
 from shellreduce.reference import build_reference
 from shellreduce.vtkio import read_csv, read_vtk, write_vtk
@@ -507,7 +507,7 @@ def test_compare3d_folded_slab_exits_3_naming_its_node(tmp_path, capsys):
         displace_chart(cfg.chart,
                        TrigDisplacement.standard(cfg.chart.domain, 0.3)),
         cfg.grid, 1.9)
-    for x3 in thickness_rule("gauss", 16, 1.9)[0]:
+    for x3 in thickness_rule(16, 1.9)[0]:
         det = ansatz_point(ref, state, x3)["det_F"]
         if det.min() <= 0.0:
             break
@@ -533,7 +533,7 @@ def test_integrate_3d_is_identical_across_thread_counts():
         "state = deformed_state(displace_chart(chart, disp), grid, 0.05)\n"
         "ref = build_reference(chart, grid, 0.05)\n"
         "mat = MaterialParams(mu=1.0, lam=1.0, h=0.05)\n"
-        "print(integrate_3d(state, ref, mat, ('gauss', 16)).hex())\n")
+        "print(integrate_3d(state, ref, mat, 16).hex())\n")
     outputs = []
     for threads in ("1", "2"):
         proc = _run_fresh(["-c", script], OMP_NUM_THREADS=threads,
@@ -603,23 +603,29 @@ def test_check_loads_no_scipy(tmp_path):
 
 def test_commands_leave_numpy_polynomial_unloaded(tmp_path):
     # importing numpy.polynomial costs every command ~3 ms; the root
-    # polish and the load reduction do without it
+    # polish and the load reduction do without it, for face, edge and
+    # body loads alike
     check = _config(tmp_path, SPHERE.replace("material.h = 0.8",
                                              "material.h = 0.1"))
     plate = _config(tmp_path, PLATE + "boundary.clamped = left,right\n"
                     "loads.face_plus = 0, 0, 0.001\n"
                     "loads.face_minus = 0, 0, 0.001\nsolver.max_iter = 3\n",
                     name="plate.cfg")
+    loaded = _config(tmp_path, PLATE + "boundary.clamped = left,right\n"
+                     "loads.edge.top.0 = 0, 0.005, 0\n"
+                     "loads.body.2 = 0, 0, -0.01\nsolver.max_iter = 3\n",
+                     name="loaded.cfg")
     code = ("import sys\n"
             "import shellreduce.config\n"
             "from shellreduce import cli\n"
             "for command, cfg in (('check', sys.argv[1]),"
-            " ('minimize', sys.argv[2])):\n"
+            " ('minimize', sys.argv[2]), ('minimize', sys.argv[3]),"
+            " ('loads-reduce', sys.argv[3])):\n"
             "    assert cli.main([command, '--config', cfg,"
-            " '--out', sys.argv[3]]) == 0\n"
+            " '--out', sys.argv[4]]) == 0\n"
             "print(sorted(m for m in sys.modules"
             " if m.startswith('numpy.polynomial')))\n")
-    proc = _run_fresh(["-c", code, check, plate, str(tmp_path)])
+    proc = _run_fresh(["-c", code, check, plate, loaded, str(tmp_path)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 
@@ -986,6 +992,10 @@ def test_unsupported_stencil_order_is_a_config_error(tmp_path, capsys):
     ("compare3d", "compare3d.amplitude = abc"),
     ("compare3d", "compare3d.thickness_nodes = 0"),
     ("compare3d", "compare3d.thickness_nodes = 2.5"),
+    # one past the bound: rejected before leggauss would solve its
+    # (n x n) eigenproblem
+    ("compare3d",
+     "compare3d.thickness_nodes = %d" % (MAX_THICKNESS_NODES + 1)),
     ("minimize", "minimize.snapshot_every = x"),
     ("minimize", "minimize.snapshot_every = -1"),
 ])

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -62,10 +64,22 @@ def test_lateral_profile_reduces_per_edge():
                   - h ** 3 / 12.0 * d - 0.0 * t).max() < 1e-15
 
 
-def test_gauss_count_does_not_matter_for_polynomial_profiles():
-    # the fixed 8-node Gauss-Legendre rule integrates x3^p exactly through
-    # p = 15, so both moments of a degree-7 profile match the closed forms
-    # int_{-h/2}^{h/2} x3^p dx3 = 2 (h/2)^(p+1) / (p+1) (even p), 0 (odd p)
+def test_thickness_moments_are_exact_for_every_power():
+    # int_{-h/2}^{h/2} x3^p dx3 = 2 (h/2)^(p+1) / (p+1) (even p), 0 (odd p),
+    # against the rational integral of the float h, for powers 0-24: an
+    # 8-node Gauss-Legendre sum, exact only through p = 15, missed power
+    # 16's zeroth moment by 4e-4 relative at h = 0.37
+    coef = np.array([1.0, -1.0, 0.5])
+    for h in (0.05, 0.37, 1.3):
+        half = Fraction(h) / 2
+        for power in range(25):
+            moments = thickness_moments({power: coef}, h)
+            for got, p in zip(moments, (power, power + 1)):
+                exact = 0.0 if p % 2 else float(2 * half ** (p + 1) / (p + 1))
+                assert np.all(np.abs(got - coef * exact)
+                              <= 2.0 * np.spacing(exact)), (h, power, p)
+
+    # a mixed profile is the sum of its terms' moments
     profile = {p: RNG.normal(size=3) for p in range(8)}
     h = 0.37
 

@@ -58,19 +58,13 @@ def test_stored_energy_rejects_nonpositive_determinant_with_location():
 
 def test_thickness_rules_integrate_polynomials():
     h = 0.37
-    for kind, count in (("gauss", 8), ("simpson", 9)):
-        x, w = thickness_rule(kind, count, h)
+    for count in (8, 16):
+        x, w = thickness_rule(count, h)
         assert abs(w.sum() - h) < 1e-15
         assert abs((w * x).sum()) < 1e-16
         assert abs((w * x * x).sum() - h ** 3 / 12.0) < 1e-15
         # cubic: odd, zero by symmetry
         assert abs((w * x ** 3).sum()) < 1e-17
-    with pytest.raises(ConfigError):
-        thickness_rule("simpson", 4)
-    with pytest.raises(ConfigError):
-        thickness_rule("simpson", 1)
-    with pytest.raises(ConfigError):
-        thickness_rule("trapezoid", 5)
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +95,11 @@ def test_ansatz_closed_form_inverse_cross_checks():
         assert np.abs(det_theta / (ref.area * point["b"]) - 1.0).max() < 1e-11
 
 
-def _slow_slab_integral(state, ref, mat, rule):
+def _slow_slab_integral(state, ref, mat, nodes):
     """The slab integral summed thickness node by thickness node with the
     3x3 algebra done directly: F = grad Phi inv(grad Theta), volume element
     det grad Theta, np.linalg.det and the W(F) formula."""
-    x, w = thickness_rule(*rule, mat.h)
+    x, w = thickness_rule(nodes, mat.h)
     weights = area_weights(ref.grid)
     total = 0.0
     for x3, wk in zip(x, w):
@@ -143,11 +137,11 @@ def test_slab_integral_matches_per_node_inverse_sum():
             deformed = displace_chart(chart,
                                       _seeded_displacement(chart.domain, seed))
             state = deformed_state(deformed, grid, h)
-            for rule in (("gauss", 8), ("gauss", 16), ("simpson", 9)):
-                fast = integrate_3d(state, ref, mat, rule)
-                slow = _slow_slab_integral(state, ref, mat, rule)
+            for nodes in (8, 16):
+                fast = integrate_3d(state, ref, mat, nodes)
+                slow = _slow_slab_integral(state, ref, mat, nodes)
                 assert abs(fast / slow - 1.0) < 1e-13, (chart.name, seed,
-                                                        rule)
+                                                        nodes)
 
 
 def _nodal_state(chart, grid, h, seed):
@@ -267,10 +261,10 @@ def test_natural_state_slab_integral_is_quadrature_zero():
             ref = build_reference(chart, grid, h)
             mat = MaterialParams(mu=1.0, lam=1.0, h=h)
             state = deformed_state(chart, grid, h)
-            for rule in (("gauss", 8), ("gauss", 16), ("simpson", 9)):
+            for nodes in (8, 16):
                 # F == Id to round-off and the parent density is quadratic
                 # around Id, so the integral sits at squared round-off
-                assert abs(integrate_3d(state, ref, mat, rule=rule)) < 1e-18
+                assert abs(integrate_3d(state, ref, mat, nodes=nodes)) < 1e-18
 
 
 def test_three_point_volume_products_reproduce_face_factors():
@@ -320,7 +314,7 @@ def test_trace_moments_match_dense_quadrature():
     # against the defining integral itself, at small h where the O(h^7)
     # truncation sits far below the 1e-8 relative gate
     h = 0.02
-    x, w = thickness_rule("gauss", 24, h)
+    x, w = thickness_rule(24, h)
     for _ in range(100):
         H = RNG.uniform(-1.5, 1.5)
         K = RNG.uniform(-2.0, 2.0)
@@ -372,7 +366,7 @@ def test_det_square_series_matches_power_series_division():
 
 def test_det_square_bracket_matches_dense_quadrature():
     h = 0.02
-    x, w = thickness_rule("gauss", 24, h)
+    x, w = thickness_rule(24, h)
     for _ in range(100):
         H, dH = RNG.uniform(-1.0, 1.0, size=2)
         K, dK = RNG.uniform(-1.5, 1.5, size=2)
@@ -385,7 +379,7 @@ def test_det_square_bracket_matches_dense_quadrature():
 
 def test_log_det_bracket_matches_dense_quadrature():
     h = 0.02
-    x, w = thickness_rule("gauss", 24, h)
+    x, w = thickness_rule(24, h)
     for _ in range(100):
         H, dH = RNG.uniform(-1.0, 1.0, size=2)
         K, dK = RNG.uniform(-1.5, 1.5, size=2)
@@ -407,8 +401,7 @@ def test_comparison_sweep_is_thread_deterministic_and_fifth_order():
     grid = Grid.uniform(chart.domain, 9, 9)
     disp = TrigDisplacement.standard(chart.domain, 0.05)
     deformed = displace_chart(chart, disp)
-    kwargs = dict(mu=1.0, lam=1.0, h_values=(0.04, 0.02, 0.01),
-                  rule=("gauss", 12))
+    kwargs = dict(mu=1.0, lam=1.0, h_values=(0.04, 0.02, 0.01), nodes=12)
     # the sweep starts no threads of its own; the CLI tests check its
     # output at one and two BLAS threads
     result = compare_reduced_3d(chart, deformed, grid, **kwargs)
@@ -429,7 +422,7 @@ def _rebuilt_sweep(chart, deformed, grid, h_values, models=(1, 2, 3)):
         ref = build_reference(chart, grid, h)
         state = deformed_state(deformed, grid, h)
         mat = MaterialParams(mu=1.0, lam=1.0, h=h)
-        full3d = integrate_3d(state, ref, mat, rule=("gauss", 12))
+        full3d = integrate_3d(state, ref, mat, nodes=12)
         for model in models:
             reduced = total_energy(state, ref, mat, model).internal
             rows.append((h, model, reduced, full3d, abs(reduced - full3d)))
@@ -467,7 +460,7 @@ def test_sweep_shares_one_reference_and_matches_per_h_rebuild(
     for name in calls:
         monkeypatch.setattr(oracle3d, name, counted(name))
     result = compare_reduced_3d(chart, deformed, grid, 1.0, 1.0, h_values,
-                                rule=("gauss", 12))
+                                nodes=12)
     assert calls == {"build_reference": 1, "deformed_state": 1}
 
     assert len(result["rows"]) == len(rows)
